@@ -54,37 +54,14 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
 
 def _builder_spec_from_args(args) -> cls.StateBuilderSpec:
     family = args.builder
-    params: dict = {}
-    if family == "ghz":
-        _need(args, family, n=True, theta=True)
-        params = {"n": args.n, "theta": args.theta}
-    elif family == "w":
-        _need(args, family, coeffs=True)
-        params = {"coeffs": _parse_float_list(args.coeffs, "--coeffs")}
-    elif family == "dicke":
-        _need(args, family, n=True, l=True)
-        params = {"n": args.n, "l": args.l}
-    elif family == "generalized_dicke":
-        _need(args, family, n=True, l=True, coeffs=True)
-        params = {"n": args.n, "l": args.l, "coeffs": _parse_float_list(args.coeffs, "--coeffs")}
-    elif family == "biseparable":
-        _need(args, family, alpha=True, beta=True, position=True)
-        params = {"alpha": args.alpha, "beta": args.beta, "position": args.position}
-    elif family == "noisy_w":
-        _need(args, family, v1=True)
-        params = {"v1": args.v1}
-    elif family == "noisy_ghz":
-        _need(args, family, v2=True)
-        params = {"v2": args.v2}
-    else:
-        raise ValidationError(f"unknown builder {family!r}")
-    return cls.StateBuilderSpec(family=family, params=params)
-
-
-def _need(args, family: str, **wanted):
-    missing = [f"--{k}" for k in wanted if getattr(args, k, None) is None]
+    names = cls._BUILDERS[family][1]
+    missing = [f"--{k}" for k in names if getattr(args, k, None) is None]
     if missing:
         raise ValidationError(f"builder {family!r} requires {', '.join(missing)}")
+    params = {k: getattr(args, k) for k in names}
+    if "coeffs" in params:
+        params["coeffs"] = _parse_float_list(params["coeffs"], "--coeffs")
+    return cls.StateBuilderSpec(family=family, params=params)
 
 
 def _load_state(args):

@@ -25,9 +25,6 @@ NORMALIZATION_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
 
 def _as_complex_vector(amps) -> np.ndarray:
     arr = np.asarray(amps, dtype=np.complex128).reshape(-1)
@@ -41,6 +38,12 @@ def _qubit_count_for_dim(dim: int, what: str) -> int:
     if n > MAX_QUBITS:
         raise CapacityError(f"{what} needs {n} qubits, limit is {MAX_QUBITS}")
     return n
+
+
+def _require_hermitian(arr: np.ndarray, what: str, atol: float):
+    defect = float(np.max(np.abs(arr - arr.conj().swapaxes(-1, -2))))
+    if not defect <= atol:
+        raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e}")
 
 
 class PureState:
@@ -91,25 +94,12 @@ class DensityMatrix:
         d = arr.shape[0]
         if dim is not None and dim != d:
             raise ValidationError(f"declared dim={dim} but entries are {d}x{d}")
-        n = _qubit_count_for_dim(d, "density matrix")
-        herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
-        if not herm_defect <= HERMITICITY_ATOL:
+        self._store(arr)
+        lam_min = _eigh(self.entries)[0][0]
+        if not lam_min >= EIGENVALUE_FLOOR:
             raise ValidationError(
-                f"density matrix is not Hermitian: max |M - M^dag| = {herm_defect:.3e}"
+                f"density matrix has negative eigenvalue {lam_min:.3e} below {EIGENVALUE_FLOOR}"
             )
-        tr = complex(np.trace(arr))
-        if not abs(tr - 1.0) <= TRACE_ATOL:
-            raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
-        arr = 0.5 * (arr + arr.conj().T)
-        lam = _jacobi(arr, want_vectors=False)[0]
-        if not lam[0] >= EIGENVALUE_FLOOR:
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {lam[0]:.3e} below {EIGENVALUE_FLOOR}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", arr)
 
     def __setattr__(self, *_):
         raise AttributeError("DensityMatrix is immutable")
@@ -119,24 +109,23 @@ class DensityMatrix:
         # Internal constructor for matrices that are PSD by construction
         # (projectors, partial traces, convex mixtures of valid states); skips
         # the eigenvalue scan but keeps the cheap hermiticity/trace checks.
-        arr = np.asarray(entries, dtype=np.complex128)
-        d = arr.shape[0]
-        n = _qubit_count_for_dim(d, "density matrix")
-        herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
-        if not herm_defect <= HERMITICITY_ATOL:
-            raise ValidationError(
-                f"density matrix is not Hermitian: max |M - M^dag| = {herm_defect:.3e}"
-            )
+        obj = object.__new__(cls)
+        obj._store(np.asarray(entries, dtype=np.complex128))
+        return obj
+
+    def _store(self, arr: np.ndarray):
+        # Checks shared by both constructors: qubit dimension, Hermiticity and
+        # unit trace. Stores the exactly Hermitian part, read-only.
+        n = _qubit_count_for_dim(arr.shape[0], "density matrix")
+        _require_hermitian(arr, "density matrix", HERMITICITY_ATOL)
         tr = complex(np.trace(arr))
         if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
         arr = 0.5 * (arr + arr.conj().T)
         arr.flags.writeable = False
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "dim", d)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "entries", arr)
-        return obj
+        object.__setattr__(self, "dim", arr.shape[0])
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", arr)
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
@@ -144,7 +133,10 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted ascending; eigenvectors (unitary columns) when requested."""
+    """Eigenvalues sorted ascending; eigenvectors (unitary columns) when requested.
+
+    For a stack of matrices both carry the stack's leading axes.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray] = None
@@ -249,131 +241,37 @@ def _pure_marginal(amps: np.ndarray, n: int, kept0: Sequence[int]) -> np.ndarray
     return a @ a.conj().T
 
 
-def _rotation(app: float, aqq: float, apq: complex):
-    """Unitary 2x2 column pair (up, uq, c, s) annihilating the off-diagonal entry apq.
+def _eigh(matrix: np.ndarray, vectors: bool = False):
+    """Ascending eigenvalues of a Hermitian matrix (or stack), plus eigenvectors if asked.
 
-    Returns the parameters of U = [[c*phase, s*phase], [-s, c]] with
-    phase = apq/|apq|, so that U^dag diag-block U is diagonal.
+    LAPACK (numpy.linalg.eigvalsh / eigh) reads the lower triangle only. A
+    failure to converge surfaces as NumericError.
     """
-    r = abs(apq)
-    phase = apq / r
-    tau = (aqq - app) / (2.0 * r)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    return c * phase, s * phase, c, s
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi(matrix: np.ndarray, want_vectors: bool):
-    """Cyclic Jacobi eigendecomposition of a Hermitian matrix.
-
-    Sweeps row-cyclically, rotating away each off-diagonal pair, until the
-    off-diagonal Frobenius norm drops to JACOBI_OFFDIAG_TOL or
-    JACOBI_MAX_SWEEPS sweeps have run. Eigenvalues come back ascending;
-    eigenvectors (if requested) are the matching unitary columns.
-    """
-    a = np.array(matrix, dtype=np.complex128)
-    a = 0.5 * (a + a.conj().T)
-    d = a.shape[0]
-    v = np.eye(d, dtype=np.complex128) if want_vectors else None
-    if d == 1:
-        return np.array([a[0, 0].real]), v
-    if d == 2:
-        return _jacobi_2x2(a, want_vectors)
-
-    skip = JACOBI_OFFDIAG_TOL / (4.0 * d * d)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) <= JACOBI_OFFDIAG_TOL:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                up, uq, c, s = _rotation(a[p, p].real, a[q, q].real, apq)
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = up * colp - s * colq
-                a[:, q] = uq * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = np.conj(up) * rowp - s * rowq
-                a[q, :] = np.conj(uq) * rowp + c * rowq
-                # pin what the rotation guarantees, against rounding drift
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = up * vp - s * vq
-                    v[:, q] = uq * vp + c * vq
-    else:
-        residual = _offdiag_norm(a)
-        if residual > JACOBI_OFFDIAG_TOL:
-            raise NumericError(
-                f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps; "
-                f"off-diagonal residual {residual:.3e}"
-            )
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if v is not None:
-        v = np.ascontiguousarray(v[:, order])
-    return w, v
-
-
-def _jacobi_2x2(a: np.ndarray, want_vectors: bool):
-    # One rotation diagonalizes a 2x2 block exactly, so the sweep scaffolding
-    # is skipped; this path dominates per-qubit marginal work.
-    app = a[0, 0].real
-    aqq = a[1, 1].real
-    apq = a[0, 1]
-    if abs(apq) == 0.0:
-        w = np.array([app, aqq])
-        v = np.eye(2, dtype=np.complex128) if want_vectors else None
-    else:
-        up, uq, c, s = _rotation(app, aqq, apq)
-        r = abs(apq)
-        w = np.array(
-            [c * c * app - 2.0 * c * s * r + s * s * aqq,
-             s * s * app + 2.0 * c * s * r + c * c * aqq]
-        )
-        v = np.array([[up, uq], [-s, c]], dtype=np.complex128) if want_vectors else None
-    if w[0] > w[1]:
-        w = w[::-1].copy()
-        if v is not None:
-            v = v[:, ::-1].copy()
-    return w, v
+    try:
+        if vectors:
+            return np.linalg.eigh(matrix)
+        return np.linalg.eigvalsh(matrix), None
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hermitian eigensolver failed: {exc}") from exc
 
 
 def eig_hermitian(matrix: Union[DensityMatrix, np.ndarray], vectors: bool = False) -> Spectrum:
-    """Full real spectrum (ascending) of a Hermitian matrix, by cyclic Jacobi sweeps.
+    """Full real spectrum (ascending) of a Hermitian matrix, by LAPACK eigh.
 
-    Accepts a DensityMatrix or a raw Hermitian ndarray. Non-Hermitian input
-    raises ValidationError; failure to converge raises NumericError with the
-    remaining off-diagonal residual.
+    Accepts a DensityMatrix, a raw Hermitian ndarray, or a stack of them of
+    shape (..., d, d), which is solved in one call with spectra along the last
+    axis. Non-Hermitian input raises ValidationError; failure of LAPACK to
+    converge raises NumericError.
     """
     if isinstance(matrix, DensityMatrix):
         arr = matrix.entries
     else:
         arr = np.asarray(matrix, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
             raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
         scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
-        defect = float(np.max(np.abs(arr - arr.conj().T)))
-        if not defect <= HERMITICITY_ATOL * scale:
-            raise ValidationError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
-    w, v = _jacobi(arr, want_vectors=vectors)
+        _require_hermitian(arr, "matrix", HERMITICITY_ATOL * scale)
+    w, v = _eigh(arr, vectors)
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
@@ -384,7 +282,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     zero, as are positive values below 1e-14 (so exact-rank states report
     exact entropies); anything below the negative floor is rejected.
     """
-    lam = _jacobi(rho.entries, want_vectors=False)[0]
+    lam = _eigh(rho.entries)[0]
     if not lam[0] >= EIGENVALUE_FLOOR:
         raise ValidationError(
             f"eigenvalue {lam[0]:.3e} below {EIGENVALUE_FLOOR}; not a density matrix"

@@ -1,11 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from empskit.errors import ArgumentError, CapacityError, ValidationError
+from empskit import cli
+from empskit.errors import ArgumentError, CapacityError, NumericError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
     PureState,
@@ -293,6 +295,34 @@ def test_eig_is_deterministic():
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
+def test_eig_of_a_stack_matches_one_at_a_time():
+    rng = np.random.default_rng(31)
+    stack = np.stack([random_hermitian(4, rng) for _ in range(5)])
+    spec = eig_hermitian(stack, vectors=True)
+    assert spec.eigenvalues.shape == (5, 4)
+    for k, h in enumerate(stack):
+        assert np.max(np.abs(spec.eigenvalues[k] - eig_hermitian(h).eigenvalues)) <= 1e-12
+        v = spec.eigenvectors[k]
+        assert np.max(np.abs((v * spec.eigenvalues[k]) @ v.conj().T - h)) <= 1e-9
+    stack[3, 0, 1] += 1e-3
+    with pytest.raises(ValidationError, match="Hermitian"):
+        eig_hermitian(stack)
+
+
+def test_lapack_failure_is_a_numeric_error(monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NumericError, match="did not converge"):
+        eig_hermitian(np.eye(2))
+    with pytest.raises(NumericError):
+        eig_hermitian(np.eye(2), vectors=True)
+    assert cli.run(["ising", "--model", "longrange"]) == 3
+    assert "numeric error" in capsys.readouterr().err
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), dim=st.sampled_from([2, 3, 4, 6, 8]))
 def test_eig_sum_equals_trace(seed, dim):
@@ -334,6 +364,22 @@ def test_entropy_of_w_marginal_is_binary_entropy():
     expected = -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3)
     assert abs(expected - 0.9182958340544896) < 1e-15
     assert abs(von_neumann_entropy(red) - expected) <= 1e-10
+
+
+def test_entropy_of_nine_qubit_state_with_known_spectrum():
+    # nine qubits (d = 512): PSD check and entropy both run a dense eigensolve
+    rng = np.random.default_rng(37)
+    d = 2 ** 9
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    p = rng.random(d)
+    p /= p.sum()
+    start = time.perf_counter()
+    rho = DensityMatrix((u * p) @ u.conj().T)
+    entropy = von_neumann_entropy(rho)
+    elapsed = time.perf_counter() - start
+    assert rho.n == 9
+    assert abs(entropy - float(-np.sum(p * np.log2(p)))) <= 1e-10
+    assert elapsed < 10.0
 
 
 def test_entropy_rejects_eigenvalue_below_floor():

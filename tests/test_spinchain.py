@@ -20,6 +20,8 @@ from empskit.spinchain import (
     spec_from_dict,
 )
 
+from oracles import count_eigenvalues_below
+
 # Regression fixtures for the 5-site long-range chain at J = h = 1, recorded
 # from the first verified diagonalization (cross-checked against LAPACK).
 LONG_RANGE_ENERGY = -10.256056127482841
@@ -153,6 +155,17 @@ def test_ground_state_is_bit_reproducible():
     b = ground_state(long_range_chain())
     assert a.energy == b.energy
     assert np.array_equal(a.state.amps, b.state.amps)
+
+
+def test_ground_energy_matches_inertia_count_oracle():
+    # transverse-field chain, one X term per site (d = 256); the inertia count
+    # does not go through LAPACK
+    n = 8
+    field = tuple((0.6, "I" * i + "X" + "I" * (n - 1 - i)) for i in range(n))
+    ham = build_hamiltonian(SpinChainSpec(N=n, J=1.0, h=0.7, extra_terms=field))
+    energy = ground_state(ham).energy
+    assert count_eigenvalues_below(ham, energy - 1e-8) == 0
+    assert count_eigenvalues_below(ham, energy + 1e-8) >= 1
 
 
 # ---------------------------------------------------------------- entropy criterion
