@@ -16,7 +16,14 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from . import qcore
-from .emps import DEFAULT_SEED, SLACK_TOL, EmpsVector, emps_vector, eta_indicator
+from .emps import (
+    DEFAULT_SEED,
+    SLACK_TOL,
+    EmpsVector,
+    _min_eigenvalues_2x2,
+    emps_vector,
+    eta_indicator,
+)
 from .errors import ArgumentError, ValidationError
 from .qcore import DensityMatrix, PureState, State
 
@@ -301,11 +308,53 @@ def classify_three_qubit(psi: PureState) -> ClassLabel:
     )
 
 
+def _det_2x2(g: np.ndarray) -> np.ndarray:
+    return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+
+
 def _random_local_operator(rng: np.random.Generator) -> np.ndarray:
     while True:
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        if abs(np.linalg.det(g)) >= DET_FLOOR:
+        if abs(_det_2x2(g)) >= DET_FLOOR:
             return g
+
+
+def _local_factors(n: int, seeds: range) -> np.ndarray:
+    """The n 2x2 factors of the orbit samples seeded at `seeds`, as (len(seeds), n, 2, 2).
+
+    Each sample takes one draw of 8n normals from default_rng(seed), which
+    consumes the stream exactly as n _random_local_operator calls do when no
+    factor needs a redraw. A sample with any factor below DET_FLOOR is
+    replayed from a fresh generator, factor by factor.
+    """
+    z = np.empty((len(seeds), n, 2, 2, 2))
+    for i, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=z[i])
+    g = z[:, :, 0] + 1j * z[:, :, 1]
+    for i in np.flatnonzero(np.any(np.abs(_det_2x2(g)) < DET_FLOOR, axis=1)):
+        rng = np.random.default_rng(seeds[i])
+        g[i] = [_random_local_operator(rng) for _ in range(n)]
+    return g
+
+
+def _apply_local_factors(amps: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Rows (g_k1 x ... x g_kn) amps for a (B, n, 2, 2) stack of factors, as (B, 2^n).
+
+    Qubit q + 1 leads the amplitude tensor at step q: its 2x2 factor is
+    applied by one batched matmul, then the axis rotates to the back, so
+    after n steps the qubit order is restored. Every row is computed on its
+    own, and no 2^n x 2^n operator is formed.
+    """
+    b, n = factors.shape[:2]
+    t = np.broadcast_to(amps, (b, amps.size))
+    for q in range(n):
+        t = (factors[:, q] @ t.reshape(b, 2, -1)).swapaxes(1, 2)
+    return t.reshape(b, -1)
+
+
+# Amplitudes per orbit batch (1 MiB of complex128): bounds the working set
+# whatever the sample count; the results do not depend on it.
+_CHUNK_AMPLITUDES = 1 << 16
 
 
 def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> List[EmpsVector]:
@@ -313,21 +362,33 @@ def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> 
 
     Each sample applies an invertible G = g_1 x ... x g_n with independent
     complex-Gaussian 2x2 factors (resampled when |det g_i| < 1e-6) and
-    renormalizes. Sample k draws from its own generator seeded at seed + k,
-    so results do not depend on batching.
+    renormalizes. Sample k draws its factors from its own generator,
+    default_rng(seed + k), so sample k is the same bits whatever the count
+    and however the samples are batched.
+
+    Samples are processed in batches of at most 2^16 amplitudes: the factors
+    act as per-qubit 2x2 contractions on the batch's amplitude tensor (no
+    2^n x 2^n Kronecker product is formed), the rows are normalized, and one
+    call to the marginal kernel gives every qubit's energy in closed form.
     """
     if count < 1:
         raise ArgumentError(f"sample count must be >= 1, got {count}")
     n = psi.n
+    batch = max(1, _CHUNK_AMPLITUDES // psi.dim)
     out: List[EmpsVector] = []
-    for k in range(count):
-        rng = np.random.default_rng(seed + k)
-        g = np.array([[1.0 + 0j]])
-        for _ in range(n):
-            g = np.kron(g, _random_local_operator(rng))
-        phi = g @ psi.amps
-        phi = phi / np.linalg.norm(phi)
-        out.append(emps_vector(PureState(phi)))
+    for start in range(0, count, batch):
+        factors = _local_factors(n, range(seed + start, seed + min(start + batch, count)))
+        phi = _apply_local_factors(psi.amps, factors)
+        phi /= np.linalg.norm(phi, axis=1)[:, None]
+        norm_sq = np.sum(np.abs(phi) ** 2, axis=1)
+        bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= qcore.NORMALIZATION_ATOL))
+        if bad.size:
+            raise ValidationError(
+                f"orbit sample {start + bad[0]} is not normalized: "
+                f"sum |amps|^2 = {norm_sq[bad[0]]!r} (tolerance {qcore.NORMALIZATION_ATOL})"
+            )
+        energies = _min_eigenvalues_2x2(qcore._qubit_marginals(phi), range(1, n + 1))
+        out.extend(EmpsVector(n=n, values=row) for row in energies)
     return out
 
 

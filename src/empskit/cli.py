@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -183,7 +184,7 @@ def _cmd_orbit(args) -> int:
         writer = csv.writer(buf)
         writer.writerow([f"e{i}" for i in range(1, state.n + 1)])
         for v in samples:
-            writer.writerow([repr(float(x)) for x in v.values])
+            writer.writerow([repr(x) for x in v.values.tolist()])
         _emit(buf.getvalue(), args.output)
     else:
         record = {
@@ -191,7 +192,7 @@ def _cmd_orbit(args) -> int:
             "units": "E",
             "samples": args.samples,
             "seed": seed,
-            "points": [[float(x) for x in v.values] for v in samples],
+            "points": [v.values.tolist() for v in samples],
         }
         _emit(_json_dumps(record), args.output)
     return 0
@@ -384,9 +385,15 @@ def _add_chain_options(parser: argparse.ArgumentParser):
     parser.add_argument("--h", type=float, default=1.0, help="external field")
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    # Building the parser costs more than a light command; parse_args leaves it
+    # unchanged and returns a fresh Namespace, so one parser serves every run.
+    return build_parser()
+
+
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValidationError, ArgumentError, CapacityError) as exc:

@@ -73,23 +73,46 @@ def passive_energy(rho: Union[DensityMatrix, np.ndarray], hamiltonian: np.ndarra
     return float(np.dot(lam[::-1], eps))
 
 
+def _min_eigenvalues_2x2(marginals: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian 2x2 in a (..., len(qubits), 2, 2) stack.
+
+    For [[p0, c], [c*, p1]] it is 2 det / (tr + sqrt((p0 - p1)^2 + 4|c|^2)),
+    which avoids the cancellation of (tr - sqrt(...)) / 2 as det -> 0.
+    A value below -1e-10 means the input was not a marginal of a state
+    (ValidationError naming the 1-based qubit); rounding noise is clipped
+    into [0, 1/2].
+    """
+    p0 = marginals[..., 0, 0].real
+    p1 = marginals[..., 1, 1].real
+    c = marginals[..., 0, 1]
+    c_sq = c.real ** 2 + c.imag ** 2
+    lam_min = 2.0 * (p0 * p1 - c_sq) / (p0 + p1 + np.sqrt((p0 - p1) ** 2 + 4.0 * c_sq))
+    ok = lam_min >= -1e-10
+    if not ok.all():
+        index = tuple(np.argwhere(~ok)[0])
+        raise ValidationError(
+            f"marginal of qubit {qubits[index[-1]]} has eigenvalue {lam_min[index]:.3e} < 0"
+        )
+    return np.clip(lam_min, 0.0, 0.5)
+
+
 def _marginal_min_eigenvalues(state: State, qubits: Sequence[int]) -> np.ndarray:
+    """Smallest eigenvalue of each named qubit's marginal (1-based qubits), in closed form.
+
+    Pure states go through the batched single-qubit marginal kernel as a
+    stack of one; density matrices through partial_trace. Both end in the
+    closed form of _min_eigenvalues_2x2, so no eigensolver runs.
+    """
     n = state.n
-    reds = []
+    qubits = list(qubits)
     for qubit in qubits:
         if not 1 <= qubit <= n:
             raise ArgumentError(f"qubit index {qubit} out of range 1..{n}")
-        if isinstance(state, PureState):
-            reds.append(qcore._pure_marginal(state.amps, n, [qubit - 1]))
-        else:
-            reds.append(qcore.partial_trace(state, (qubit,)).entries)
-    # one stacked solve per state: per-qubit calls would spend more on input checks than on LAPACK
-    lam_min = qcore.eig_hermitian(np.stack(reds)).eigenvalues[:, 0]
-    for qubit, lam in zip(qubits, lam_min):
-        if not lam >= -1e-10:
-            raise ValidationError(f"marginal of qubit {qubit} has eigenvalue {lam:.3e} < 0")
-    # rounding can leave lam_min a hair outside [0, 1/2]
-    return np.clip(lam_min, 0.0, 0.5)
+    if isinstance(state, PureState):
+        marginals = qcore._qubit_marginals(state.amps[None, :])[0, [q - 1 for q in qubits]]
+    else:
+        marginals = np.stack([qcore.partial_trace(state, (q,)).entries for q in qubits])
+    return _min_eigenvalues_2x2(marginals, qubits)
 
 
 def emps(state: State, qubit: int) -> float:

@@ -241,6 +241,22 @@ def _pure_marginal(amps: np.ndarray, n: int, kept0: Sequence[int]) -> np.ndarray
     return a @ a.conj().T
 
 
+def _qubit_marginals(amps: np.ndarray) -> np.ndarray:
+    """Every single-qubit marginal of a (B, 2^n) stack of pure-state amplitudes, as (B, n, 2, 2).
+
+    Each row's marginals are computed on their own, so a row's result does
+    not depend on B.
+    """
+    b, dim = amps.shape
+    n = dim.bit_length() - 1
+    out = np.empty((b, n, 2, 2), dtype=np.complex128)
+    for q in range(n):
+        t = amps.reshape(b, 2 ** q, 2, -1).swapaxes(1, 2).reshape(b, 2, -1)
+        # batched matmul: an einsum of the same contraction is 2-2.5x slower at n >= 6
+        out[:, q] = t @ t.conj().swapaxes(1, 2)
+    return out
+
+
 def _eigh(matrix: np.ndarray, vectors: bool = False):
     """Ascending eigenvalues of a Hermitian matrix (or stack), plus eigenvectors if asked.
 

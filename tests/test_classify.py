@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from empskit import classify
 from empskit.classify import (
     ClassVerdict,
     StateBuilderSpec,
@@ -259,6 +261,110 @@ def test_orbit_of_biseparable_preserves_the_cut():
 def test_orbit_sample_count_validation():
     with pytest.raises(ArgumentError):
         slocc_orbit_sample(basis_state("000"), 0)
+
+
+def _replay_factors(n, seed):
+    # the seeding contract, one factor at a time: redraw while |det g| < DET_FLOOR
+    rng = np.random.default_rng(seed)
+    factors, redrawn = [], False
+    for _ in range(n):
+        while True:
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            if abs(np.linalg.det(g)) >= classify.DET_FLOOR:
+                break
+            redrawn = True
+        factors.append(g)
+    return factors, redrawn
+
+
+def _min_marginal_eigenvalues(phi, n):
+    t = phi.reshape([2] * n)
+    out = []
+    for q in range(n):
+        a = np.moveaxis(t, q, 0).reshape(2, -1)
+        out.append(np.linalg.eigvalsh(a @ a.conj().T)[0])
+    return np.clip(out, 0.0, 0.5)
+
+
+def _replay_row_kron(psi, seed):
+    # G = g_1 x ... x g_n as a dense 2^n x 2^n matrix
+    factors, redrawn = _replay_factors(psi.n, seed)
+    g = np.array([[1.0 + 0j]])
+    for f in factors:
+        g = np.kron(g, f)
+    phi = g @ psi.amps
+    return _min_marginal_eigenvalues(phi / np.linalg.norm(phi), psi.n), redrawn
+
+
+def _replay_row_tensordot(psi, seed):
+    # the same G applied one qubit at a time, for sizes where the dense G is too big
+    factors, _ = _replay_factors(psi.n, seed)
+    t = psi.amps.reshape([2] * psi.n)
+    for q, f in enumerate(factors):
+        t = np.moveaxis(np.tensordot(f, t, axes=([1], [q])), 0, q)
+    phi = t.reshape(-1)
+    return _min_marginal_eigenvalues(phi / np.linalg.norm(phi), psi.n)
+
+
+ORBIT_STATES = {
+    3: build_w([0.5, 0.3, 0.2]),
+    4: build_ghz(4, 0.6),
+    5: build_dicke(5, 2),
+    6: build_generalized_dicke(6, 1, np.full(6, 6 ** -0.5)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ORBIT_STATES))
+def test_orbit_sample_is_the_same_bits_in_any_batch(n):
+    psi = ORBIT_STATES[n]
+    seed = 1000 + n
+    alone = [slocc_orbit_sample(psi, 1, seed=seed + k)[0].values for k in range(257)]
+    for count in (4, 50, 257):
+        run = slocc_orbit_sample(psi, count, seed=seed)
+        assert all(np.array_equal(v.values, alone[k]) for k, v in enumerate(run))
+
+
+def test_orbit_sample_is_the_same_bits_across_a_batch_boundary():
+    psi = ORBIT_STATES[6]
+    per_batch = classify._CHUNK_AMPLITUDES // psi.dim
+    run = slocc_orbit_sample(psi, per_batch + 3, seed=5)
+    for k in (0, per_batch - 2, per_batch - 1, per_batch, per_batch + 2):
+        assert np.array_equal(run[k].values, slocc_orbit_sample(psi, 1, seed=5 + k)[0].values)
+    # shifting the start moves the boundary to another sample
+    shifted = slocc_orbit_sample(psi, per_batch + 3, seed=5 + 7)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(run[7:], shifted))
+
+
+def test_orbit_rows_match_kron_replay_with_frequent_redraws(monkeypatch):
+    monkeypatch.setattr(classify, "DET_FLOOR", 0.5)
+    for n in (3, 4, 5):
+        psi = ORBIT_STATES[n]
+        run = slocc_orbit_sample(psi, 40, seed=77)
+        redraws = 0
+        for k, v in enumerate(run):
+            want, redrawn = _replay_row_kron(psi, 77 + k)
+            redraws += redrawn
+            assert np.max(np.abs(v.values - want)) <= 1e-12
+        assert 5 <= redraws < 40
+
+
+def test_orbit_rows_match_kron_replay():
+    for n in (3, 4, 5, 6):
+        psi = ORBIT_STATES[n]
+        for k, v in enumerate(slocc_orbit_sample(psi, 10, seed=31)):
+            want, _ = _replay_row_kron(psi, 31 + k)
+            assert np.max(np.abs(v.values - want)) <= 1e-12
+
+
+def test_twelve_qubit_orbit_without_dense_operator():
+    # the dense G alone would be 4096 x 4096 complex (256 MB) per sample
+    psi = build_dicke(12, 3)
+    start = time.perf_counter()
+    run = slocc_orbit_sample(psi, 64, seed=9)
+    assert time.perf_counter() - start < 10.0
+    assert len(run) == 64
+    for k in (0, 41):
+        assert np.max(np.abs(run[k].values - _replay_row_tensordot(psi, 9 + k))) <= 1e-12
 
 
 # ---------------------------------------------------------------- noisy discrimination

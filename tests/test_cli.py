@@ -216,3 +216,29 @@ def test_sweep_on_two_site_chain_exits_2(capsys):
     code = cli.run(["sweep", "--model", "ising", "--sites", "2", "--param", "h", "--values", "1.0"])
     assert code == 2
     assert "3 qubits" in capsys.readouterr().err
+
+
+def test_consecutive_runs_share_no_arguments(tmp_path, monkeypatch, capsys):
+    # one parser serves every run; nothing parsed in one call may leak into the next
+    monkeypatch.delenv("EMPSKIT_SEED", raising=False)
+    orbit = ["orbit", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--samples", "2"]
+    assert run_json(capsys, orbit + ["--seed", "7"])["seed"] == 7
+    assert run_json(capsys, orbit)["seed"] == 42
+    out = tmp_path / "w.json"
+    assert cli.run(["polytope", "--point", "0.4,0.3,0.2", "--which", "w", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["polytope"] == "w"
+    record = run_json(capsys, ["polytope", "--point", "0.4,0.3,0.2"])
+    assert record["polytope"] == "ghz"
+    assert record["point_id"] == "point(0.4,0.3,0.2)"
+    record = run_json(capsys, ["emps", "--builder", "dicke", "--n", "4", "--l", "2"])
+    assert record["state_id"] == "dicke(n=4, l=2)"
+    monkeypatch.setenv("EMPSKIT_SEED", "9")
+    assert run_json(capsys, orbit)["seed"] == 9
+    assert cli.run(["emps", "--builder", "ghz", "--n", "3"]) == 2
+    assert "--theta" in capsys.readouterr().err
+    assert run_json(capsys, orbit + ["--seed", "3"])["seed"] == 3
+    assert run_json(capsys, orbit)["seed"] == 9
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()

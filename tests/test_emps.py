@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from empskit.qcore import (
 )
 
 from oracles import (
+    eig_oracle,
+    partial_trace_oracle,
     passive_energy_enumeration_oracle,
     random_density,
     random_hermitian,
@@ -34,6 +37,19 @@ from oracles import (
 )
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)  # local Hamiltonian |1><1|
+
+
+# ---------------------------------------------------------------- package namespace
+
+
+def test_emps_submodule_is_not_shadowed():
+    import empskit
+    import empskit.emps as module
+
+    assert module is sys.modules["empskit.emps"]
+    assert empskit.emps is module
+    assert module.emps_vector is empskit.emps_vector
+    assert "emps" not in empskit.__all__
 
 
 # ---------------------------------------------------------------- passive energy
@@ -149,6 +165,93 @@ def test_emps_vector_validation():
         EmpsVector(n=3, values=np.array([0.6, 0.0, 0.0]))
     with pytest.raises(ValidationError):
         EmpsVector(n=2, values=np.array([0.1, 0.1, 0.1]))
+
+
+# ---------------------------------------------------------------- closed-form marginal kernel
+
+
+def _explicit_marginals(amps, n):
+    # each qubit's marginal by an einsum over the (left, qubit, right) split
+    out = []
+    for q in range(n):
+        a = amps.reshape(2 ** q, 2, -1)
+        out.append(np.einsum("lir,ljr->ij", a, a.conj()))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_closed_form_matches_lapack_and_bisection_on_haar_states(n):
+    rng = np.random.default_rng(700 + n)
+    for _ in range(3):
+        psi = random_pure_state(n, rng)
+        got = emps_vector(psi).values
+        marginals = _explicit_marginals(psi.amps, n)
+        lapack = np.array([np.linalg.eigvalsh(m)[0] for m in marginals])
+        bisection = np.array([eig_oracle(m, tol=1e-13)[0] for m in marginals])
+        assert np.max(np.abs(got - lapack)) <= 1e-12
+        assert np.max(np.abs(got - bisection)) <= 1e-12
+        if n <= 6:
+            rho = psi.density().entries
+            traced = [partial_trace_oracle(rho, n, [q]) for q in range(1, n + 1)]
+            assert np.allclose(traced, marginals, atol=1e-12)
+
+
+def test_closed_form_of_product_states():
+    # marginals that are exact projectors in floating point give exactly 0
+    plus = PureState(np.full(16, 0.25))
+    for psi in (basis_state("0110"), plus):
+        assert np.array_equal(emps_vector(psi).values, np.zeros(4))
+    # otherwise the rounding in the amplitudes leaves at most a few ulps
+    rng = np.random.default_rng(717)
+    for _ in range(50):
+        psi = random_pure_state(1, rng)
+        for _ in range(4):
+            psi = tensor_product(psi, random_pure_state(1, rng))
+        v = emps_vector(psi).values
+        assert v.min() >= 0.0 and v.max() <= 1e-15
+
+
+def test_closed_form_of_ghz_is_half():
+    # cos^2 and sin^2 of pi/4 round to either side of 1/2
+    for n in (2, 3, 7, 12):
+        assert np.max(np.abs(emps_vector(build_ghz(n, math.pi / 4)).values - 0.5)) <= 1e-15
+    # diagonals rounded up to 1/2 + 1 ulp are clipped to exactly 1/2
+    amps = np.zeros(8)
+    amps[[0, 7]] = math.cos(math.pi / 4)
+    assert np.array_equal(emps_vector(PureState(amps)).values, np.full(3, 0.5))
+
+
+def test_closed_form_keeps_tiny_eigenvalues():
+    eps = 1e-14
+    amps = np.zeros(8)
+    amps[0], amps[7] = math.sqrt(1 - eps), math.sqrt(eps)
+    v = emps_vector(PureState(amps)).values
+    assert np.allclose(v, eps, rtol=1e-9, atol=0.0)
+    # a product state tilted by 1e-7 has lambda_min about 1e-14
+    rng = np.random.default_rng(719)
+    product = tensor_product(random_pure_state(1, rng), random_pure_state(2, rng))
+    z = product.amps + 1e-7 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    psi = PureState(z / np.linalg.norm(z))
+    got = emps_vector(psi).values
+    lapack = np.array([np.linalg.eigvalsh(m)[0] for m in _explicit_marginals(psi.amps, 3)])
+    assert 1e-16 < got[0] < 1e-12
+    assert np.max(np.abs(got - lapack)) <= 1e-12
+
+
+def test_closed_form_density_matrix_matches_pure_state():
+    rng = np.random.default_rng(727)
+    for n in (1, 3, 6):
+        psi = random_pure_state(n, rng)
+        pure = emps_vector(psi).values
+        mixed = emps_vector(psi.density()).values
+        assert np.max(np.abs(pure - mixed)) <= 1e-12
+
+
+def test_closed_form_rejects_non_positive_marginal():
+    # Hermitian, unit trace, eigenvalues -0.1 and 1.1: not a state's marginal
+    rho = DensityMatrix._trusted(np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))
+    with pytest.raises(ValidationError, match="qubit 1"):
+        emps_vector(rho)
 
 
 # ---------------------------------------------------------------- polygon / total / eta
