@@ -24,7 +24,7 @@ from .emps import (
     emps_vector,
     eta_indicator,
 )
-from .errors import ArgumentError, ValidationError
+from .errors import ArgumentError, EmpskitError, ValidationError
 from .qcore import DensityMatrix, PureState, State
 
 DET_FLOOR = 1e-6  # resample a local operator when |det| falls below this
@@ -197,6 +197,9 @@ def build_state(spec: StateBuilderSpec) -> State:
             f"unknown state family {spec.family!r}; known: {sorted(_BUILDERS)}"
         )
     fn, names = _BUILDERS[spec.family]
+    if not isinstance(spec.params, dict):
+        kind = type(spec.params).__name__
+        raise ValidationError(f"family {spec.family!r} parameters must be an object, got {kind}")
     params = dict(spec.params)
     missing = [k for k in names if k not in params]
     if missing:
@@ -204,7 +207,12 @@ def build_state(spec: StateBuilderSpec) -> State:
     extra = [k for k in params if k not in names]
     if extra:
         raise ValidationError(f"family {spec.family!r} got unknown parameters {extra}")
-    return fn(**params)
+    try:
+        return fn(**params)
+    except EmpskitError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"family {spec.family!r} got a parameter of the wrong type: {exc}") from exc
 
 
 GHZ_FACET_NAMES = tuple(

@@ -65,18 +65,20 @@ def _builder_spec_from_args(args) -> cls.StateBuilderSpec:
     return cls.StateBuilderSpec(family=family, params=params)
 
 
+def _read_json(path: str, what: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
 def _load_state(args):
     """Resolve --state / --builder into (state, state_id)."""
     if getattr(args, "state", None):
-        with open(args.state, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"state file {args.state} is not valid JSON: {exc}") from exc
+        payload = _read_json(args.state, "state")
         if isinstance(payload, dict) and "builder" in payload:
-            spec = cls.StateBuilderSpec(
-                family=str(payload["builder"]), params=dict(payload.get("params", {}))
-            )
+            spec = cls.StateBuilderSpec(family=str(payload["builder"]), params=payload.get("params", {}))
             return cls.build_state(spec), args.state
         return qcore.state_from_dict(payload), args.state
     if getattr(args, "builder", None):
@@ -200,12 +202,7 @@ def _cmd_orbit(args) -> int:
 
 def _chain_spec(args) -> sc.SpinChainSpec:
     if getattr(args, "spec", None):
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"spec file {args.spec} is not valid JSON: {exc}") from exc
-        return sc.spec_from_dict(payload)
+        return sc.spec_from_dict(_read_json(args.spec, "spec"))
     if args.model == "ising":
         return sc.nearest_neighbor_chain(N=args.sites, J=args.J, h=args.h)
     if args.model == "longrange":

@@ -3,13 +3,14 @@
 The base model is an open chain of N spin-1/2 sites,
 H = -J sum_i s^z_i s^z_{i+1} - h sum_i s^z_i with s^z = sigma_z / 2,
 optionally extended by extra Pauli-string terms (per-site letters I/X/Y/Z
-with full Pauli matrices). Ground states feed the energy indicator and the
-pairwise entropy criterion for genuine multipartite entanglement.
+with full Pauli matrices), each filled into the dense matrix from its bit
+masks. Ground states feed the energy indicator and the pairwise entropy
+criterion for genuine multipartite entanglement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import List, Sequence, Tuple, Union
 
@@ -26,13 +27,6 @@ MAX_SITES = qcore.MAX_QUBITS
 DEGENERACY_GAP_TOL = 1e-8
 EIGENPAIR_RESIDUAL_TOL = 1e-8
 
-PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
 
 @dataclass(frozen=True)
 class SpinChainSpec:
@@ -47,14 +41,10 @@ class SpinChainSpec:
         if not MIN_SITES <= self.N <= MAX_SITES:
             raise ValidationError(f"site count N must be in {MIN_SITES}..{MAX_SITES}, got {self.N}")
         terms = tuple((float(c), str(s).upper()) for c, s in self.extra_terms)
-        for coeff, s in terms:
+        for _, s in terms:
             if len(s) != self.N:
-                raise ValidationError(
-                    f"Pauli string {s!r} has length {len(s)}, expected N={self.N}"
-                )
-            bad = set(s) - set("IXYZ")
-            if bad:
-                raise ValidationError(f"Pauli string {s!r} has invalid letters {sorted(bad)}")
+                raise ValidationError(f"Pauli string {s!r} has length {len(s)}, expected N={self.N}")
+            _pauli_masks(s)
         object.__setattr__(self, "extra_terms", terms)
 
 
@@ -76,33 +66,43 @@ class SweepRow:
     degenerate: bool
 
 
+def _pauli_masks(letters: str) -> Tuple[int, int, int]:
+    """(x mask, z mask, Y count) of a Pauli string, site 1 the most significant bit."""
+    bad = set(letters) - set("IXYZ")
+    if bad:
+        raise ValidationError(f"Pauli string {letters!r} has invalid letters {sorted(bad)}")
+    x = int("0" + letters.translate(str.maketrans("IXYZ", "0110")), 2)  # X and Y sites
+    z = int("0" + letters.translate(str.maketrans("IXYZ", "0011")), 2)  # Z and Y sites
+    return x, z, letters.count("Y")
+
+
+def _pauli_sum(n: int, terms: Sequence[Tuple[float, str]]) -> np.ndarray:
+    """Dense sum of coeff * Pauli string over n sites, terms added in list order.
+
+    Column i of a string holds i^nY (-1)^popcount(i & z) at row i ^ x.
+    """
+    dim = 1 << n
+    idx = np.arange(dim)
+    signs = np.prod(1 - 2 * ((idx[:, None] >> np.arange(n)) & 1), axis=1)  # signed (-1)^popcount(i)
+    ham = np.zeros((dim, dim), dtype=np.complex128)
+    for coeff, letters in terms:
+        x, z, ny = _pauli_masks(letters)
+        ham[idx ^ x, idx] += coeff * (1, 1j, -1, -1j)[ny % 4] * signs[idx & z]
+    return ham
+
+
 def pauli_string_matrix(letters: str) -> np.ndarray:
     """Dense tensor product of per-site Pauli matrices, site 1 most significant."""
-    m = np.array([[1.0 + 0j]])
-    for c in letters.upper():
-        if c not in PAULI:
-            raise ValidationError(f"invalid Pauli letter {c!r}")
-        m = np.kron(m, PAULI[c])
-    return m
+    return _pauli_sum(len(letters), [(1.0, letters.upper())])
 
 
 def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
-    """Dense 2^N x 2^N Hermitian matrix for the chain described by spec."""
+    """Dense 2^N x 2^N Hermitian matrix: ZZ bonds, then Z fields, then the extra strings."""
     n = spec.N
-    dim = 2 ** n
-    ham = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(n - 1):
-        s = ["I"] * n
-        s[i] = "Z"
-        s[i + 1] = "Z"
-        ham -= spec.J * 0.25 * pauli_string_matrix("".join(s))  # s^z s^z = sigma_z sigma_z / 4
-    for i in range(n):
-        s = ["I"] * n
-        s[i] = "Z"
-        ham -= spec.h * 0.5 * pauli_string_matrix("".join(s))
-    for coeff, letters in spec.extra_terms:
-        ham += coeff * pauli_string_matrix(letters)
-    return ham
+    # s^z s^z = sigma_z sigma_z / 4 and s^z = sigma_z / 2
+    bonds = [(-0.25 * spec.J, "I" * i + "ZZ" + "I" * (n - 2 - i)) for i in range(n - 1)]
+    fields = [(-0.5 * spec.h, "I" * i + "Z" + "I" * (n - 1 - i)) for i in range(n)]
+    return _pauli_sum(n, bonds + fields + list(spec.extra_terms))
 
 
 def nearest_neighbor_chain(N: int = 5, J: float = 1.0, h: float = 1.0) -> SpinChainSpec:
@@ -188,13 +188,10 @@ def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]
     rows: List[SweepRow] = []
     for x in values:
         x = float(x)
-        if parameter == "J":
-            varied = SpinChainSpec(N=spec.N, J=x, h=spec.h, extra_terms=spec.extra_terms)
-        elif parameter == "h":
-            varied = SpinChainSpec(N=spec.N, J=spec.J, h=x, extra_terms=spec.extra_terms)
+        if parameter == "coefficient":
+            varied = replace(spec, extra_terms=tuple((c * x, s) for c, s in spec.extra_terms))
         else:
-            scaled = tuple((c * x, s) for c, s in spec.extra_terms)
-            varied = SpinChainSpec(N=spec.N, J=spec.J, h=spec.h, extra_terms=scaled)
+            varied = replace(spec, **{parameter: x})
         gs = ground_state(varied)
         rows.append(
             SweepRow(
@@ -217,14 +214,15 @@ def spec_from_dict(payload: dict) -> SpinChainSpec:
     unknown = set(payload) - known
     if unknown:
         raise ValidationError(f"unknown spin chain fields {sorted(unknown)}")
+    try:
+        n, J, h = (float(payload.get(k, d)) for k, d in (("N", 5), ("J", 1.0), ("h", 1.0)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("spin chain fields N, J and h must be numbers") from exc
+    if not n.is_integer():
+        raise ValidationError(f"site count N must be an integer, got {payload['N']!r}")
     terms = payload.get("extra_terms", [])
     try:
         extra = tuple((float(c), str(s)) for c, s in terms)
     except (TypeError, ValueError) as exc:
         raise ValidationError("extra_terms must be [coefficient, pauli_string] pairs") from exc
-    return SpinChainSpec(
-        N=int(payload.get("N", 5)),
-        J=float(payload.get("J", 1.0)),
-        h=float(payload.get("h", 1.0)),
-        extra_terms=extra,
-    )
+    return SpinChainSpec(N=int(n), J=J, h=h, extra_terms=extra)

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: the partial
 trace is a literal index-summation loop, eigenvalues come from bisection on
 an inertia count (a root finder on det(A - x) sign structure, robust to
-multiplicities), and passive energy is an enumeration over all
-eigenvalue pairings.
+multiplicities), passive energy is an enumeration over all
+eigenvalue pairings, and spin-chain Hamiltonians are sums of dense
+Kronecker products of 2x2 Pauli matrices.
 """
 
 from itertools import permutations
@@ -97,6 +98,38 @@ def passive_energy_enumeration_oracle(rho: np.ndarray, hamiltonian: np.ndarray) 
     lam = eig_oracle(rho)
     eps = eig_oracle(hamiltonian)
     return min(float(np.dot(perm, eps)) for perm in permutations(lam))
+
+
+PAULI = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def pauli_kron_oracle(letters: str) -> np.ndarray:
+    """Kronecker product of per-site Pauli matrices, site 1 most significant."""
+    m = np.array([[1.0 + 0j]])
+    for c in letters:
+        m = np.kron(m, PAULI[c])
+    return m
+
+
+def chain_hamiltonian_kron_oracle(n: int, J: float, h: float, extra_terms=()) -> np.ndarray:
+    """-J/4 sum Z_i Z_{i+1} - h/2 sum Z_i + sum c P, one dense Kronecker product per term.
+
+    Terms are added in that order (bonds, fields, extra strings), so a
+    builder that adds the same entries in the same order agrees bit for bit.
+    """
+    ham = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
+    for i in range(n - 1):
+        ham -= J * 0.25 * pauli_kron_oracle("I" * i + "ZZ" + "I" * (n - i - 2))
+    for i in range(n):
+        ham -= h * 0.5 * pauli_kron_oracle("I" * i + "Z" + "I" * (n - i - 1))
+    for coeff, letters in extra_terms:
+        ham += coeff * pauli_kron_oracle(letters)
+    return ham
 
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

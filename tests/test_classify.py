@@ -112,6 +112,26 @@ def test_build_state_unknown_family_and_bad_params():
         build_state(StateBuilderSpec(family="ghz", params={"n": 3, "theta": 0.5, "x": 1}))
 
 
+def test_build_state_rejects_non_mapping_params():
+    with pytest.raises(ValidationError, match="family 'ghz' parameters must be an object, got list"):
+        build_state(StateBuilderSpec(family="ghz", params=[1, 2]))
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("ghz", {"n": 3, "theta": "x"}),
+        ("ghz", {"n": 3, "theta": None}),
+        ("w", {"coeffs": "abc"}),
+        ("biseparable", {"alpha": "x", "beta": 1.0, "position": 1}),
+        ("noisy_ghz", {"v2": [0.1]}),
+    ],
+)
+def test_build_state_wrong_typed_parameter_names_family(family, params):
+    with pytest.raises(ValidationError, match=f"family '{family}' got a parameter of the wrong type"):
+        build_state(StateBuilderSpec(family=family, params=params))
+
+
 # ---------------------------------------------------------------- classification
 
 

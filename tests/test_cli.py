@@ -153,6 +153,48 @@ def test_ising_spec_file(tmp_path, capsys):
     assert abs(record["ground_energy"] + 2.0) <= 1e-9  # 2 bonds/4 + 3 spins/2
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"N": "abc"}, "N, J and h must be numbers"),
+        ({"N": None}, "N, J and h must be numbers"),
+        ({"J": "x"}, "N, J and h must be numbers"),
+        ({"N": 4.7}, "N must be an integer"),
+    ],
+)
+def test_ising_spec_file_with_bad_field_exits_2(tmp_path, capsys, payload, message):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(payload))
+    assert cli.run(["ising", "--spec", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [(["emps", "--state"], "state"), (["ising", "--spec"], "spec"), (["sweep", "--values", "1", "--spec"], "spec")],
+)
+def test_malformed_json_file_exits_2(tmp_path, capsys, argv, what):
+    path = tmp_path / "broken.json"
+    path.write_text('{"n": 3,')
+    assert cli.run(argv + [str(path)]) == 2
+    assert f"{what} file {path} is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"builder": "ghz", "params": [1, 2]},
+        {"builder": "ghz", "params": {"n": 3, "theta": "x"}},
+        {"builder": "w", "params": {"coeffs": "abc"}},
+    ],
+)
+def test_builder_file_with_bad_params_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "builder.json"
+    path.write_text(json.dumps(payload))
+    assert cli.run(["emps", "--state", str(path)]) == 2
+    assert f"family {payload['builder']!r}" in capsys.readouterr().err
+
+
 def test_ising_longrange_requires_five_sites(capsys):
     assert cli.run(["ising", "--model", "longrange", "--sites", "4"]) == 2
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from empskit.spinchain import (
     spec_from_dict,
 )
 
-from oracles import count_eigenvalues_below
+from oracles import PAULI, chain_hamiltonian_kron_oracle, count_eigenvalues_below, pauli_kron_oracle
 
 # Regression fixtures for the 5-site long-range chain at J = h = 1, recorded
 # from the first verified diagonalization (cross-checked against LAPACK).
@@ -64,6 +66,73 @@ def test_hamiltonian_real_symmetric_without_y():
     assert np.max(np.abs(ham - ham.T)) <= 1e-12
 
 
+def _mixed_terms(n):
+    # Y and Z on site 1 (the most significant bit), odd and even Y counts,
+    # and a plain transverse string
+    rest = n - 1
+    return (
+        (0.3, "Y" + "Z" * rest),  # nY = 1
+        (-1.7, "Z" + "Y" * rest),  # nY = n - 1
+        (2.5e-3, "Y" * n),  # nY = n
+        (1 / 3, "YY" + "X" * (n - 2)),  # nY = 2
+        (0.6, "X" * n),
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("J, h", [(1.0, 0.7), (-0.8, 0.0), (0.0, -1.3)])
+def test_hamiltonian_is_bit_identical_to_kron_oracle(n, J, h):
+    spec = SpinChainSpec(N=n, J=J, h=h, extra_terms=_mixed_terms(n))
+    assert np.array_equal(build_hamiltonian(spec), chain_hamiltonian_kron_oracle(n, J, h, spec.extra_terms))
+
+
+def test_presets_are_bit_identical_to_kron_oracle():
+    for spec in (long_range_chain(), long_range_chain(J=-0.5, h=2.0), nearest_neighbor_chain(N=6, h=0.0)):
+        assert np.array_equal(
+            build_hamiltonian(spec), chain_hamiltonian_kron_oracle(spec.N, spec.J, spec.h, spec.extra_terms)
+        )
+
+
+def test_pauli_string_matrix_matches_kron_oracle_on_all_two_site_strings():
+    for letters in map("".join, itertools.product("IXYZ", repeat=2)):
+        assert np.array_equal(pauli_string_matrix(letters), pauli_kron_oracle(letters))
+    assert np.array_equal(pauli_string_matrix("yzx"), pauli_kron_oracle("YZX"))
+    with pytest.raises(ValidationError, match="invalid letters"):
+        pauli_string_matrix("XQ")
+
+
+def _apply_term(letters, vec, n):
+    # apply one Pauli string site by site to a state vector
+    t = vec.reshape([2] * n)
+    for k, c in enumerate(letters):
+        t = np.moveaxis(np.tensordot(PAULI[c], t, axes=([1], [k])), 0, k)
+    return t.reshape(-1)
+
+
+def test_twelve_site_transverse_field_chain():
+    n, J, h, g = 12, 1.0, 0.7, 0.6
+    field = tuple((g, "I" * i + "X" + "I" * (n - 1 - i)) for i in range(n))
+    start = time.perf_counter()
+    ham = build_hamiltonian(SpinChainSpec(N=n, J=J, h=h, extra_terms=field))
+    assert time.perf_counter() - start < 5.0
+    # one diagonal and n bit-flip entries per column, exactly Hermitian
+    rows, cols = np.nonzero(ham)
+    assert rows.size == (n + 1) * 2 ** n
+    assert np.array_equal(ham[rows, cols], ham[cols, rows].conj())
+    idx = np.arange(2 ** n)
+    z = 1 - 2 * ((idx[:, None] >> (n - 1 - np.arange(n))) & 1)
+    ising = -0.25 * J * np.sum(z[:, :-1] * z[:, 1:], axis=1) - 0.5 * h * np.sum(z, axis=1)
+    assert np.max(np.abs(np.diag(ham) - ising)) <= 1e-12
+    terms = [(-0.25 * J, "I" * i + "ZZ" + "I" * (n - 2 - i)) for i in range(n - 1)]
+    terms += [(-0.5 * h, "I" * i + "Z" + "I" * (n - 1 - i)) for i in range(n)]
+    terms += list(field)
+    for col in (0, 1, 2 ** (n - 1), 0b101101110010, 2 ** n - 1):
+        basis = np.zeros(2 ** n, dtype=np.complex128)
+        basis[col] = 1.0
+        expected = sum(c * _apply_term(letters, basis, n) for c, letters in terms)
+        assert np.max(np.abs(ham[:, col] - expected)) <= 1e-12
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError, match="length"):
         SpinChainSpec(N=4, extra_terms=((1.0, "XX"),))
@@ -84,6 +153,23 @@ def test_spec_from_dict_roundtrip_and_errors():
         spec_from_dict({"extra_terms": [["a", "b", "c"]]})
     with pytest.raises(ValidationError):
         spec_from_dict([1, 2])
+    assert spec_from_dict({"N": 4.0}) == SpinChainSpec(N=4)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"N": "abc"}, "N, J and h must be numbers"),
+        ({"N": None}, "N, J and h must be numbers"),
+        ({"J": "x"}, "N, J and h must be numbers"),
+        ({"h": [1.0]}, "N, J and h must be numbers"),
+        ({"N": 4.7}, "N must be an integer"),
+        ({"N": float("nan")}, "N must be an integer"),
+    ],
+)
+def test_spec_from_dict_rejects_bad_fields(payload, message):
+    with pytest.raises(ValidationError, match=message):
+        spec_from_dict(payload)
 
 
 # ---------------------------------------------------------------- ground states
@@ -227,6 +313,17 @@ def test_sweep_over_coupling():
     rows = indicator_sweep(nearest_neighbor_chain(N=3, h=1.0), "J", [0.5, 2.0])
     # stronger ferromagnetic coupling lowers the aligned ground energy
     assert rows[1].ground_energy < rows[0].ground_energy
+
+
+def test_sweep_keeps_the_other_fields():
+    spec = SpinChainSpec(N=4, J=0.8, h=0.3, extra_terms=((1.5, "XXII"), (0.4, "IYYI")))
+    for parameter, varied in (
+        ("J", SpinChainSpec(N=4, J=1.2, h=0.3, extra_terms=spec.extra_terms)),
+        ("h", SpinChainSpec(N=4, J=0.8, h=1.2, extra_terms=spec.extra_terms)),
+        ("coefficient", SpinChainSpec(N=4, J=0.8, h=0.3, extra_terms=((1.5 * 1.2, "XXII"), (0.4 * 1.2, "IYYI")))),
+    ):
+        (row,) = indicator_sweep(spec, parameter, [1.2])
+        assert row.ground_energy == ground_state(varied).energy
 
 
 def test_sweep_parameter_validation():
