@@ -381,6 +381,8 @@ def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> 
     """
     if count < 1:
         raise ArgumentError(f"sample count must be >= 1, got {count}")
+    if seed < 0:
+        raise ArgumentError(f"orbit seed must be a non-negative integer, got {seed}")
     n = psi.n
     batch = max(1, _CHUNK_AMPLITUDES // psi.dim)
     out: List[EmpsVector] = []

@@ -36,13 +36,18 @@ from .errors import ArgumentError, CapacityError, NumericError, ValidationError
 
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ArgumentError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     env = os.environ.get("EMPSKIT_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ValidationError(f"EMPSKIT_SEED must be an integer, got {env!r}") from exc
+        if seed < 0:
+            raise ValidationError(f"EMPSKIT_SEED must be a non-negative integer, got {env!r}")
+        return seed
     return DEFAULT_SEED
 
 
@@ -66,11 +71,15 @@ def _builder_spec_from_args(args) -> cls.StateBuilderSpec:
 
 
 def _read_json(path: str, what: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{what} file {path} cannot be read: {exc}") from exc
 
 
 def _load_state(args):

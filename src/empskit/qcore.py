@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -257,6 +258,24 @@ def _qubit_marginals(amps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_marginals(amps: np.ndarray) -> np.ndarray:
+    """Every two-qubit marginal of a pure state's 2^n amplitudes, as (P, 4, 4).
+
+    Pairs come in itertools.combinations order, (1, 2), (1, 3), ..., (n-1, n).
+    For the pair (i, j) the amplitudes are viewed as (before i, i, between,
+    j, after) and copied with i and j leading, the other qubits in order,
+    into one (P, 4, 2^(n-2)) buffer; a single batched a a^dag then gives
+    every marginal.
+    """
+    n = amps.size.bit_length() - 1
+    pairs = list(combinations(range(n), 2))
+    buf = np.empty((len(pairs), 4, amps.size // 4), dtype=np.complex128)
+    for p, (i, j) in enumerate(pairs):
+        view = amps.reshape(1 << i, 2, 1 << (j - i - 1), 2, -1)
+        buf[p].reshape(2, 2, 1 << i, 1 << (j - i - 1), -1)[...] = view.transpose(1, 3, 0, 2, 4)
+    return buf @ buf.conj().swapaxes(1, 2)
+
+
 def _eigh(matrix: np.ndarray, vectors: bool = False):
     """Ascending eigenvalues of a Hermitian matrix (or stack), plus eigenvectors if asked.
 
@@ -291,6 +310,21 @@ def eig_hermitian(matrix: Union[DensityMatrix, np.ndarray], vectors: bool = Fals
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
+def _entropy_bits(lam: np.ndarray) -> np.ndarray:
+    """-sum(lam * log2 lam) over the last axis of ascending spectra, in bits.
+
+    Eigenvalues in [-1e-10, 0) are treated as rounding noise and clamped to
+    zero, as are positive values below 1e-14 (so exact-rank states report
+    exact entropies); a lowest eigenvalue below the negative floor anywhere
+    in the stack is rejected.
+    """
+    low = float(np.min(lam[..., 0]))
+    if not low >= EIGENVALUE_FLOOR:
+        raise ValidationError(f"eigenvalue {low:.3e} below {EIGENVALUE_FLOOR}; not a density matrix")
+    pos = np.where(lam > 1e-14, lam, 1.0)  # 1 log2 1 = 0 exactly
+    return -np.sum(pos * np.log2(pos), axis=-1)
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(lam * log2 lam) in bits, with 0*log 0 = 0.
 
@@ -298,13 +332,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     zero, as are positive values below 1e-14 (so exact-rank states report
     exact entropies); anything below the negative floor is rejected.
     """
-    lam = _eigh(rho.entries)[0]
-    if not lam[0] >= EIGENVALUE_FLOOR:
-        raise ValidationError(
-            f"eigenvalue {lam[0]:.3e} below {EIGENVALUE_FLOOR}; not a density matrix"
-        )
-    pos = lam[lam > 1e-14]
-    return float(-np.sum(pos * np.log2(pos)))
+    return float(_entropy_bits(_eigh(rho.entries)[0]))
 
 
 def state_to_dict(state: State) -> dict:

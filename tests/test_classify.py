@@ -283,6 +283,11 @@ def test_orbit_sample_count_validation():
         slocc_orbit_sample(basis_state("000"), 0)
 
 
+def test_orbit_sample_rejects_a_negative_seed():
+    with pytest.raises(ArgumentError, match="seed must be a non-negative integer, got -1"):
+        slocc_orbit_sample(basis_state("000"), 2, seed=-1)
+
+
 def _replay_factors(n, seed):
     # the seeding contract, one factor at a time: redraw while |det g| < DET_FLOOR
     rng = np.random.default_rng(seed)

@@ -136,6 +136,20 @@ def test_orbit_bad_env_seed(monkeypatch, capsys):
     assert "EMPSKIT_SEED" in capsys.readouterr().err
 
 
+def test_orbit_negative_seed_flag_exits_2(monkeypatch, capsys):
+    monkeypatch.delenv("EMPSKIT_SEED", raising=False)
+    code = cli.run(["orbit", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--samples", "1", "--seed", "-5"])
+    assert code == 2
+    assert "--seed must be a non-negative integer, got -5" in capsys.readouterr().err
+
+
+def test_orbit_negative_env_seed_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("EMPSKIT_SEED", "-3")
+    code = cli.run(["orbit", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--samples", "1"])
+    assert code == 2
+    assert "EMPSKIT_SEED must be a non-negative integer, got '-3'" in capsys.readouterr().err
+
+
 def test_ising_models(capsys):
     plain = run_json(capsys, ["ising", "--model", "ising"])
     assert abs(plain["ground_energy"] + 3.5) <= 1e-9
@@ -178,6 +192,18 @@ def test_malformed_json_file_exits_2(tmp_path, capsys, argv, what):
     path.write_text('{"n": 3,')
     assert cli.run(argv + [str(path)]) == 2
     assert f"{what} file {path} is not valid JSON" in capsys.readouterr().err
+
+
+def test_directory_as_state_file_exits_2(tmp_path, capsys):
+    assert cli.run(["emps", "--state", str(tmp_path)]) == 2
+    assert f"state file {tmp_path} cannot be read" in capsys.readouterr().err
+
+
+def test_non_utf8_spec_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert cli.run(["ising", "--spec", str(path)]) == 2
+    assert f"spec file {path} cannot be read" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

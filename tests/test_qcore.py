@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from empskit import cli
+from empskit import cli, qcore
 from empskit.errors import ArgumentError, CapacityError, NumericError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
@@ -380,6 +381,32 @@ def test_entropy_of_nine_qubit_state_with_known_spectrum():
     assert rho.n == 9
     assert abs(entropy - float(-np.sum(p * np.log2(p)))) <= 1e-10
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
+def test_pair_marginals_match_reduced_density_matrix(n):
+    psi = random_pure_state(n, np.random.default_rng(700 + n))
+    stack = qcore._pair_marginals(psi.amps)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    assert stack.shape == (len(pairs), 4, 4)
+    # at 12 qubits a spot check: both ends of the order and a middle pair
+    checked = pairs if n < 12 else pairs[:3] + [(5, 9)] + pairs[-3:]
+    for i, j in checked:
+        expected = reduced_density_matrix(psi, (i, j)).entries
+        assert np.max(np.abs(stack[pairs.index((i, j))] - expected)) <= 1e-15, (i, j)
+
+
+def test_stacked_entropy_matches_von_neumann_entropy():
+    rng = np.random.default_rng(41)
+    rhos = [DensityMatrix(random_density(4, rng)) for _ in range(5)] + [BELL.density()]
+    lam = qcore._eigh(np.stack([r.entries for r in rhos]))[0]
+    assert qcore._entropy_bits(lam).tolist() == [von_neumann_entropy(r) for r in rhos]
+
+
+def test_stacked_entropy_rejects_eigenvalue_below_floor():
+    lam = np.array([[0.0, 0.5, 0.5], [-0.2, 0.2, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValidationError, match=r"eigenvalue -2\.000e-01 below .*not a density matrix"):
+        qcore._entropy_bits(lam)
 
 
 def test_entropy_rejects_eigenvalue_below_floor():

@@ -5,10 +5,17 @@ import time
 import numpy as np
 import pytest
 
-from empskit.classify import build_ghz
+from empskit import qcore
+from empskit.classify import build_dicke, build_ghz, build_w
 from empskit.emps import eta_indicator
 from empskit.errors import ArgumentError, ValidationError
-from empskit.qcore import basis_state, random_pure_state, tensor_product
+from empskit.qcore import (
+    basis_state,
+    random_pure_state,
+    reduced_density_matrix,
+    tensor_product,
+    von_neumann_entropy,
+)
 from empskit.spinchain import (
     SpinChainSpec,
     SweepRow,
@@ -144,6 +151,17 @@ def test_spec_validation():
         SpinChainSpec(N=13)
 
 
+@pytest.mark.parametrize("n", [4.5, 4.0, "5", None])
+def test_spec_rejects_non_integer_site_count(n):
+    with pytest.raises(ValidationError, match="site count N must be an integer"):
+        ground_state(SpinChainSpec(N=n))
+
+
+def test_spec_accepts_numpy_integer_site_count():
+    spec = SpinChainSpec(N=np.int64(4))
+    assert type(spec.N) is int and spec == SpinChainSpec(N=4)
+
+
 def test_spec_from_dict_roundtrip_and_errors():
     spec = spec_from_dict({"N": 5, "J": 1.0, "h": 0.5, "extra_terms": [[4.0, "IXXXI"]]})
     assert spec == SpinChainSpec(N=5, J=1.0, h=0.5, extra_terms=((4.0, "IXXXI"),))
@@ -267,6 +285,78 @@ def test_entropy_criterion_product_state():
 
 def test_entropy_criterion_ghz_is_one():
     assert abs(entropy_criterion(build_ghz(3, math.pi / 4)) - 1.0) <= 1e-9
+
+
+def _entropy_criterion_reference(psi):
+    # the per-pair public-API path: one marginal and one eigensolve at a time
+    n = psi.n
+    singles = [von_neumann_entropy(reduced_density_matrix(psi, (i,))) for i in range(1, n + 1)]
+    return min(
+        abs(von_neumann_entropy(reduced_density_matrix(psi, (i, j))) - singles[i - 1] - singles[j - 1])
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+    )
+
+
+def _transverse_field_ground_state(n, h):
+    field = tuple((0.6, "I" * i + "X" + "I" * (n - 1 - i)) for i in range(n))
+    return ground_state(SpinChainSpec(N=n, J=1.0, h=h, extra_terms=field)).state
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_entropy_criterion_is_the_per_pair_loop_on_haar_states(n):
+    rng = np.random.default_rng(900 + n)
+    for _ in range(3 if n <= 8 else 1):
+        psi = random_pure_state(n, rng)
+        assert entropy_criterion(psi) == _entropy_criterion_reference(psi)
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        build_ghz(3, math.pi / 4),
+        build_ghz(5, 0.4),
+        build_w([1 / 3] * 3),
+        build_w([0.1, 0.2, 0.3, 0.4]),
+        build_dicke(4, 2),
+        build_dicke(6, 1),
+        basis_state("000"),
+        basis_state("10110"),
+        tensor_product(tensor_product(basis_state("0"), build_ghz(2, math.pi / 4)), basis_state("1")),
+    ],
+    ids=["ghz3", "ghz5", "w3", "w4", "dicke42", "dicke61", "000", "10110", "mixed_product"],
+)
+def test_entropy_criterion_is_the_per_pair_loop_on_named_states(psi):
+    assert entropy_criterion(psi) == _entropy_criterion_reference(psi)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8])
+def test_entropy_criterion_is_the_per_pair_loop_on_ground_states(n):
+    for h in (0.3, 0.7, 1.5):
+        psi = _transverse_field_ground_state(n, h=h)
+        assert entropy_criterion(psi) == _entropy_criterion_reference(psi)
+
+
+def test_entropy_criterion_rejects_a_corrupted_marginal(monkeypatch):
+    psi = build_w([1 / 3] * 3)
+    good = qcore._pair_marginals(psi.amps)
+
+    def corrupted(amps):
+        stack = good.copy()
+        stack[1] = np.diag([1.2, -0.2, 0.0, 0.0])
+        return stack
+
+    monkeypatch.setattr(qcore, "_pair_marginals", corrupted)
+    with pytest.raises(ValidationError, match=r"eigenvalue -2\.000e-01 below .*not a density matrix"):
+        entropy_criterion(psi)
+
+
+def test_entropy_criterion_on_twelve_qubits_is_fast():
+    psi = random_pure_state(12, np.random.default_rng(12))
+    start = time.perf_counter()
+    value = entropy_criterion(psi)
+    elapsed = time.perf_counter() - start
+    assert 0.0 <= value < 1.0
+    assert elapsed < 2.0
 
 
 def test_entropy_criterion_needs_three_qubits():
