@@ -3,8 +3,9 @@
 Subcommands: emps, classify, polytope, orbit, ising, sweep. Results are
 JSON records (CSV for point clouds and sweep tables); all energies are
 reported as dimensionless multiples of E. Exit codes: 0 success, 2 on
-validation/argument errors, 3 on numerical failures. The default RNG seed
-is 42, overridable by --seed or the EMPSKIT_SEED environment variable.
+validation/argument errors, 3 on numerical failures. orbit, the one
+randomized command, seeds with --seed, else the EMPSKIT_SEED environment
+variable, else 42.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import ArgumentError, CapacityError, NumericError, ValidationError
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         if args.seed < 0:
             raise ArgumentError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
@@ -326,7 +327,6 @@ def _add_state_options(parser: argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("-o", "--output", help="write the result here instead of stdout")
-    parser.add_argument("--seed", type=int, help="RNG seed (default EMPSKIT_SEED or 42)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_options(p)
     _add_common(p)
     p.add_argument("--samples", type=int, default=1000, help="number of orbit samples (>= 1)")
+    p.add_argument("--seed", type=int, help="RNG seed (default EMPSKIT_SEED or 42)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_orbit)
 

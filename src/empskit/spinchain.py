@@ -3,13 +3,32 @@
 The base model is an open chain of N spin-1/2 sites,
 H = -J sum_i s^z_i s^z_{i+1} - h sum_i s^z_i with s^z = sigma_z / 2,
 optionally extended by extra Pauli-string terms (per-site letters I/X/Y/Z
-with full Pauli matrices), each filled into the dense matrix from its bit
-masks. Ground states feed the energy indicator and the pairwise entropy
-criterion for genuine multipartite entanglement.
+with full Pauli matrices). Ground states feed the energy indicator and the
+pairwise entropy criterion for genuine multipartite entanglement.
+
+A chain is one ordered list of (coefficient, Pauli string) terms, grouped
+by x mask into one column of values per group (_PauliSum). The dense fill
+and the matrix-free product both read that operator:
+
+- N <= 8: the dense matrix, float64 when no term has an odd number of Y
+  letters and complex128 otherwise, goes to LAPACK eigh. The gap is the
+  difference of the two lowest eigenvalues with multiplicity.
+- N = 9..12: Lanczos with full reorthogonalisation from a seeded start
+  vector, once for the ground pair and once more orthogonal to the ground
+  vector for the next level, so a degenerate ground level gives a zero gap.
+  Either solve not converged by the Krylov dimension 2^N raises
+  NumericError. A 12-site transverse-field chain takes about 0.1 s.
+
+On both paths the state's phase is fixed and its eigenpair residual is
+checked against EIGENPAIR_RESIDUAL_TOL, and `degenerate` means a gap below
+DEGENERACY_GAP_TOL.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -28,6 +47,13 @@ MAX_SITES = qcore.MAX_QUBITS
 DEGENERACY_GAP_TOL = 1e-8
 EIGENPAIR_RESIDUAL_TOL = 1e-8
 
+# Chains up to this many sites are solved densely, longer ones by Lanczos.
+_DENSE_MAX_SITES = 8
+# A Lanczos Ritz pair is accepted once its residual is below this times the
+# largest |Ritz value| (at least 1).
+_LANCZOS_TOL = 1e-10
+_LANCZOS_SEED = 0
+
 
 @dataclass(frozen=True)
 class SpinChainSpec:
@@ -45,11 +71,17 @@ class SpinChainSpec:
             raise ValidationError(f"site count N must be an integer, got {self.N!r}") from None
         if not MIN_SITES <= self.N <= MAX_SITES:
             raise ValidationError(f"site count N must be in {MIN_SITES}..{MAX_SITES}, got {self.N}")
+        for name in ("J", "h"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         terms = tuple((float(c), str(s).upper()) for c, s in self.extra_terms)
-        for _, s in terms:
+        for c, s in terms:
             if len(s) != self.N:
                 raise ValidationError(f"Pauli string {s!r} has length {len(s)}, expected N={self.N}")
             _pauli_masks(s)
+            if not math.isfinite(c):
+                raise ValidationError(f"extra_terms coefficient of {s!r} must be finite, got {c!r}")
         object.__setattr__(self, "extra_terms", terms)
 
 
@@ -71,43 +103,102 @@ class SweepRow:
     degenerate: bool
 
 
+# Per-site bits of each Pauli letter, site 1 the most significant bit.
+_X_BITS = str.maketrans("IXYZ", "0110")  # X and Y flip the site
+_Z_BITS = str.maketrans("IXYZ", "0011")  # Z and Y sign the site
+
+
+@functools.lru_cache(maxsize=4096)
 def _pauli_masks(letters: str) -> Tuple[int, int, int]:
-    """(x mask, z mask, Y count) of a Pauli string, site 1 the most significant bit."""
+    """(x mask, z mask, Y count) of a Pauli string, site 1 the most significant bit.
+
+    Cached, so a string is parsed once per process however many specs and
+    sweep rows use it.
+    """
     bad = set(letters) - set("IXYZ")
     if bad:
         raise ValidationError(f"Pauli string {letters!r} has invalid letters {sorted(bad)}")
-    x = int("0" + letters.translate(str.maketrans("IXYZ", "0110")), 2)  # X and Y sites
-    z = int("0" + letters.translate(str.maketrans("IXYZ", "0011")), 2)  # Z and Y sites
+    x = int("0" + letters.translate(_X_BITS), 2)
+    z = int("0" + letters.translate(_Z_BITS), 2)
     return x, z, letters.count("Y")
 
 
-def _pauli_sum(n: int, terms: Sequence[Tuple[float, str]]) -> np.ndarray:
-    """Dense sum of coeff * Pauli string over n sites, terms added in list order.
+@functools.lru_cache(maxsize=None)
+def _parity(n: int) -> np.ndarray:
+    """Signed (-1)^popcount(i) for every n-bit index i, as int64."""
+    idx = np.arange(1 << n)
+    table = np.prod(1 - 2 * ((idx[:, None] >> np.arange(n)) & 1), axis=1)
+    table.flags.writeable = False
+    return table
 
-    Column i of a string holds i^nY (-1)^popcount(i & z) at row i ^ x.
+
+class _PauliSum:
+    """Sum of coeff * Pauli string over n sites, grouped by x mask.
+
+    A string with x mask x, z mask z and Y count nY sends basis state i to
+    i ^ x with the phase i^nY (-1)^popcount(i & z). All terms of one x mask
+    share their nonzero pattern, so group g is one column of values:
+    H[i ^ masks[g], i] = cols[g, i]. Each column is accumulated in term
+    order, so the dense fill adds the same entries in the same order as a
+    term-by-term sum. cols is float64 when every term has an even Y count
+    (every phase is then real) and complex128 otherwise.
     """
-    dim = 1 << n
-    idx = np.arange(dim)
-    signs = np.prod(1 - 2 * ((idx[:, None] >> np.arange(n)) & 1), axis=1)  # signed (-1)^popcount(i)
-    ham = np.zeros((dim, dim), dtype=np.complex128)
-    for coeff, letters in terms:
-        x, z, ny = _pauli_masks(letters)
-        ham[idx ^ x, idx] += coeff * (1, 1j, -1, -1j)[ny % 4] * signs[idx & z]
-    return ham
+
+    def __init__(self, n: int, terms: Sequence[Tuple[float, str]]):
+        idx = np.arange(1 << n)
+        parity = _parity(n)
+        parsed = [(coeff, *_pauli_masks(letters)) for coeff, letters in terms]
+        group = {}
+        for _, x, _, _ in parsed:
+            group.setdefault(x, len(group))
+        real = all(ny % 2 == 0 for _, _, _, ny in parsed)
+        self.masks = np.array(list(group), dtype=np.int64)
+        self.cols = np.zeros((len(group), idx.size), dtype=np.float64 if real else np.complex128)
+        for coeff, x, z, ny in parsed:
+            self.cols[group[x]] += coeff * (1, 1j, -1, -1j)[ny % 4] * parity[idx & z]
+
+    def dense(self) -> np.ndarray:
+        idx = np.arange(self.cols.shape[1])
+        ham = np.zeros((idx.size, idx.size), dtype=self.cols.dtype)
+        ham[idx ^ self.masks[:, None], idx] = self.cols
+        return ham
+
+    @functools.cached_property
+    def _gather(self) -> Tuple[np.ndarray, np.ndarray]:
+        # rows[g, j] = j ^ masks[g] and vals[g, j] = H[j, j ^ masks[g]]
+        rows = np.arange(self.cols.shape[1]) ^ self.masks[:, None]
+        return rows, np.take_along_axis(self.cols, rows, axis=1)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """H v = sum over groups of (col ⊙ v)[i ^ x], without the dense matrix."""
+        rows, vals = self._gather
+        return (vals * v[rows]).sum(axis=0)
 
 
-def pauli_string_matrix(letters: str) -> np.ndarray:
-    """Dense tensor product of per-site Pauli matrices, site 1 most significant."""
-    return _pauli_sum(len(letters), [(1.0, letters.upper())])
-
-
-def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
-    """Dense 2^N x 2^N Hermitian matrix: ZZ bonds, then Z fields, then the extra strings."""
+def _chain_terms(spec: SpinChainSpec) -> List[Tuple[float, str]]:
+    """The chain as one ordered term list: ZZ bonds, then Z fields, then the extra strings."""
     n = spec.N
     # s^z s^z = sigma_z sigma_z / 4 and s^z = sigma_z / 2
     bonds = [(-0.25 * spec.J, "I" * i + "ZZ" + "I" * (n - 2 - i)) for i in range(n - 1)]
     fields = [(-0.5 * spec.h, "I" * i + "Z" + "I" * (n - 1 - i)) for i in range(n)]
-    return _pauli_sum(n, bonds + fields + list(spec.extra_terms))
+    return bonds + fields + list(spec.extra_terms)
+
+
+def pauli_string_matrix(letters: str) -> np.ndarray:
+    """Dense tensor product of per-site Pauli matrices, site 1 most significant.
+
+    float64 when the string has an even number of Y letters, complex128 otherwise.
+    """
+    return _PauliSum(len(letters), [(1.0, letters.upper())]).dense()
+
+
+def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
+    """Dense 2^N x 2^N Hermitian matrix: ZZ bonds, then Z fields, then the extra strings.
+
+    float64 (real symmetric) when no extra string has an odd number of Y
+    letters, complex128 otherwise.
+    """
+    return _PauliSum(spec.N, _chain_terms(spec)).dense()
 
 
 def nearest_neighbor_chain(N: int = 5, J: float = 1.0, h: float = 1.0) -> SpinChainSpec:
@@ -133,24 +224,36 @@ def long_range_chain(J: float = 1.0, h: float = 1.0) -> SpinChainSpec:
 def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateResult:
     """Lowest eigenpair of a Hermitian operator, with a deterministic eigenvector.
 
-    The returned state is the first column of the ascending-sorted eigenbasis
-    with its global phase fixed so the largest-magnitude amplitude is real
-    and positive. The result is flagged degenerate when the gap to the next
-    level is below DEGENERACY_GAP_TOL, in which case indicator values
-    computed from it are not well defined.
+    A chain spec of up to 8 sites is filled densely in the operator's dtype
+    and solved by LAPACK; from 9 sites on it is solved matrix-free by
+    Lanczos (see _lanczos_ground_state). A raw ndarray is checked for
+    Hermiticity and solved densely. The state's global phase is fixed so its
+    largest-magnitude amplitude is real and positive. The result is flagged
+    degenerate when the gap to the next level is below DEGENERACY_GAP_TOL,
+    in which case indicator values computed from it are not well defined.
     """
-    ham = build_hamiltonian(hamiltonian) if isinstance(hamiltonian, SpinChainSpec) else np.asarray(hamiltonian)
-    if ham.ndim != 2 or ham.shape[0] != ham.shape[1] or ham.shape[0] & (ham.shape[0] - 1):
-        raise ValidationError(
-            f"Hamiltonian must be square with power-of-two dimension, got shape {ham.shape}"
-        )
-    spec = qcore.eig_hermitian(ham, vectors=True)
-    energy = float(spec.eigenvalues[0])
-    gap = float(spec.eigenvalues[1] - spec.eigenvalues[0]) if spec.eigenvalues.size > 1 else float("inf")
-    vec = spec.eigenvectors[:, 0].copy()
+    if isinstance(hamiltonian, SpinChainSpec):
+        if hamiltonian.N > _DENSE_MAX_SITES:
+            return _lanczos_ground_state(hamiltonian)
+        ham = build_hamiltonian(hamiltonian)
+        w, v = qcore._eigh(ham, vectors=True)  # Hermitian by construction
+    else:
+        ham = np.asarray(hamiltonian)
+        if ham.ndim != 2 or ham.shape[0] != ham.shape[1] or ham.shape[0] & (ham.shape[0] - 1):
+            raise ValidationError(
+                f"Hamiltonian must be square with power-of-two dimension, got shape {ham.shape}"
+            )
+        spec = qcore.eig_hermitian(ham, vectors=True)
+        w, v = spec.eigenvalues, spec.eigenvectors
+    gap = float(w[1] - w[0]) if w.size > 1 else float("inf")
+    return _checked_result(float(w[0]), v[:, 0], gap, lambda x: ham @ x)
+
+
+def _checked_result(energy: float, vec: np.ndarray, gap: float, apply) -> GroundStateResult:
+    """Phase-fixed ground state, after checking |H vec - energy vec| <= EIGENPAIR_RESIDUAL_TOL."""
     k = int(np.argmax(np.abs(vec)))
-    vec *= np.conj(vec[k]) / abs(vec[k])
-    residual = float(np.linalg.norm(ham @ vec - energy * vec))
+    vec = vec * (np.conj(vec[k]) / abs(vec[k]))
+    residual = float(np.linalg.norm(apply(vec) - energy * vec))
     if not residual <= EIGENPAIR_RESIDUAL_TOL:
         raise NumericError(f"ground-state residual {residual:.3e} exceeds {EIGENPAIR_RESIDUAL_TOL}")
     return GroundStateResult(
@@ -159,6 +262,66 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
         degeneracy_gap=gap,
         degenerate=gap < DEGENERACY_GAP_TOL,
     )
+
+
+def _lanczos_ground_state(spec: SpinChainSpec) -> GroundStateResult:
+    """Ground state and gap of a chain by two Lanczos solves on the grouped operator.
+
+    The first solve gives the ground pair. The second starts from a fresh
+    vector and is kept orthogonal to the ground vector, so its lowest value
+    is the next level counted with multiplicity: a degenerate ground level
+    shows up as a zero gap, which a single Krylov space cannot see. Both
+    start vectors come from a fixed seed, so results are reproducible.
+    """
+    op = _PauliSum(spec.N, _chain_terms(spec))
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    energy, vec = _lanczos_lowest(op, rng.standard_normal(1 << spec.N))
+    vec /= np.linalg.norm(vec)
+    second, _ = _lanczos_lowest(op, rng.standard_normal(1 << spec.N), deflate=vec)
+    # Both values are within their residuals of eigenvalues; a difference
+    # below zero is a degenerate level seen through rounding.
+    return _checked_result(energy, vec, max(second - energy, 0.0), op.matvec)
+
+
+def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[float, np.ndarray]:
+    """Lowest Ritz pair of op on the orthogonal complement of the unit vector deflate.
+
+    Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice per
+    step, against every basis vector and deflate). The pair is accepted once
+    its residual beta_k |s_k| is at most _LANCZOS_TOL times the largest
+    |Ritz value| (at least 1); the tridiagonal matrix is solved every step up
+    to 64 and then every k/8 steps. NumericError if that has not happened by
+    the dimension of the space.
+    """
+    dim = start.size
+    fixed = 0 if deflate is None else 1
+    basis = np.empty((min(dim, 64), dim), dtype=op.cols.dtype)
+    v = start.astype(op.cols.dtype)
+    if fixed:
+        basis[0] = deflate
+        v -= deflate * np.vdot(deflate, v)
+    v /= np.linalg.norm(v)
+    alpha: List[float] = []
+    beta: List[float] = []
+    check = 1
+    for k in range(1, dim - fixed + 1):
+        m = fixed + k
+        if m > basis.shape[0]:
+            basis = np.concatenate([basis, np.empty_like(basis)])[:dim]
+        basis[m - 1] = v
+        w = op.matvec(v)
+        alpha.append(float(np.vdot(v, w).real))
+        for _ in range(2):
+            w -= basis[:m].T @ np.conj(basis[:m] @ w.conj())
+        b = float(np.linalg.norm(w))
+        if b <= _LANCZOS_TOL or k >= check or k == dim - fixed:
+            check = k + 1 if k < 64 else k + k // 8
+            theta, s = qcore._eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1), vectors=True)
+            if b * abs(s[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta[0]), abs(theta[-1])):
+                return float(theta[0]), basis[fixed:m].T @ s[:, 0]
+        beta.append(b)
+        v = w / b
+    raise NumericError(f"Lanczos did not converge within Krylov dimension {dim - fixed}")
 
 
 def _marginal_entropies(stack: np.ndarray) -> np.ndarray:

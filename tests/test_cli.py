@@ -310,3 +310,55 @@ def test_consecutive_runs_share_no_arguments(tmp_path, monkeypatch, capsys):
 
 def test_build_parser_returns_a_fresh_parser():
     assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ising", "--model", "ising", "--sites", "3"],
+        ["sweep", "--model", "ising", "--sites", "3", "--values", "1"],
+        ["emps", "--builder", "ghz", "--n", "3", "--theta", "0.5"],
+        ["classify", "--builder", "ghz", "--n", "3", "--theta", "0.5"],
+        ["polytope", "--point", "0.4,0.3,0.2"],
+    ],
+)
+@pytest.mark.parametrize("seed", ["-5", "5"])
+def test_seed_is_rejected_outside_orbit(capsys, argv, seed):
+    # only orbit draws random numbers, so a seed anywhere else is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv + ["--seed", seed])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ising", "--model", "ising", "--sites", "4", "--h", "nan"], "h must be a finite number, got nan"),
+        (["ising", "--model", "longrange", "--J", "inf"], "J must be a finite number, got inf"),
+        (["sweep", "--model", "ising", "--sites", "4", "--values", "0.5,-inf"], "h must be a finite number"),
+        (["sweep", "--model", "longrange", "--param", "coefficient", "--values", "nan"],
+         "extra_terms coefficient of 'IXXXI' must be finite"),
+    ],
+)
+def test_non_finite_chain_parameter_exits_2(capsys, argv, message):
+    assert cli.run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_non_finite_spec_file_coefficient_exits_2(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"N": 3, "extra_terms": [[float("nan"), "XXI"]]}))
+    assert cli.run(["ising", "--spec", str(path)]) == 2
+    assert "extra_terms coefficient of 'XXI' must be finite, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], [[0.45, "YZZZZZZZZZZX"]]], ids=["real", "odd_y"])
+def test_ising_on_twelve_site_spec_file(tmp_path, capsys, extra):
+    field = [[0.6, "I" * i + "X" + "I" * (11 - i)] for i in range(12)]
+    path = tmp_path / "chain12.json"
+    path.write_text(json.dumps({"N": 12, "J": 1.0, "h": 0.5, "extra_terms": field + extra}))
+    record = run_json(capsys, ["ising", "--spec", str(path)])
+    assert record["spec"]["N"] == 12
+    assert record["degenerate"] is False and record["gap"] > 0.1
+    assert record["eta"] > 0.0 and record["entropy_criterion"] >= 0.0

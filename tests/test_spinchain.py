@@ -5,10 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from empskit import qcore
+from empskit import qcore, spinchain
 from empskit.classify import build_dicke, build_ghz, build_w
 from empskit.emps import eta_indicator
-from empskit.errors import ArgumentError, ValidationError
+from empskit.errors import ArgumentError, NumericError, ValidationError
 from empskit.qcore import (
     basis_state,
     random_pure_state,
@@ -270,6 +270,107 @@ def test_ground_energy_matches_inertia_count_oracle():
     energy = ground_state(ham).energy
     assert count_eigenvalues_below(ham, energy - 1e-8) == 0
     assert count_eigenvalues_below(ham, energy + 1e-8) >= 1
+
+
+def test_hamiltonian_dtype_follows_the_y_parity():
+    # every phase i^nY is real when each string has an even Y count
+    assert build_hamiltonian(long_range_chain()).dtype == np.float64
+    assert build_hamiltonian(SpinChainSpec(N=3, extra_terms=((0.5, "YYX"),))).dtype == np.float64
+    assert build_hamiltonian(SpinChainSpec(N=3, extra_terms=((0.5, "YYX"), (0.1, "IYZ")))).dtype == np.complex128
+    assert pauli_string_matrix("XZ").dtype == np.float64
+    assert pauli_string_matrix("XY").dtype == np.complex128
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_matvec_is_the_dense_product(n):
+    spec = SpinChainSpec(N=n, J=0.9, h=-0.4, extra_terms=_mixed_terms(n))
+    op = spinchain._PauliSum(n, spinchain._chain_terms(spec))
+    v = np.random.default_rng(n).standard_normal(2 ** n) + 1j * np.random.default_rng(50 + n).standard_normal(2 ** n)
+    assert np.max(np.abs(op.matvec(v) - build_hamiltonian(spec) @ v)) <= 1e-12
+
+
+@pytest.mark.parametrize("letters", ["ZZ", "XX", "yzx"])
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf")])
+def test_spec_rejects_non_finite_coefficients(letters, coeff):
+    n = len(letters)
+    with pytest.raises(ValidationError, match="J must be a finite number"):
+        SpinChainSpec(N=n, J=coeff)
+    with pytest.raises(ValidationError, match="h must be a finite number"):
+        SpinChainSpec(N=n, h=coeff)
+    with pytest.raises(ValidationError, match=f"extra_terms coefficient of '{letters.upper()}' must be finite"):
+        SpinChainSpec(N=n, extra_terms=((1.0, "I" * n), (coeff, letters)))
+    with pytest.raises(ValidationError, match="h must be a finite number"):
+        indicator_sweep(nearest_neighbor_chain(N=3), "h", [1.0, coeff])
+
+
+def _transverse_field(n, J=1.0, h=0.5, g=0.6, extra=()):
+    return SpinChainSpec(N=n, J=J, h=h, extra_terms=tuple((g, "I" * i + "X" + "I" * (n - 1 - i)) for i in range(n)) + extra)
+
+
+def _odd_y(n):
+    # one string with a single Y makes the operator complex
+    return _transverse_field(n, J=0.8, h=0.3, extra=((0.45, "Y" + "Z" * (n - 2) + "X"),))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [_transverse_field(n) for n in range(4, 9)]
+    + [_transverse_field(n, J=-0.7, h=1.3, g=0.4) for n in (4, 6, 8)]
+    + [long_range_chain(), long_range_chain(J=-0.5, h=2.0)]
+    + [_odd_y(n) for n in range(4, 9)],
+    ids=[f"tf{n}" for n in range(4, 9)] + ["afm4", "afm6", "afm8", "longrange", "longrange_shifted"]
+    + [f"odd_y{n}" for n in range(4, 9)],
+)
+def test_lanczos_matches_dense(spec):
+    dense = ground_state(spec)
+    lanczos = spinchain._lanczos_ground_state(spec)
+    assert not dense.degenerate and not lanczos.degenerate
+    assert abs(lanczos.energy - dense.energy) <= 1e-10
+    assert abs(lanczos.degeneracy_gap - dense.degeneracy_gap) <= 1e-8
+    assert abs(eta_indicator(lanczos.state) - eta_indicator(dense.state)) <= 1e-7
+    assert abs(entropy_criterion(lanczos.state) - entropy_criterion(dense.state)) <= 1e-7
+
+
+def test_lanczos_odd_y_chain_is_complex():
+    assert spinchain._PauliSum(6, spinchain._chain_terms(_odd_y(6))).cols.dtype == np.complex128
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_lanczos_flags_a_degenerate_ground_level(n):
+    # zero field: all-up and all-down share the ground level; one Krylov space
+    # holds only their sum, so the deflated second solve must find the other
+    result = spinchain._lanczos_ground_state(nearest_neighbor_chain(N=n, J=1.0, h=0.0))
+    assert result.degenerate
+    assert result.degeneracy_gap <= 1e-12
+    assert abs(result.energy + 0.25 * (n - 1)) <= 1e-10
+    assert ground_state(nearest_neighbor_chain(N=n, J=1.0, h=0.0)).degenerate
+
+
+def test_lanczos_is_bit_reproducible():
+    a = ground_state(_odd_y(9))
+    b = ground_state(_odd_y(9))
+    assert a.energy == b.energy and a.degeneracy_gap == b.degeneracy_gap
+    assert np.array_equal(a.state.amps, b.state.amps)
+
+
+def test_lanczos_that_does_not_converge_is_a_numeric_error(monkeypatch):
+    monkeypatch.setattr(spinchain, "_LANCZOS_TOL", 0.0)
+    with pytest.raises(NumericError, match="Lanczos did not converge within Krylov dimension 16"):
+        spinchain._lanczos_ground_state(_transverse_field(4))
+
+
+@pytest.mark.parametrize("spec", [_transverse_field(12), _odd_y(12)], ids=["tf12", "odd_y12"])
+def test_twelve_site_ground_state(spec):
+    start = time.perf_counter()
+    result = ground_state(spec)
+    assert time.perf_counter() - start <= 5.0
+    psi = result.state.amps
+    k = int(np.argmax(np.abs(psi)))
+    assert abs(psi[k].imag) <= 1e-15 and psi[k].real > 0.0
+    # residual from the terms applied site by site, not from the grouped operator
+    h_psi = sum(c * _apply_term(letters, psi, 12) for c, letters in spinchain._chain_terms(spec))
+    assert np.linalg.norm(h_psi - result.energy * psi) <= 1e-8
+    assert not result.degenerate and result.degeneracy_gap > 0.1
 
 
 # ---------------------------------------------------------------- entropy criterion
