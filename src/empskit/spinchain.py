@@ -7,13 +7,13 @@ with full Pauli matrices). Ground states feed the energy indicator and the
 pairwise entropy criterion for genuine multipartite entanglement.
 
 A chain is one ordered list of (coefficient, Pauli string) terms, grouped
-by x mask into one column of values per group (_PauliSum). The dense fill
+by x mask into one row of values per group (_PauliSum). The dense fill
 and the matrix-free product both read that operator:
 
-- N <= 8: the dense matrix, float64 when no term has an odd number of Y
+- N <= 7: the dense matrix, float64 when no term has an odd number of Y
   letters and complex128 otherwise, goes to LAPACK eigh. The gap is the
   difference of the two lowest eigenvalues with multiplicity.
-- N = 9..12: Lanczos with full reorthogonalisation from a seeded start
+- N = 8..12: Lanczos with full reorthogonalisation from a seeded start
   vector, once for the ground pair and once more orthogonal to the ground
   vector for the next level, so a degenerate ground level gives a zero gap.
   Either solve not converged by the Krylov dimension 2^N raises
@@ -47,8 +47,9 @@ MAX_SITES = qcore.MAX_QUBITS
 DEGENERACY_GAP_TOL = 1e-8
 EIGENPAIR_RESIDUAL_TOL = 1e-8
 
-# Chains up to this many sites are solved densely, longer ones by Lanczos.
-_DENSE_MAX_SITES = 8
+# Chains up to this many sites are solved densely, longer ones by Lanczos:
+# where the two solvers' times cross on transverse-field and odd-Y chains.
+_DENSE_MAX_SITES = 7
 # A Lanczos Ritz pair is accepted once its residual is below this times the
 # largest |Ritz value| (at least 1).
 _LANCZOS_TOL = 1e-10
@@ -75,7 +76,10 @@ class SpinChainSpec:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        terms = tuple((float(c), str(s).upper()) for c, s in self.extra_terms)
+        try:
+            terms = tuple((float(c), str(s).upper()) for c, s in self.extra_terms)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"extra_terms must be (coefficient, Pauli string) pairs: {exc}") from None
         for c, s in terms:
             if len(s) != self.N:
                 raise ValidationError(f"Pauli string {s!r} has length {len(s)}, expected N={self.N}")
@@ -137,15 +141,14 @@ class _PauliSum:
 
     A string with x mask x, z mask z and Y count nY sends basis state i to
     i ^ x with the phase i^nY (-1)^popcount(i & z). All terms of one x mask
-    share their nonzero pattern, so group g is one column of values:
-    H[i ^ masks[g], i] = cols[g, i]. Each column is accumulated in term
-    order, so the dense fill adds the same entries in the same order as a
-    term-by-term sum. cols is float64 when every term has an even Y count
-    (every phase is then real) and complex128 otherwise.
+    share their nonzero pattern, so group g is one row of values:
+    H[j, rows[g, j]] = vals[g, j] with rows[g, j] = j ^ masks[g]. Each value
+    is accumulated in term order, so the dense fill adds the same entries in
+    the same order as a term-by-term sum. vals is float64 when every term has
+    an even Y count (every phase is then real) and complex128 otherwise.
     """
 
     def __init__(self, n: int, terms: Sequence[Tuple[float, str]]):
-        idx = np.arange(1 << n)
         parity = _parity(n)
         parsed = [(coeff, *_pauli_masks(letters)) for coeff, letters in terms]
         group = {}
@@ -153,26 +156,21 @@ class _PauliSum:
             group.setdefault(x, len(group))
         real = all(ny % 2 == 0 for _, _, _, ny in parsed)
         self.masks = np.array(list(group), dtype=np.int64)
-        self.cols = np.zeros((len(group), idx.size), dtype=np.float64 if real else np.complex128)
+        self.rows = np.arange(1 << n) ^ self.masks[:, None]
+        self.vals = np.zeros(self.rows.shape, dtype=np.float64 if real else np.complex128)
         for coeff, x, z, ny in parsed:
-            self.cols[group[x]] += coeff * (1, 1j, -1, -1j)[ny % 4] * parity[idx & z]
+            # the term's entry in row j sits in column j ^ x, whose phase it takes
+            self.vals[group[x]] += coeff * (1, 1j, -1, -1j)[ny % 4] * parity[self.rows[group[x]] & z]
 
     def dense(self) -> np.ndarray:
-        idx = np.arange(self.cols.shape[1])
-        ham = np.zeros((idx.size, idx.size), dtype=self.cols.dtype)
-        ham[idx ^ self.masks[:, None], idx] = self.cols
+        idx = np.arange(self.rows.shape[1])
+        ham = np.zeros((idx.size, idx.size), dtype=self.vals.dtype)
+        ham[idx, self.rows] = self.vals
         return ham
 
-    @functools.cached_property
-    def _gather(self) -> Tuple[np.ndarray, np.ndarray]:
-        # rows[g, j] = j ^ masks[g] and vals[g, j] = H[j, j ^ masks[g]]
-        rows = np.arange(self.cols.shape[1]) ^ self.masks[:, None]
-        return rows, np.take_along_axis(self.cols, rows, axis=1)
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H v = sum over groups of (col ⊙ v)[i ^ x], without the dense matrix."""
-        rows, vals = self._gather
-        return (vals * v[rows]).sum(axis=0)
+        """(H v)[j] = sum over groups of vals[g, j] * v[j ^ masks[g]], without the dense matrix."""
+        return (self.vals * v[self.rows]).sum(axis=0)
 
 
 def _chain_terms(spec: SpinChainSpec) -> List[Tuple[float, str]]:
@@ -224,8 +222,8 @@ def long_range_chain(J: float = 1.0, h: float = 1.0) -> SpinChainSpec:
 def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateResult:
     """Lowest eigenpair of a Hermitian operator, with a deterministic eigenvector.
 
-    A chain spec of up to 8 sites is filled densely in the operator's dtype
-    and solved by LAPACK; from 9 sites on it is solved matrix-free by
+    A chain spec of up to 7 sites is filled densely in the operator's dtype
+    and solved by LAPACK; from 8 sites on it is solved matrix-free by
     Lanczos (see _lanczos_ground_state). A raw ndarray is checked for
     Hermiticity and solved densely. The state's global phase is fixed so its
     largest-magnitude amplitude is real and positive. The result is flagged
@@ -289,33 +287,29 @@ def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[flo
     Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice per
     step, against every basis vector and deflate). The pair is accepted once
     its residual beta_k |s_k| is at most _LANCZOS_TOL times the largest
-    |Ritz value| (at least 1); the tridiagonal matrix is solved every step up
-    to 64 and then every k/8 steps. NumericError if that has not happened by
-    the dimension of the space.
+    |Ritz value| (at least 1); the tridiagonal matrix is solved every 8 steps,
+    when the next beta vanishes, and at the end. NumericError if the pair has
+    not been accepted by the dimension of the space.
     """
     dim = start.size
     fixed = 0 if deflate is None else 1
-    basis = np.empty((min(dim, 64), dim), dtype=op.cols.dtype)
-    v = start.astype(op.cols.dtype)
+    basis = np.empty((dim, dim), dtype=op.vals.dtype)  # rows are committed only when written
+    v = start.astype(op.vals.dtype)
     if fixed:
         basis[0] = deflate
         v -= deflate * np.vdot(deflate, v)
     v /= np.linalg.norm(v)
     alpha: List[float] = []
     beta: List[float] = []
-    check = 1
     for k in range(1, dim - fixed + 1):
         m = fixed + k
-        if m > basis.shape[0]:
-            basis = np.concatenate([basis, np.empty_like(basis)])[:dim]
         basis[m - 1] = v
         w = op.matvec(v)
         alpha.append(float(np.vdot(v, w).real))
         for _ in range(2):
             w -= basis[:m].T @ np.conj(basis[:m] @ w.conj())
         b = float(np.linalg.norm(w))
-        if b <= _LANCZOS_TOL or k >= check or k == dim - fixed:
-            check = k + 1 if k < 64 else k + k // 8
+        if b <= _LANCZOS_TOL or k % 8 == 0 or k == dim - fixed:
             theta, s = qcore._eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1), vectors=True)
             if b * abs(s[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta[0]), abs(theta[-1])):
                 return float(theta[0]), basis[fixed:m].T @ s[:, 0]

@@ -289,6 +289,12 @@ def test_matvec_is_the_dense_product(n):
     assert np.max(np.abs(op.matvec(v) - build_hamiltonian(spec) @ v)) <= 1e-12
 
 
+@pytest.mark.parametrize("terms", [(("x", "XX"),), ((1.0,),), ((None, "XX"),), (1.0,), ((1.0, "XX", 2.0),)])
+def test_spec_rejects_malformed_extra_terms(terms):
+    with pytest.raises(ValidationError, match="extra_terms must be"):
+        SpinChainSpec(N=2, extra_terms=terms)
+
+
 @pytest.mark.parametrize("letters", ["ZZ", "XX", "yzx"])
 @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf")])
 def test_spec_rejects_non_finite_coefficients(letters, coeff):
@@ -322,7 +328,7 @@ def _odd_y(n):
     + [f"odd_y{n}" for n in range(4, 9)],
 )
 def test_lanczos_matches_dense(spec):
-    dense = ground_state(spec)
+    dense = ground_state(build_hamiltonian(spec))
     lanczos = spinchain._lanczos_ground_state(spec)
     assert not dense.degenerate and not lanczos.degenerate
     assert abs(lanczos.energy - dense.energy) <= 1e-10
@@ -331,8 +337,17 @@ def test_lanczos_matches_dense(spec):
     assert abs(entropy_criterion(lanczos.state) - entropy_criterion(dense.state)) <= 1e-7
 
 
+@pytest.mark.parametrize("n", [2, 7, 8, 9])
+def test_ground_state_switches_to_lanczos_above_seven_sites(n, monkeypatch):
+    calls = []
+    lanczos = spinchain._lanczos_ground_state
+    monkeypatch.setattr(spinchain, "_lanczos_ground_state", lambda spec: calls.append(spec.N) or lanczos(spec))
+    ground_state(_transverse_field(n))
+    assert calls == ([n] if n >= 8 else [])
+
+
 def test_lanczos_odd_y_chain_is_complex():
-    assert spinchain._PauliSum(6, spinchain._chain_terms(_odd_y(6))).cols.dtype == np.complex128
+    assert spinchain._PauliSum(6, spinchain._chain_terms(_odd_y(6))).vals.dtype == np.complex128
 
 
 @pytest.mark.parametrize("n", [4, 10])
