@@ -215,11 +215,6 @@ def build_state(spec: StateBuilderSpec) -> State:
         raise ValidationError(f"family {spec.family!r} got a parameter of the wrong type: {exc}") from exc
 
 
-GHZ_FACET_NAMES = tuple(
-    [f"nonneg_e{i}" for i in (1, 2, 3)]
-    + [f"cap_e{i}" for i in (1, 2, 3)]
-    + [f"polygon_e{i}" for i in (1, 2, 3)]
-)
 W_TOTAL_FACET = "w_total"
 
 

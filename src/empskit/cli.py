@@ -3,9 +3,9 @@
 Subcommands: emps, classify, polytope, orbit, ising, sweep. Results are
 JSON records (CSV for point clouds and sweep tables); all energies are
 reported as dimensionless multiples of E. Exit codes: 0 success, 2 on
-validation/argument errors, 3 on numerical failures. orbit, the one
-randomized command, seeds with --seed, else the EMPSKIT_SEED environment
-variable, else 42.
+validation/argument errors and on files that cannot be read or written, 3
+on numerical failures. orbit, the one randomized command, seeds with
+--seed, else the EMPSKIT_SEED environment variable, else 42.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import io
 import json
 import os
 import sys
-from typing import List, Optional
+from dataclasses import fields
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .emps import (
     emps_vector,
     eta_indicator,
     polygon_check,
-    total_emps,
 )
 from .errors import ArgumentError, CapacityError, NumericError, ValidationError
 
@@ -77,8 +77,6 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
-    except FileNotFoundError:
-        raise
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{what} file {path} cannot be read: {exc}") from exc
 
@@ -108,49 +106,45 @@ def _emit(text: str, output: Optional[str]):
             sys.stdout.write("\n")
 
 
-def _json_dumps(record) -> str:
-    return json.dumps(record, indent=2)
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _emps_record(state, state_id: str) -> dict:
+# Each subcommand returns its result: a record (printed as indented JSON) or CSV text.
+
+
+def _cmd_emps(args) -> dict:
+    state, state_id = _load_state(args)
+    if args.save_state:
+        with open(args.save_state, "w", encoding="utf-8") as fh:
+            json.dump(qcore.state_to_dict(state), fh)
     v = emps_vector(state)
-    report = polygon_check(v)
-    eta = eta_indicator(v) if v.n >= 3 else None
     return {
         "state_id": state_id,
         "units": "E",
         "n": v.n,
         "emps": [float(x) for x in v.values],
-        "total": total_emps(v),
-        "eta": eta,
-        "polygon": {
-            "satisfied": report.satisfied,
-            "worst_slack": report.worst_slack,
-            "violating_index": report.violating_index,
-        },
+        "total": v.total(),
+        "eta": eta_indicator(v) if v.n >= 3 else None,
+        "polygon": vars(polygon_check(v)),
     }
 
 
-def _cmd_emps(args) -> int:
-    state, state_id = _load_state(args)
-    if args.save_state:
-        with open(args.save_state, "w", encoding="utf-8") as fh:
-            json.dump(qcore.state_to_dict(state), fh)
-    _emit(_json_dumps(_emps_record(state, state_id)), args.output)
-    return 0
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     state, state_id = _load_state(args)
     if not isinstance(state, qcore.PureState):
         raise ArgumentError("classification needs a pure state")
     label = cls.classify_three_qubit(state)
     v = emps_vector(state)
-    record = {
+    return {
         "state": state_id,
         "units": "E",
         "emps": [float(x) for x in v.values],
-        "total": total_emps(v),
+        "total": v.total(),
         "eta": eta_indicator(v),
         "verdict": label.description,
         "verdict_code": label.verdict.value,
@@ -161,11 +155,9 @@ def _cmd_classify(args) -> int:
             for e in label.evidence
         ],
     }
-    _emit(_json_dumps(record), args.output)
-    return 0
 
 
-def _cmd_polytope(args) -> int:
+def _cmd_polytope(args) -> dict:
     if args.point:
         values = _parse_float_list(args.point, "--point")
         v = EmpsVector(n=len(values), values=np.array(values))
@@ -174,40 +166,30 @@ def _cmd_polytope(args) -> int:
         state, point_id = _load_state(args)
         v = emps_vector(state)
     report = cls.polytope_membership_3q(v, args.which)
-    record = {
+    return {
         "point_id": point_id,
         "emps": [float(x) for x in v.values],
         "polytope": args.which,
         "member": report.member,
         "facets": [{"facet": k, "slack": s} for k, s in report.facet_slacks.items()],
     }
-    _emit(_json_dumps(record), args.output)
-    return 0
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> Union[dict, str]:
     state, state_id = _load_state(args)
     if not isinstance(state, qcore.PureState):
         raise ArgumentError("orbit sampling needs a pure state")
     seed = _resolve_seed(args)
     samples = cls.slocc_orbit_sample(state, args.samples, seed=seed)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([f"e{i}" for i in range(1, state.n + 1)])
-        for v in samples:
-            writer.writerow([repr(x) for x in v.values.tolist()])
-        _emit(buf.getvalue(), args.output)
-    else:
-        record = {
-            "state_id": state_id,
-            "units": "E",
-            "samples": args.samples,
-            "seed": seed,
-            "points": [v.values.tolist() for v in samples],
-        }
-        _emit(_json_dumps(record), args.output)
-    return 0
+        return _csv([f"e{i}" for i in range(1, state.n + 1)], (v.values.tolist() for v in samples))
+    return {
+        "state_id": state_id,
+        "units": "E",
+        "samples": args.samples,
+        "seed": seed,
+        "points": [v.values.tolist() for v in samples],
+    }
 
 
 def _chain_spec(args) -> sc.SpinChainSpec:
@@ -222,20 +204,11 @@ def _chain_spec(args) -> sc.SpinChainSpec:
     raise ValidationError("provide --spec FILE or --model ising|longrange")
 
 
-def _spec_record(spec: sc.SpinChainSpec) -> dict:
-    return {
-        "N": spec.N,
-        "J": spec.J,
-        "h": spec.h,
-        "extra_terms": [[c, s] for c, s in spec.extra_terms],
-    }
-
-
-def _cmd_ising(args) -> int:
+def _cmd_ising(args) -> dict:
     spec = _chain_spec(args)
     gs = sc.ground_state(spec)
-    record = {
-        "spec": _spec_record(spec),
+    return {
+        "spec": vars(spec),
         "units": "E",
         "ground_energy": gs.energy,
         "gap": gs.degeneracy_gap,
@@ -243,8 +216,6 @@ def _cmd_ising(args) -> int:
         "eta": eta_indicator(gs.state),
         "entropy_criterion": sc.entropy_criterion(gs.state),
     }
-    _emit(_json_dumps(record), args.output)
-    return 0
 
 
 def _sweep_values(args) -> List[float]:
@@ -264,47 +235,15 @@ def _sweep_values(args) -> List[float]:
     raise ValidationError("provide sweep values via --values or --range")
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> Union[dict, str]:
     spec = _chain_spec(args)
-    values = _sweep_values(args)
-    rows = sc.indicator_sweep(spec, args.param, values)
+    rows = sc.indicator_sweep(spec, args.param, _sweep_values(args))
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["parameter", "ground_energy", "gap", "eta_over_E", "entropy_criterion", "degenerate"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    repr(r.parameter),
-                    repr(r.ground_energy),
-                    repr(r.gap),
-                    repr(r.eta),
-                    repr(r.entropy_criterion),
-                    int(r.degenerate),
-                ]
-            )
-        _emit(buf.getvalue(), args.output)
-    else:
-        record = {
-            "spec": _spec_record(spec),
-            "parameter": args.param,
-            "units": "E",
-            "rows": [
-                {
-                    "parameter": r.parameter,
-                    "ground_energy": r.ground_energy,
-                    "gap": r.gap,
-                    "eta": r.eta,
-                    "entropy_criterion": r.entropy_criterion,
-                    "degenerate": r.degenerate,
-                }
-                for r in rows
-            ],
-        }
-        _emit(_json_dumps(record), args.output)
-    return 0
+        header = ["eta_over_E" if f.name == "eta" else f.name for f in fields(sc.SweepRow)]
+        # the degenerate flag is written as 0/1
+        cells = ([int(x) if isinstance(x, bool) else x for x in vars(r).values()] for r in rows)
+        return _csv(header, cells)
+    return {"spec": vars(spec), "parameter": args.param, "units": "E", "rows": [vars(r) for r in rows]}
 
 
 def _add_state_options(parser: argparse.ArgumentParser):
@@ -402,16 +341,15 @@ def _shared_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[List[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValidationError, ArgumentError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        result = args.fn(args)
+        _emit(result if isinstance(result, str) else json.dumps(result, indent=2), args.output)
+    except (ValidationError, ArgumentError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def main():

@@ -103,11 +103,7 @@ def _marginal_min_eigenvalues(state: State, qubits: Sequence[int]) -> np.ndarray
     stack of one; density matrices through partial_trace. Both end in the
     closed form of _min_eigenvalues_2x2, so no eigensolver runs.
     """
-    n = state.n
-    qubits = list(qubits)
-    for qubit in qubits:
-        if not 1 <= qubit <= n:
-            raise ArgumentError(f"qubit index {qubit} out of range 1..{n}")
+    qubits = qcore._check_keep(qubits, state.n)
     if isinstance(state, PureState):
         marginals = qcore._qubit_marginals(state.amps[None, :])[0, [q - 1 for q in qubits]]
     else:

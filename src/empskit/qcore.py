@@ -169,19 +169,14 @@ def random_pure_state(n: int, rng: Optional[np.random.Generator] = None) -> Pure
 
 def tensor_product(a: State, b: State) -> State:
     """Kronecker product of two states of the same kind; a's qubits become the leading ones."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        if a.n + b.n > MAX_QUBITS:
-            raise CapacityError(
-                f"tensor product on {a.n + b.n} qubits exceeds the {MAX_QUBITS}-qubit limit"
-            )
+    pure = isinstance(a, PureState) and isinstance(b, PureState)
+    if not (pure or (isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix))):
+        raise ArgumentError("tensor_product operands must both be PureState or both DensityMatrix")
+    if a.n + b.n > MAX_QUBITS:
+        raise CapacityError(f"tensor product on {a.n + b.n} qubits exceeds the {MAX_QUBITS}-qubit limit")
+    if pure:
         return PureState(np.kron(a.amps, b.amps))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        if a.n + b.n > MAX_QUBITS:
-            raise CapacityError(
-                f"tensor product on {a.n + b.n} qubits exceeds the {MAX_QUBITS}-qubit limit"
-            )
-        return DensityMatrix._trusted(np.kron(a.entries, b.entries))
-    raise ArgumentError("tensor_product operands must both be PureState or both DensityMatrix")
+    return DensityMatrix._trusted(np.kron(a.entries, b.entries))
 
 
 def permute_qubits(psi: PureState, order: Sequence[int]) -> PureState:

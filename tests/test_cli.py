@@ -199,6 +199,27 @@ def test_directory_as_state_file_exits_2(tmp_path, capsys):
     assert f"state file {tmp_path} cannot be read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["emps", "--builder", "ghz", "--n", "3", "--theta", "0.5", "-o"],
+        ["emps", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--save-state"],
+        ["sweep", "--model", "ising", "--values", "1", "-o"],
+    ],
+)
+def test_directory_as_output_path_exits_2(tmp_path, capsys, argv):
+    assert cli.run(argv + [str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, what", [(["emps", "--state"], "state"), (["ising", "--spec"], "spec")])
+def test_missing_input_file_exits_2(tmp_path, capsys, argv, what):
+    path = tmp_path / "missing.json"
+    assert cli.run(argv + [str(path)]) == 2
+    assert f"{what} file {path} cannot be read: [Errno 2]" in capsys.readouterr().err
+
+
 def test_non_utf8_spec_file_exits_2(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{")

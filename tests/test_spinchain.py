@@ -183,6 +183,8 @@ def test_spec_from_dict_roundtrip_and_errors():
         ({"h": [1.0]}, "N, J and h must be numbers"),
         ({"N": 4.7}, "N must be an integer"),
         ({"N": float("nan")}, "N must be an integer"),
+        ({"N": 2, "extra_terms": 5}, "extra_terms must be"),
+        ({"N": 2, "extra_terms": [[10 ** 400, "XX"]]}, "extra_terms must be"),
     ],
 )
 def test_spec_from_dict_rejects_bad_fields(payload, message):
@@ -368,6 +370,14 @@ def test_lanczos_is_bit_reproducible():
     assert np.array_equal(a.state.amps, b.state.amps)
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_complex_ground_state_top_amplitude_is_exactly_real(n):
+    psi = ground_state(_odd_y(n)).state.amps
+    assert psi.dtype == np.complex128
+    top = psi[int(np.argmax(np.abs(psi)))]
+    assert top.imag == 0.0 and top.real > 0.0
+
+
 def test_lanczos_that_does_not_converge_is_a_numeric_error(monkeypatch):
     monkeypatch.setattr(spinchain, "_LANCZOS_TOL", 0.0)
     with pytest.raises(NumericError, match="Lanczos did not converge within Krylov dimension 16"):
@@ -381,7 +391,7 @@ def test_twelve_site_ground_state(spec):
     assert time.perf_counter() - start <= 5.0
     psi = result.state.amps
     k = int(np.argmax(np.abs(psi)))
-    assert abs(psi[k].imag) <= 1e-15 and psi[k].real > 0.0
+    assert psi[k].imag == 0.0 and psi[k].real > 0.0
     # residual from the terms applied site by site, not from the grouped operator
     h_psi = sum(c * _apply_term(letters, psi, 12) for c, letters in spinchain._chain_terms(spec))
     assert np.linalg.norm(h_psi - result.energy * psi) <= 1e-8
