@@ -17,10 +17,11 @@ import numpy as np
 
 from . import qcore
 from .emps import (
+    _CHUNK_AMPLITUDES,
     DEFAULT_SEED,
     SLACK_TOL,
     EmpsVector,
-    _min_eigenvalues_2x2,
+    _pure_emps,
     emps_vector,
     eta_indicator,
 )
@@ -355,11 +356,6 @@ def _apply_local_factors(amps: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return t.reshape(b, -1)
 
 
-# Amplitudes per orbit batch (1 MiB of complex128): bounds the working set
-# whatever the sample count; the results do not depend on it.
-_CHUNK_AMPLITUDES = 1 << 16
-
-
 def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> List[EmpsVector]:
     """Energy vectors of `count` random states in the SLOCC orbit of psi.
 
@@ -385,15 +381,8 @@ def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> 
         factors = _local_factors(n, range(seed + start, seed + min(start + batch, count)))
         phi = _apply_local_factors(psi.amps, factors)
         phi /= np.linalg.norm(phi, axis=1)[:, None]
-        norm_sq = np.sum(np.abs(phi) ** 2, axis=1)
-        bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= qcore.NORMALIZATION_ATOL))
-        if bad.size:
-            raise ValidationError(
-                f"orbit sample {start + bad[0]} is not normalized: "
-                f"sum |amps|^2 = {norm_sq[bad[0]]!r} (tolerance {qcore.NORMALIZATION_ATOL})"
-            )
-        energies = _min_eigenvalues_2x2(qcore._qubit_marginals(phi), range(1, n + 1))
-        out.extend(EmpsVector(n=n, values=row) for row in energies)
+        qcore._require_normalized_rows(phi, "orbit sample", start)
+        out.extend(EmpsVector._trusted(row) for row in _pure_emps(phi))
     return out
 
 

@@ -220,7 +220,10 @@ def _cmd_ising(args) -> dict:
 
 def _sweep_values(args) -> List[float]:
     if args.values:
-        return _parse_float_list(args.values, "--values")
+        values = _parse_float_list(args.values, "--values")
+        if not values:
+            raise ValidationError(f"--values must name at least one number, got {args.values!r}")
+        return values
     if args.range:
         parts = args.range.split(":")
         if len(parts) != 3:

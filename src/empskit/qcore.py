@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
@@ -45,6 +46,19 @@ def _require_hermitian(arr: np.ndarray, what: str, atol: float):
     defect = float(np.max(np.abs(arr - arr.conj().swapaxes(-1, -2))))
     if not defect <= atol:
         raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e}")
+
+
+def _require_normalized_rows(amps: np.ndarray, what: str, first: int = 0):
+    """Reject a (B, 2^n) amplitude stack with a row whose sum |amps|^2 is off 1 by more than
+    NORMALIZATION_ATOL. The message names the first such row, numbered from `first`.
+    """
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=1)
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= NORMALIZATION_ATOL))
+    if bad.size:
+        raise ValidationError(
+            f"{what} {first + bad[0]} is not normalized: "
+            f"sum |amps|^2 = {float(norm_sq[bad[0]])!r} (tolerance {NORMALIZATION_ATOL})"
+        )
 
 
 class PureState:
@@ -237,14 +251,42 @@ def _pure_marginal(amps: np.ndarray, n: int, kept0: Sequence[int]) -> np.ndarray
     return a @ a.conj().T
 
 
+# Stacks with at most this many gathered entries (B * n * 2^n, 128 KiB of
+# complex128) are copied by one gather; larger ones by the per-qubit loop,
+# which needs no B x n x 2^n buffer. Both are bit-identical. The value is
+# where their measured times cross: above it the fresh gather buffers cost
+# more than the n - 1 copies they replace (README, "Numerical conventions").
+_GATHER_MAX_ENTRIES = 1 << 13
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _marginal_gather_table(n: int) -> np.ndarray:
+    """Read-only (n, 2, 2^(n-1)) indices: row s of qubit q lists the amplitudes with bit q = s.
+
+    Each row keeps ascending index order, the order in which the per-qubit
+    loop of _qubit_marginals copies the same amplitudes.
+    """
+    idx = np.arange(1 << n)
+    table = np.stack([idx.reshape(1 << q, 2, -1).swapaxes(0, 1).reshape(2, -1) for q in range(n)])
+    table.flags.writeable = False
+    return table
+
+
 def _qubit_marginals(amps: np.ndarray) -> np.ndarray:
     """Every single-qubit marginal of a (B, 2^n) stack of pure-state amplitudes, as (B, n, 2, 2).
 
-    Each row's marginals are computed on their own, so a row's result does
-    not depend on B.
+    Each qubit's amplitudes are copied into contiguous (2, 2^(n-1)) rows,
+    split by the qubit's bit, and one batched t t^dag gives the marginal.
+    Small stacks gather every qubit's rows at once; large ones copy them
+    qubit by qubit. Both run the same product on the same rows, so the
+    result is bit-identical either way, and each row's marginals are
+    computed on their own, so a row's result does not depend on B.
     """
     b, dim = amps.shape
     n = dim.bit_length() - 1
+    if b * n * dim <= _GATHER_MAX_ENTRIES:
+        t = np.take(amps, _marginal_gather_table(n), axis=1)
+        return t @ t.conj().swapaxes(-1, -2)
     out = np.empty((b, n, 2, 2), dtype=np.complex128)
     for q in range(n):
         t = amps.reshape(b, 2 ** q, 2, -1).swapaxes(1, 2).reshape(b, 2, -1)

@@ -23,13 +23,16 @@ from empskit.classify import (
 from empskit.emps import (
     DEFAULT_SEED,
     emps_vector,
+    emps_vectors,
     eta_indicator,
     passive_energy,
     polygon_check,
     total_emps,
+    worst_slacks,
 )
 from empskit.qcore import (
     DensityMatrix,
+    PureState,
     basis_state,
     eig_hermitian,
     partial_trace,
@@ -92,6 +95,29 @@ def test_criterion_02_polygon_law_haar():
         2,
         worst >= -SLACK and elapsed < 60.0,
         f"60000 Haar states, min polygon slack {worst:.2e}, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_02_batched_equivalence():
+    # the stack entry points against criterion 02's per-state path, bit for bit
+    rng = np.random.default_rng(DEFAULT_SEED)
+    batched_s = 0.0
+    worst = np.inf
+    for n in range(3, 9):
+        z = rng.standard_normal((10_000, 2 ** n)) + 1j * rng.standard_normal((10_000, 2 ** n))
+        amps = z / np.linalg.norm(z, axis=1)[:, None]
+        t0 = time.perf_counter()
+        energies = emps_vectors(amps)
+        slacks = worst_slacks(energies)
+        batched_s += time.perf_counter() - t0
+        vectors = [emps_vector(PureState(row)) for row in amps]
+        assert np.array_equal(energies, [v.values for v in vectors]), n
+        assert np.array_equal(slacks, [polygon_check(v).worst_slack for v in vectors]), n
+        worst = min(worst, float(slacks.min()))
+    _report(
+        2,
+        worst >= -SLACK,
+        f"60000 Haar states batched, bit-identical per state, min slack {worst:.2e}, {batched_s:.2f}s",
     )
 
 

@@ -273,6 +273,15 @@ def test_sweep_bad_range(capsys):
     assert cli.run(["sweep", "--model", "ising", "--param", "h"]) == 2
 
 
+def test_sweep_rejects_empty_value_list(capsys):
+    for values in (",", " , ,"):
+        code = cli.run(["sweep", "--model", "ising", "--param", "h", "--values", values])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--values must name at least one number" in captured.err
+
+
 def test_classify_rejects_mixed_state(tmp_path, capsys):
     path = tmp_path / "noisy.json"
     path.write_text(json.dumps(state_to_dict(build_noisy_w(0.2))))

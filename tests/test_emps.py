@@ -11,13 +11,15 @@ from empskit.emps import (
     EmpsVector,
     emps,
     emps_vector,
+    emps_vectors,
     eta_indicator,
     geometric_entanglement,
     passive_energy,
     polygon_check,
     total_emps,
+    worst_slacks,
 )
-from empskit.errors import ArgumentError, ValidationError
+from empskit.errors import ArgumentError, CapacityError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
     PureState,
@@ -165,6 +167,21 @@ def test_emps_vector_validation():
         EmpsVector(n=3, values=np.array([0.6, 0.0, 0.0]))
     with pytest.raises(ValidationError):
         EmpsVector(n=2, values=np.array([0.1, 0.1, 0.1]))
+
+
+def test_emps_vectors_rejects_malformed_stacks():
+    with pytest.raises(ValidationError, match="shape"):
+        emps_vectors(np.full(8, 8 ** -0.5))
+    with pytest.raises(ValidationError, match="power of two"):
+        emps_vectors(np.full((2, 6), 6 ** -0.5))
+    with pytest.raises(CapacityError, match="13 qubits"):
+        emps_vectors(np.eye(1, 2 ** 13))
+    amps = np.full((4, 8), 8 ** -0.5)
+    amps[2] *= 1.01
+    with pytest.raises(ValidationError, match="amplitude row 2 is not normalized"):
+        emps_vectors(amps)
+    with pytest.raises(ValidationError, match="nonempty last axis"):
+        worst_slacks(np.zeros((3, 0)))
 
 
 # ---------------------------------------------------------------- closed-form marginal kernel

@@ -396,6 +396,20 @@ def test_pair_marginals_match_reduced_density_matrix(n):
         assert np.max(np.abs(stack[pairs.index((i, j))] - expected)) <= 1e-15, (i, j)
 
 
+@pytest.mark.parametrize("b", [1, 2, 50])
+def test_qubit_marginals_gather_and_loop_layouts_agree(monkeypatch, b):
+    # the threshold is forced both ways, so each layout sees every stack
+    rng = np.random.default_rng(800 + b)
+    for n in range(1, 13):
+        amps = rng.standard_normal((b, 2 ** n)) + 1j * rng.standard_normal((b, 2 ** n))
+        monkeypatch.setattr(qcore, "_GATHER_MAX_ENTRIES", b * n * 2 ** n)
+        gathered = qcore._qubit_marginals(amps)
+        monkeypatch.setattr(qcore, "_GATHER_MAX_ENTRIES", b * n * 2 ** n - 1)
+        looped = qcore._qubit_marginals(amps)
+        assert gathered.shape == (b, n, 2, 2)
+        assert np.array_equal(gathered, looped), n
+
+
 def test_stacked_entropy_matches_von_neumann_entropy():
     rng = np.random.default_rng(41)
     rhos = [DensityMatrix(random_density(4, rng)) for _ in range(5)] + [BELL.density()]
