@@ -110,7 +110,7 @@ def build_w(coeffs: Sequence[float]) -> PureState:
     n = a.size
     _require(2 <= n <= qcore.MAX_QUBITS, f"2 <= n <= {qcore.MAX_QUBITS}")
     _require(bool(np.all(a >= 0.0)), "all coefficients a_i >= 0")
-    _require(abs(float(a.sum()) - 1.0) <= 1e-10, "sum of coefficients equals 1")
+    _require(abs(float(a.sum()) - 1.0) <= qcore.NORMALIZATION_ATOL, "sum of coefficients equals 1")
     amps = np.zeros(2 ** n, dtype=np.complex128)
     for i in range(n):
         amps[1 << (n - 1 - i)] = math.sqrt(a[i])  # qubit i+1 excited
@@ -138,7 +138,7 @@ def build_generalized_dicke(n: int, l: int, coeffs: Sequence[complex]) -> PureSt
     idx = _indices_with_excitations(n, l)
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     _require(c.size == len(idx), f"coefficient count equals C({n},{l}) = {len(idx)}")
-    _require(abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= 1e-10, "coefficients have unit norm")
+    _require(abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= qcore.NORMALIZATION_ATOL, "coefficients have unit norm")
     amps = np.zeros(2 ** n, dtype=np.complex128)
     amps[idx] = c
     return PureState(amps)
@@ -147,7 +147,7 @@ def build_generalized_dicke(n: int, l: int, coeffs: Sequence[complex]) -> PureSt
 def build_biseparable(alpha: complex, beta: complex, position: int) -> PureState:
     """Three-qubit state |0> at `position` times alpha|00> + beta|11> on the other two."""
     _require(position in (1, 2, 3), "position in {1, 2, 3}")
-    _require(abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10, "|alpha|^2 + |beta|^2 = 1")
+    _require(abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= qcore.NORMALIZATION_ATOL, "|alpha|^2 + |beta|^2 = 1")
     pair = [q for q in (1, 2, 3) if q != position]
     amps = np.zeros(8, dtype=np.complex128)
     amps[0] = alpha

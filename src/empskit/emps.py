@@ -36,7 +36,8 @@ class EmpsVector:
         arr = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if self.n != arr.size:
             raise ValidationError(f"declared n={self.n} but got {arr.size} values")
-        in_range = arr.size == 0 or (arr.min() >= -1e-10 and arr.max() <= 0.5 + 1e-10)
+        floor = qcore.EIGENVALUE_FLOOR
+        in_range = arr.size == 0 or (arr.min() >= floor and arr.max() <= 0.5 - floor)
         if not in_range:
             raise ValidationError(
                 f"marginal passive energies must lie in [0, 1/2], got {arr.tolist()}"
@@ -88,17 +89,17 @@ def _min_eigenvalues_2x2(marginals: np.ndarray, qubits: Sequence[int]) -> np.nda
 
     For [[p0, c], [c*, p1]] it is 2 det / (tr + sqrt((p0 - p1)^2 + 4|c|^2)),
     which avoids the cancellation of (tr - sqrt(...)) / 2 as det -> 0.
-    A value below -1e-10 means the input was not a marginal of a state
-    (ValidationError naming the 1-based qubit); rounding noise is clipped
-    into [0, 1/2].
+    A value below qcore.EIGENVALUE_FLOOR means the input was not a marginal
+    of a state (ValidationError naming the 1-based qubit); rounding noise is
+    clipped into [0, 1/2].
     """
     p0 = marginals[..., 0, 0].real
     p1 = marginals[..., 1, 1].real
     c = marginals[..., 0, 1]
     c_sq = c.real ** 2 + c.imag ** 2
     lam_min = 2.0 * (p0 * p1 - c_sq) / (p0 + p1 + np.sqrt((p0 - p1) ** 2 + 4.0 * c_sq))
-    if not lam_min.min() >= -1e-10:
-        index = tuple(np.argwhere(~(lam_min >= -1e-10))[0])
+    if not lam_min.min() >= qcore.EIGENVALUE_FLOOR:
+        index = tuple(np.argwhere(~(lam_min >= qcore.EIGENVALUE_FLOOR))[0])
         raise ValidationError(
             f"marginal of qubit {qubits[index[-1]]} has eigenvalue {lam_min[index]:.3e} < 0"
         )
@@ -110,12 +111,12 @@ def _pure_emps(amps: np.ndarray) -> np.ndarray:
     """Marginal passive energies, as (B, n), of a (B, 2^n) stack of normalized amplitude rows.
 
     The one kernel behind emps_vector, emps_vectors and slocc_orbit_sample:
-    every single-qubit marginal from qcore._qubit_marginals, then the closed
-    form of _min_eigenvalues_2x2, so no eigensolver runs. Each row's result
-    does not depend on B.
+    every single-qubit marginal from qcore._marginals, then the closed form
+    of _min_eigenvalues_2x2, so no eigensolver runs. Each row's result does
+    not depend on B.
     """
     n = amps.shape[1].bit_length() - 1
-    return _min_eigenvalues_2x2(qcore._qubit_marginals(amps), range(1, n + 1))
+    return _min_eigenvalues_2x2(qcore._marginals(amps, qcore._subsets(n, 1)), range(1, n + 1))
 
 
 def _marginal_min_eigenvalues(state: State, qubits: Sequence[int]) -> np.ndarray:
@@ -178,16 +179,6 @@ def emps_vectors(amps) -> np.ndarray:
     return out
 
 
-def geometric_entanglement(state: State, qubit: int) -> float:
-    """Bipartite geometric entanglement across the qubit-vs-rest cut.
-
-    Defined operationally as twice the minimal marginal eigenvalue (so the
-    marginal passive energy is half of it); not computed by any independent
-    overlap optimization.
-    """
-    return 2.0 * emps(state, qubit)
-
-
 def polygon_check(v: EmpsVector) -> PolygonReport:
     """Check E_i <= sum_{j != i} E_j for every qubit i.
 
@@ -219,15 +210,6 @@ def worst_slacks(energies) -> np.ndarray:
     if arr.ndim < 1 or arr.shape[-1] < 1:
         raise ValidationError(f"energy stack needs a nonempty last axis, got shape {arr.shape}")
     return _slacks(arr).min(axis=-1)
-
-
-def total_emps(v: EmpsVector) -> float:
-    """Total marginal passive energy, sum_j E_j.
-
-    The companion bound total >= 2*E_j for every j is the polygon inequality
-    restated; polygon_check(v).worst_slack >= 0 verifies it.
-    """
-    return v.total()
 
 
 def eta_indicator(state_or_vector: Union[State, EmpsVector]) -> float:

@@ -9,6 +9,7 @@ are pure functions over immutable inputs and safe to run in parallel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -235,82 +236,65 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 def reduced_density_matrix(state: State, keep: Iterable[int]) -> DensityMatrix:
     """Marginal of a pure or mixed state on the kept qubits (1-based, order preserved).
 
-    Pure inputs avoid building the full projector: the amplitude tensor is
-    reshaped to (kept, rest) and the marginal is A A^dag.
+    Pure inputs avoid building the full projector: the amplitudes are gathered
+    as a (kept, rest) matrix A and the marginal is A A^dag.
     """
     if isinstance(state, DensityMatrix):
         return partial_trace(state, keep)
     kept = _check_keep(keep, state.n)
-    return DensityMatrix._trusted(_pure_marginal(state.amps, state.n, [q - 1 for q in kept]))
+    group = tuple(q - 1 for q in kept)
+    return DensityMatrix._trusted(_marginals(state.amps[None, :], (group,))[0, 0])
 
 
-def _pure_marginal(amps: np.ndarray, n: int, kept0: Sequence[int]) -> np.ndarray:
-    t = amps.reshape([2] * n)
-    t = np.moveaxis(t, kept0, range(len(kept0)))
-    a = t.reshape(2 ** len(kept0), -1)
-    return a @ a.conj().T
+@lru_cache(maxsize=2 * MAX_QUBITS)
+def _subsets(n: int, k: int) -> tuple:
+    """Every k-subset of the 0-based qubits 0..n-1, in itertools.combinations order."""
+    return tuple(combinations(range(n), k))
 
 
-# Stacks with at most this many gathered entries (B * n * 2^n, 128 KiB of
-# complex128) are copied by one gather; larger ones by the per-qubit loop,
-# which needs no B x n x 2^n buffer. Both are bit-identical. The value is
-# where their measured times cross: above it the fresh gather buffers cost
-# more than the n - 1 copies they replace (README, "Numerical conventions").
+# One take gathers at most this many amplitudes (B * 2^n per group for a
+# stack of B states, 128 KiB of complex128), and always at least one group:
+# larger fresh gather buffers cost more than the extra takes they save
+# (README, "Numerical conventions").
 _GATHER_MAX_ENTRIES = 1 << 13
 
 
-@lru_cache(maxsize=MAX_QUBITS)
-def _marginal_gather_table(n: int) -> np.ndarray:
-    """Read-only (n, 2, 2^(n-1)) indices: row s of qubit q lists the amplitudes with bit q = s.
+# room for the single-qubit and pair tables of every n, and for recent kept subsets
+@lru_cache(maxsize=64)
+def _gather_table(n: int, groups: tuple) -> np.ndarray:
+    """Read-only (G, 2^k, 2^(n-k)) amplitude indices for G groups of k distinct 0-based qubits.
 
-    Each row keeps ascending index order, the order in which the per-qubit
-    loop of _qubit_marginals copies the same amplitudes.
+    Row r of group g lists the amplitudes whose bits on g's qubits, read in
+    g's order, spell r; along the row the other qubits keep ascending index
+    order.
     """
-    idx = np.arange(1 << n)
-    table = np.stack([idx.reshape(1 << q, 2, -1).swapaxes(0, 1).reshape(2, -1) for q in range(n)])
+    idx = np.arange(1 << n).reshape([2] * n)
+    k = len(groups[0])
+    table = np.stack([np.moveaxis(idx, g, range(k)).reshape(1 << k, -1) for g in groups])
     table.flags.writeable = False
     return table
 
 
-def _qubit_marginals(amps: np.ndarray) -> np.ndarray:
-    """Every single-qubit marginal of a (B, 2^n) stack of pure-state amplitudes, as (B, n, 2, 2).
+def _marginals(amps: np.ndarray, groups: tuple) -> np.ndarray:
+    """Marginals of a (B, 2^n) stack of pure-state amplitudes on each qubit group, as (B, G, 2^k, 2^k).
 
-    Each qubit's amplitudes are copied into contiguous (2, 2^(n-1)) rows,
-    split by the qubit's bit, and one batched t t^dag gives the marginal.
-    Small stacks gather every qubit's rows at once; large ones copy them
-    qubit by qubit. Both run the same product on the same rows, so the
-    result is bit-identical either way, and each row's marginals are
-    computed on their own, so a row's result does not depend on B.
+    groups is a tuple of G equal-length tuples of 0-based qubits; a
+    marginal's rows and columns follow its group's qubit order. Each
+    group's amplitudes are gathered, kept qubits first, into (2^k, 2^(n-k))
+    rows, and one batched t t^dag gives the marginals. Groups are taken as
+    many at a time as _GATHER_MAX_ENTRIES allows; each marginal is its own
+    product over the same rows, so the bits depend neither on that split
+    nor on B.
     """
     b, dim = amps.shape
-    n = dim.bit_length() - 1
-    if b * n * dim <= _GATHER_MAX_ENTRIES:
-        t = np.take(amps, _marginal_gather_table(n), axis=1)
-        return t @ t.conj().swapaxes(-1, -2)
-    out = np.empty((b, n, 2, 2), dtype=np.complex128)
-    for q in range(n):
-        t = amps.reshape(b, 2 ** q, 2, -1).swapaxes(1, 2).reshape(b, 2, -1)
+    table = _gather_table(dim.bit_length() - 1, groups)
+    step = max(1, _GATHER_MAX_ENTRIES // (b * dim))
+    parts = []
+    for start in range(0, len(groups), step):
+        t = np.take(amps, table[start:start + step], axis=1)
         # batched matmul: an einsum of the same contraction is 2-2.5x slower at n >= 6
-        out[:, q] = t @ t.conj().swapaxes(1, 2)
-    return out
-
-
-def _pair_marginals(amps: np.ndarray) -> np.ndarray:
-    """Every two-qubit marginal of a pure state's 2^n amplitudes, as (P, 4, 4).
-
-    Pairs come in itertools.combinations order, (1, 2), (1, 3), ..., (n-1, n).
-    For the pair (i, j) the amplitudes are viewed as (before i, i, between,
-    j, after) and copied with i and j leading, the other qubits in order,
-    into one (P, 4, 2^(n-2)) buffer; a single batched a a^dag then gives
-    every marginal.
-    """
-    n = amps.size.bit_length() - 1
-    pairs = list(combinations(range(n), 2))
-    buf = np.empty((len(pairs), 4, amps.size // 4), dtype=np.complex128)
-    for p, (i, j) in enumerate(pairs):
-        view = amps.reshape(1 << i, 2, 1 << (j - i - 1), 2, -1)
-        buf[p].reshape(2, 2, 1 << i, 1 << (j - i - 1), -1)[...] = view.transpose(1, 3, 0, 2, 4)
-    return buf @ buf.conj().swapaxes(1, 2)
+        parts.append(t @ t.conj().swapaxes(-1, -2))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _eigh(matrix: np.ndarray, vectors: bool = False):
@@ -396,21 +380,29 @@ def state_from_dict(payload: dict) -> State:
     if "amps" in payload:
         amps = _pairs_to_complex(payload["amps"], "amps")
         state = PureState(amps)
-        declared = payload.get("n")
+        declared = _declared_int(payload, "n")
         if declared is not None and declared != state.n:
             raise ValidationError(f"declared n={declared} but amps describe {state.n} qubits")
         return state
     if "entries" in payload:
         entries = _pairs_to_complex(payload["entries"], "entries")
-        dim = payload.get("dim")
+        dim = _declared_int(payload, "dim")
         if dim is None:
             dim = int(round(math.sqrt(entries.size)))
-        if dim * dim != entries.size:
+        if dim < 1 or dim * dim != entries.size:
             raise ValidationError(
                 f"entries has {entries.size} values, which is not dim^2 for dim={dim}"
             )
         return DensityMatrix(entries.reshape(dim, dim), dim=dim)
     raise ValidationError('state description needs "amps", "entries", or "builder"')
+
+
+def _declared_int(payload: dict, field: str) -> Optional[int]:
+    """payload[field] if present, which must be an integer (a bool is not one), else None."""
+    value = payload.get(field)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValidationError(f'state field "{field}" must be an integer, got {value!r}')
+    return value
 
 
 def _pairs_to_complex(values, what: str) -> np.ndarray:

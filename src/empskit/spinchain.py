@@ -31,7 +31,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -340,9 +339,10 @@ def entropy_criterion(psi: PureState) -> float:
     n = psi.n
     if n < 3:
         raise ArgumentError(f"entropy criterion needs at least 3 qubits, got n={n}")
-    singles = _marginal_entropies(qcore._qubit_marginals(psi.amps[None, :])[0])
-    pairs = _marginal_entropies(qcore._pair_marginals(psi.amps))
-    i, j = np.array(list(combinations(range(n), 2))).T
+    amps = psi.amps[None, :]
+    singles = _marginal_entropies(qcore._marginals(amps, qcore._subsets(n, 1))[0])
+    pairs = _marginal_entropies(qcore._marginals(amps, qcore._subsets(n, 2))[0])
+    i, j = np.array(qcore._subsets(n, 2)).T
     return float(np.min(np.abs(pairs - singles[i] - singles[j])))
 
 

@@ -27,7 +27,6 @@ from empskit.emps import (
     eta_indicator,
     passive_energy,
     polygon_check,
-    total_emps,
     worst_slacks,
 )
 from empskit.qcore import (
@@ -125,13 +124,13 @@ def test_criterion_03_w_facet():
     worst_total = 0.0
     for n in range(3, 9):
         v = emps_vector(build_w([1.0 / n] * n))
-        worst_total = max(worst_total, abs(total_emps(v) - 1.0))
+        worst_total = max(worst_total, abs(v.total() - 1.0))
     worst_dominant = 0.0
     for n in range(3, 9):
         coeffs = [0.6] + [0.4 / (n - 1)] * (n - 1)
         psi = build_w(coeffs)
         v = emps_vector(psi)
-        worst_dominant = max(worst_dominant, abs(total_emps(v) - 0.8), abs(eta_indicator(v)))
+        worst_dominant = max(worst_dominant, abs(v.total() - 0.8), abs(eta_indicator(v)))
     ok = worst_total <= SLACK and worst_dominant <= SLACK
     _report(
         3,
@@ -146,7 +145,7 @@ def test_criterion_04_ghz_formulas():
         for theta in (0.2, 0.5, math.pi / 4):
             v = emps_vector(build_ghz(n, theta))
             s2 = math.sin(theta) ** 2
-            worst = max(worst, abs(total_emps(v) - n * s2), abs(eta_indicator(v) - (n - 2) * s2))
+            worst = max(worst, abs(v.total() - n * s2), abs(eta_indicator(v) - (n - 2) * s2))
         theta_star = math.asin(math.sqrt(1.0 / n))
         eta = eta_indicator(build_ghz(n, theta_star))
         worst = max(worst, abs(eta - (n - 2) / n))
@@ -161,12 +160,12 @@ def test_criterion_05_dicke_facets():
         for l in range(1, n):
             facet = min(l, n - l)
             v = emps_vector(build_dicke(n, l))
-            worst = max(worst, abs(total_emps(v) - facet))
+            worst = max(worst, abs(v.total() - facet))
             m = math.comb(n, l)
             for _ in range(100):
                 c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 c /= np.linalg.norm(c)
-                total = total_emps(emps_vector(build_generalized_dicke(n, l, c)))
+                total = emps_vector(build_generalized_dicke(n, l, c)).total()
                 worst_excess = max(worst_excess, total - facet)
     ok = worst <= SLACK and worst_excess <= SLACK
     _report(
@@ -202,10 +201,10 @@ def test_criterion_06_noisy_discrimination():
 def test_criterion_07_slocc_orbit_containment():
     t0 = time.perf_counter()
     w_samples = slocc_orbit_sample(build_w([1 / 3] * 3), 10_000, seed=DEFAULT_SEED)
-    w_excess = max(total_emps(v) - 1.0 for v in w_samples)
+    w_excess = max(v.total() - 1.0 for v in w_samples)
     ghz_samples = slocc_orbit_sample(build_ghz(3, math.pi / 4), 10_000, seed=DEFAULT_SEED)
     ghz_inside = all(polytope_membership_3q(v, "ghz").member for v in ghz_samples)
-    above_facet = sum(total_emps(v) > 1.0 for v in ghz_samples)
+    above_facet = sum(v.total() > 1.0 for v in ghz_samples)
     elapsed = time.perf_counter() - t0
     ok = w_excess <= SLACK and ghz_inside and above_facet >= 1 and elapsed < 30.0
     _report(

@@ -22,7 +22,7 @@ from empskit.classify import (
     random_biseparable_three_qubit,
     slocc_orbit_sample,
 )
-from empskit.emps import EmpsVector, emps_vector, eta_indicator, total_emps
+from empskit.emps import EmpsVector, emps_vector, eta_indicator
 from empskit.errors import ArgumentError, ValidationError
 from empskit.qcore import DensityMatrix, basis_state, random_pure_state
 
@@ -244,7 +244,7 @@ def test_orbit_of_product_state_stays_at_origin():
 
 def test_orbit_of_w_respects_total_facet():
     samples = slocc_orbit_sample(build_w([1 / 3] * 3), 500, seed=42)
-    assert all(total_emps(v) <= 1.0 + 1e-9 for v in samples)
+    assert all(v.total() <= 1.0 + 1e-9 for v in samples)
 
 
 def test_orbit_of_ghz_stays_in_polytope():
@@ -448,7 +448,7 @@ def test_eta_of_w_with_dominant_coefficient_is_zero():
     psi = build_w([0.6, 0.25, 0.15])
     assert abs(eta_indicator(psi)) <= 1e-9
     v = emps_vector(psi)
-    assert abs(total_emps(v) - 0.8) <= 1e-9  # 2 * (1 - 0.6)
+    assert abs(v.total() - 0.8) <= 1e-9  # 2 * (1 - 0.6)
 
 
 @pytest.mark.parametrize("n,l", [(4, 1), (4, 3), (5, 2), (6, 3)])
@@ -459,7 +459,7 @@ def test_generalized_dicke_below_facet(n, l):
         c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         c /= np.linalg.norm(c)
         v = emps_vector(build_generalized_dicke(n, l, c))
-        assert total_emps(v) <= min(l, n - l) + 1e-9
+        assert v.total() <= min(l, n - l) + 1e-9
 
 
 def test_verdicts_are_consistent_with_evidence():

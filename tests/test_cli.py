@@ -43,6 +43,22 @@ def test_emps_rejects_unnormalized_state_file(tmp_path, capsys):
     assert "normalized" in err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"dim": "4", "entries": [[0.25, 0.0]] * 16}, '"dim" must be an integer'),
+        ({"dim": 4.0, "entries": [[0.25, 0.0]] * 16}, '"dim" must be an integer'),
+        ({"dim": -2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}, "not dim^2 for dim=-2"),
+        ({"n": 1.0, "amps": [[1.0, 0.0], [0.0, 0.0]]}, '"n" must be an integer'),
+    ],
+)
+def test_emps_rejects_bad_state_size_exits_2(tmp_path, capsys, payload, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    assert cli.run(["emps", "--state", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_emps_round_trip_is_bit_identical(tmp_path, capsys):
     saved = tmp_path / "state.json"
     out1 = tmp_path / "a.json"

@@ -13,10 +13,8 @@ from empskit.emps import (
     emps_vector,
     emps_vectors,
     eta_indicator,
-    geometric_entanglement,
     passive_energy,
     polygon_check,
-    total_emps,
     worst_slacks,
 )
 from empskit.errors import ArgumentError, CapacityError, ValidationError
@@ -139,12 +137,9 @@ def test_emps_agrees_with_passive_energy_of_marginal():
 
 
 def test_geometric_entanglement_is_twice_the_marginal_energy():
-    assert abs(geometric_entanglement(build_ghz(3, math.pi / 4), 1) - 1.0) <= 1e-12
-    assert geometric_entanglement(basis_state("010"), 2) == 0.0
-    rng = np.random.default_rng(113)
-    psi = random_pure_state(4, rng)
-    for q in (1, 4):
-        assert geometric_entanglement(psi, q) == 2.0 * emps(psi, q)
+    # the geometric entanglement across a qubit-vs-rest cut: 1 for GHZ, 0 for a product state
+    assert abs(2 * emps(build_ghz(3, math.pi / 4), 1) - 1.0) <= 1e-12
+    assert 2 * emps(basis_state("010"), 2) == 0.0
 
 
 def test_emps_vector_biseparable_vertex():
@@ -298,20 +293,20 @@ def test_polygon_constructed_violation():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_total_uniform_w_is_one(n):
     v = emps_vector(build_w([1 / n] * n))
-    assert abs(total_emps(v) - 1.0) <= 1e-9
+    assert abs(v.total() - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("theta", [0.2, 0.5, math.pi / 4])
 def test_total_ghz_formula(n, theta):
     v = emps_vector(build_ghz(n, theta))
-    assert abs(total_emps(v) - n * math.sin(theta) ** 2) <= 1e-9
+    assert abs(v.total() - n * math.sin(theta) ** 2) <= 1e-9
 
 
 @pytest.mark.parametrize("n,l", [(4, 1), (4, 2), (5, 2), (6, 3), (6, 4)])
 def test_total_dicke_facet(n, l):
     v = emps_vector(build_dicke(n, l))
-    assert abs(total_emps(v) - min(l, n - l)) <= 1e-9
+    assert abs(v.total() - min(l, n - l)) <= 1e-9
 
 
 def test_eta_generalized_ghz():

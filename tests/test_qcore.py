@@ -386,28 +386,42 @@ def test_entropy_of_nine_qubit_state_with_known_spectrum():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
 def test_pair_marginals_match_reduced_density_matrix(n):
     psi = random_pure_state(n, np.random.default_rng(700 + n))
-    stack = qcore._pair_marginals(psi.amps)
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    pairs = qcore._subsets(n, 2)
+    stack = qcore._marginals(psi.amps[None, :], pairs)[0]
+    assert pairs == tuple(itertools.combinations(range(n), 2))
     assert stack.shape == (len(pairs), 4, 4)
     # at 12 qubits a spot check: both ends of the order and a middle pair
-    checked = pairs if n < 12 else pairs[:3] + [(5, 9)] + pairs[-3:]
+    checked = pairs if n < 12 else pairs[:3] + ((4, 8),) + pairs[-3:]
     for i, j in checked:
-        expected = reduced_density_matrix(psi, (i, j)).entries
-        assert np.max(np.abs(stack[pairs.index((i, j))] - expected)) <= 1e-15, (i, j)
+        expected = reduced_density_matrix(psi, (i + 1, j + 1)).entries
+        assert np.array_equal(stack[pairs.index((i, j))], expected), (i, j)
 
 
 @pytest.mark.parametrize("b", [1, 2, 50])
 def test_qubit_marginals_gather_and_loop_layouts_agree(monkeypatch, b):
-    # the threshold is forced both ways, so each layout sees every stack
+    # _GATHER_MAX_ENTRIES is forced to one take for every group, then to one group per take
     rng = np.random.default_rng(800 + b)
     for n in range(1, 13):
         amps = rng.standard_normal((b, 2 ** n)) + 1j * rng.standard_normal((b, 2 ** n))
-        monkeypatch.setattr(qcore, "_GATHER_MAX_ENTRIES", b * n * 2 ** n)
-        gathered = qcore._qubit_marginals(amps)
-        monkeypatch.setattr(qcore, "_GATHER_MAX_ENTRIES", b * n * 2 ** n - 1)
-        looped = qcore._qubit_marginals(amps)
-        assert gathered.shape == (b, n, 2, 2)
-        assert np.array_equal(gathered, looped), n
+        families = [qcore._subsets(n, 1)]
+        if 2 <= n and (b < 50 or n <= 10):  # 50 states' pairs at 11-12 qubits take > 100 MB
+            families.append(qcore._subsets(n, 2))
+        if 3 <= n:
+            families.append(((2, 0, 1),))
+        for groups in families:
+            monkeypatch.setattr(qcore, "_GATHER_MAX_ENTRIES", b * len(groups) * 2 ** n)
+            one_take = qcore._marginals(amps, groups)
+            monkeypatch.setattr(qcore, "_GATHER_MAX_ENTRIES", 1)
+            per_group = qcore._marginals(amps, groups)
+            k = len(groups[0])
+            assert one_take.shape == (b, len(groups), 2 ** k, 2 ** k)
+            assert np.array_equal(one_take, per_group), (n, groups)
+            if n <= 4:  # the index-summation oracle is slow beyond a few qubits
+                for row in (0, b - 1):
+                    rho = np.outer(amps[row], amps[row].conj())
+                    for group, got in zip(groups, one_take[row]):
+                        want = partial_trace_oracle(rho, n, [q + 1 for q in group])
+                        assert np.max(np.abs(got - want)) <= 1e-12 * np.trace(rho).real, group
 
 
 def test_stacked_entropy_matches_von_neumann_entropy():
@@ -466,3 +480,16 @@ def test_state_from_dict_rejects_garbage():
         state_from_dict({"n": 2, "amps": [[1.0, 0.0], [0.0, 0.0]]})  # n mismatch
     with pytest.raises(ValidationError):
         state_from_dict([1, 2, 3])
+    mixed = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+    pure = [[1.0, 0.0], [0.0, 0.0]]
+    for field, payload in [
+        ("dim", {"dim": "2", "entries": mixed}),
+        ("dim", {"dim": 2.0, "entries": mixed}),
+        ("dim", {"dim": True, "entries": mixed}),
+        ("n", {"n": True, "amps": pure}),
+        ("n", {"n": 1.0, "amps": pure}),
+    ]:
+        with pytest.raises(ValidationError, match=f'"{field}" must be an integer'):
+            state_from_dict(payload)
+    with pytest.raises(ValidationError, match="not dim\\^2 for dim=-2"):
+        state_from_dict({"dim": -2, "entries": mixed})

@@ -464,14 +464,15 @@ def test_entropy_criterion_is_the_per_pair_loop_on_ground_states(n):
 
 def test_entropy_criterion_rejects_a_corrupted_marginal(monkeypatch):
     psi = build_w([1 / 3] * 3)
-    good = qcore._pair_marginals(psi.amps)
+    marginals = qcore._marginals
 
-    def corrupted(amps):
-        stack = good.copy()
-        stack[1] = np.diag([1.2, -0.2, 0.0, 0.0])
+    def corrupted(amps, groups):
+        stack = marginals(amps, groups)
+        if len(groups[0]) == 2:
+            stack[0, 1] = np.diag([1.2, -0.2, 0.0, 0.0])
         return stack
 
-    monkeypatch.setattr(qcore, "_pair_marginals", corrupted)
+    monkeypatch.setattr(qcore, "_marginals", corrupted)
     with pytest.raises(ValidationError, match=r"eigenvalue -2\.000e-01 below .*not a density matrix"):
         entropy_criterion(psi)
 
