@@ -116,7 +116,7 @@ def _pure_emps(amps: np.ndarray) -> np.ndarray:
     not depend on B.
     """
     n = amps.shape[1].bit_length() - 1
-    return _min_eigenvalues_2x2(qcore._marginals(amps, qcore._subsets(n, 1)), range(1, n + 1))
+    return _min_eigenvalues_2x2(qcore._marginals(amps, qcore._subset_table(n, 1)), range(1, n + 1))
 
 
 def _marginal_min_eigenvalues(state: State, qubits: Sequence[int]) -> np.ndarray:

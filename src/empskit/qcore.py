@@ -242,8 +242,8 @@ def reduced_density_matrix(state: State, keep: Iterable[int]) -> DensityMatrix:
     if isinstance(state, DensityMatrix):
         return partial_trace(state, keep)
     kept = _check_keep(keep, state.n)
-    group = tuple(q - 1 for q in kept)
-    return DensityMatrix._trusted(_marginals(state.amps[None, :], (group,))[0, 0])
+    table = _gather_table(state.n, (tuple(q - 1 for q in kept),))
+    return DensityMatrix._trusted(_marginals(state.amps[None, :], table)[0, 0])
 
 
 @lru_cache(maxsize=2 * MAX_QUBITS)
@@ -259,10 +259,8 @@ def _subsets(n: int, k: int) -> tuple:
 _GATHER_MAX_ENTRIES = 1 << 13
 
 
-# room for the single-qubit and pair tables of every n, and for recent kept subsets
-@lru_cache(maxsize=64)
 def _gather_table(n: int, groups: tuple) -> np.ndarray:
-    """Read-only (G, 2^k, 2^(n-k)) amplitude indices for G groups of k distinct 0-based qubits.
+    """(G, 2^k, 2^(n-k)) amplitude indices for G groups of k distinct 0-based qubits.
 
     Row r of group g lists the amplitudes whose bits on g's qubits, read in
     g's order, spell r; along the row the other qubits keep ascending index
@@ -270,31 +268,47 @@ def _gather_table(n: int, groups: tuple) -> np.ndarray:
     """
     idx = np.arange(1 << n).reshape([2] * n)
     k = len(groups[0])
-    table = np.stack([np.moveaxis(idx, g, range(k)).reshape(1 << k, -1) for g in groups])
+    table = np.empty((len(groups), 1 << k, 1 << (n - k)), dtype=idx.dtype)
+    for g, block in zip(groups, table):
+        block.reshape([2] * n)[...] = np.moveaxis(idx, g, range(k))
+    return table
+
+
+@lru_cache(maxsize=2 * MAX_QUBITS)
+def _subset_table(n: int, k: int) -> np.ndarray:
+    """Read-only _gather_table of every k-subset of n qubits, in _subsets order.
+
+    Cached per (n, k) for the single-qubit and pair marginals; a kept
+    subset's table is built per call and not cached.
+    """
+    table = _gather_table(n, _subsets(n, k))
     table.flags.writeable = False
     return table
 
 
-def _marginals(amps: np.ndarray, groups: tuple) -> np.ndarray:
-    """Marginals of a (B, 2^n) stack of pure-state amplitudes on each qubit group, as (B, G, 2^k, 2^k).
+def _marginals(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(B, G, 2^k, 2^k) marginals of a (B, 2^n) pure-amplitude stack on the G groups of a _gather_table.
 
-    groups is a tuple of G equal-length tuples of 0-based qubits; a
-    marginal's rows and columns follow its group's qubit order. Each
+    A marginal's rows and columns follow its group's qubit order. Each
     group's amplitudes are gathered, kept qubits first, into (2^k, 2^(n-k))
     rows, and one batched t t^dag gives the marginals. Groups are taken as
-    many at a time as _GATHER_MAX_ENTRIES allows; each marginal is its own
+    many at a time as _GATHER_MAX_ENTRIES allows; a single take's product is
+    returned as is, and several fill one output. Each marginal is its own
     product over the same rows, so the bits depend neither on that split
     nor on B.
     """
     b, dim = amps.shape
-    table = _gather_table(dim.bit_length() - 1, groups)
+    g, d = table.shape[:2]
     step = max(1, _GATHER_MAX_ENTRIES // (b * dim))
-    parts = []
-    for start in range(0, len(groups), step):
-        t = np.take(amps, table[start:start + step], axis=1)
+    if step >= g:
+        t = np.take(amps, table, axis=1)
         # batched matmul: an einsum of the same contraction is 2-2.5x slower at n >= 6
-        parts.append(t @ t.conj().swapaxes(-1, -2))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return t @ t.conj().swapaxes(-1, -2)
+    out = np.empty((b, g, d, d), dtype=np.complex128)
+    for start in range(0, g, step):
+        t = np.take(amps, table[start:start + step], axis=1)
+        np.matmul(t, t.conj().swapaxes(-1, -2), out=out[:, start:start + step])
+    return out
 
 
 def _eigh(matrix: np.ndarray, vectors: bool = False):

@@ -340,8 +340,8 @@ def entropy_criterion(psi: PureState) -> float:
     if n < 3:
         raise ArgumentError(f"entropy criterion needs at least 3 qubits, got n={n}")
     amps = psi.amps[None, :]
-    singles = _marginal_entropies(qcore._marginals(amps, qcore._subsets(n, 1))[0])
-    pairs = _marginal_entropies(qcore._marginals(amps, qcore._subsets(n, 2))[0])
+    singles = _marginal_entropies(qcore._marginals(amps, qcore._subset_table(n, 1))[0])
+    pairs = _marginal_entropies(qcore._marginals(amps, qcore._subset_table(n, 2))[0])
     i, j = np.array(qcore._subsets(n, 2)).T
     return float(np.min(np.abs(pairs - singles[i] - singles[j])))
 

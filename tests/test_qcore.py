@@ -383,18 +383,32 @@ def test_entropy_of_nine_qubit_state_with_known_spectrum():
     assert elapsed < 10.0
 
 
+def _einsum_marginal(amps, group):
+    # Tr_rest |psi><psi| by one einsum over the amplitude tensor, independent of qcore's gather table
+    n = amps.size.bit_length() - 1
+    t = amps.reshape([2] * n)
+    cols = [n + q if q in group else q for q in range(n)]
+    k = len(group)
+    red = np.einsum(t, list(range(n)), t.conj(), cols, list(group) + [n + q for q in group])
+    return red.reshape(2 ** k, 2 ** k)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
 def test_pair_marginals_match_reduced_density_matrix(n):
     psi = random_pure_state(n, np.random.default_rng(700 + n))
     pairs = qcore._subsets(n, 2)
-    stack = qcore._marginals(psi.amps[None, :], pairs)[0]
+    stack = qcore._marginals(psi.amps[None, :], qcore._subset_table(n, 2))[0]
     assert pairs == tuple(itertools.combinations(range(n), 2))
     assert stack.shape == (len(pairs), 4, 4)
     # at 12 qubits a spot check: both ends of the order and a middle pair
     checked = pairs if n < 12 else pairs[:3] + ((4, 8),) + pairs[-3:]
     for i, j in checked:
-        expected = reduced_density_matrix(psi, (i + 1, j + 1)).entries
-        assert np.array_equal(stack[pairs.index((i, j))], expected), (i, j)
+        got = stack[pairs.index((i, j))]
+        assert np.max(np.abs(got - _einsum_marginal(psi.amps, (i, j)))) <= 1e-15, (i, j)
+        if n <= 8:
+            expected = partial_trace(psi.density(), (i + 1, j + 1)).entries
+            assert np.max(np.abs(got - expected)) <= 1e-15, (i, j)
+        assert np.array_equal(reduced_density_matrix(psi, (i + 1, j + 1)).entries, got), (i, j)
 
 
 @pytest.mark.parametrize("b", [1, 2, 50])
@@ -409,19 +423,35 @@ def test_qubit_marginals_gather_and_loop_layouts_agree(monkeypatch, b):
         if 3 <= n:
             families.append(((2, 0, 1),))
         for groups in families:
+            table = qcore._gather_table(n, groups)
             monkeypatch.setattr(qcore, "_GATHER_MAX_ENTRIES", b * len(groups) * 2 ** n)
-            one_take = qcore._marginals(amps, groups)
+            one_take = qcore._marginals(amps, table)
             monkeypatch.setattr(qcore, "_GATHER_MAX_ENTRIES", 1)
-            per_group = qcore._marginals(amps, groups)
+            per_group = qcore._marginals(amps, table)
             k = len(groups[0])
             assert one_take.shape == (b, len(groups), 2 ** k, 2 ** k)
             assert np.array_equal(one_take, per_group), (n, groups)
+            if n <= 8:
+                for row in (0, b - 1):
+                    scale = 1e-12 * np.vdot(amps[row], amps[row]).real
+                    for group, got in zip(groups, one_take[row]):
+                        assert np.max(np.abs(got - _einsum_marginal(amps[row], group))) <= scale, group
             if n <= 4:  # the index-summation oracle is slow beyond a few qubits
                 for row in (0, b - 1):
                     rho = np.outer(amps[row], amps[row].conj())
                     for group, got in zip(groups, one_take[row]):
                         want = partial_trace_oracle(rho, n, [q + 1 for q in group])
                         assert np.max(np.abs(got - want)) <= 1e-12 * np.trace(rho).real, group
+
+
+def test_kept_subset_tables_are_not_cached():
+    # only the single-qubit and pair tables are kept; a kept subset's table is built per call
+    psi = random_pure_state(6, np.random.default_rng(12))
+    before = qcore._subset_table.cache_info().currsize
+    for keep in itertools.permutations(range(1, 7), 3):
+        reduced_density_matrix(psi, keep)
+    assert qcore._subset_table.cache_info().currsize == before
+    assert not qcore._subset_table(6, 2).flags.writeable
 
 
 def test_stacked_entropy_matches_von_neumann_entropy():

@@ -414,7 +414,9 @@ def test_entropy_criterion_ghz_is_one():
 
 
 def _entropy_criterion_reference(psi):
-    # the per-pair public-API path: one marginal and one eigensolve at a time
+    # the per-pair public-API path: one marginal and one eigensolve at a time; a
+    # PureState's marginals come from the same qcore kernel as entropy_criterion's,
+    # a DensityMatrix's from partial_trace's einsum
     n = psi.n
     singles = [von_neumann_entropy(reduced_density_matrix(psi, (i,))) for i in range(1, n + 1)]
     return min(
@@ -462,13 +464,22 @@ def test_entropy_criterion_is_the_per_pair_loop_on_ground_states(n):
         assert entropy_criterion(psi) == _entropy_criterion_reference(psi)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_entropy_criterion_matches_density_matrix_marginals(n):
+    # marginals by partial_trace on the projector, independent of the pure-state kernel
+    rng = np.random.default_rng(950 + n)
+    states = [random_pure_state(n, rng), _transverse_field_ground_state(n, h=0.7)]
+    for psi in states:
+        assert abs(entropy_criterion(psi) - _entropy_criterion_reference(psi.density())) <= 1e-12
+
+
 def test_entropy_criterion_rejects_a_corrupted_marginal(monkeypatch):
     psi = build_w([1 / 3] * 3)
     marginals = qcore._marginals
 
-    def corrupted(amps, groups):
-        stack = marginals(amps, groups)
-        if len(groups[0]) == 2:
+    def corrupted(amps, table):
+        stack = marginals(amps, table)
+        if table.shape[1] == 4:  # the pair groups
             stack[0, 1] = np.diag([1.2, -0.2, 0.0, 0.0])
         return stack
 
