@@ -9,9 +9,10 @@ orbits for empirical polytope-containment checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -323,21 +324,88 @@ def _random_local_operator(rng: np.random.Generator) -> np.ndarray:
             return g
 
 
-def _local_factors(n: int, seeds: range) -> np.ndarray:
-    """The n 2x2 factors of the orbit samples seeded at `seeds`, as (len(seeds), n, 2, 2).
+# default_rng(seed) seeds PCG64 through NumPy's SeedSequence (NEP 19, a pool
+# of four 32-bit words) and PCG64's srandom (O'Neill 2014). Both are fixed
+# algorithms, so _pcg64_states derives the state of default_rng(seed) for a
+# whole run of seeds at once from these constants: SeedSequence's hash
+# constants, each hash step's multiplier (the INIT constant times one more
+# power of MULT per step), and the 128-bit PCG64 multiplier.
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_SS_HASH_A = tuple(_SS_INIT_A * pow(_SS_MULT_A, k, 1 << 32) % (1 << 32) for k in range(17))
+_SS_HASH_B = tuple(_SS_INIT_B * pow(_SS_MULT_B, k, 1 << 32) % (1 << 32) for k in range(9))
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+# Seeds with more than two 32-bit entropy words build their own default_rng.
+_DERIVED_SEED_BOUND = 1 << 64
 
-    Each sample takes one draw of 8n normals from default_rng(seed), which
-    consumes the stream exactly as n _random_local_operator calls do when no
-    factor needs a redraw. A sample with any factor below DET_FLOOR is
-    replayed from a fresh generator, factor by factor.
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix, one hash step per row of words (uint32, wrapping)
+    h = words ^ xor
+    h *= mult
+    h ^= h >> 16
+    return h
+
+
+def _pcg64_states(start: int, count: int) -> Iterator[dict]:
+    """bit_generator.state of default_rng(start + k) for k < count, all seeds below 2^64.
+
+    SeedSequence hashes the seed's 32-bit words (low word first, zeros after)
+    into its pool, mixes every pool word into every other, and hashes the
+    pool out again as generate_state(4, uint64); PCG64 then runs srandom on
+    those words. The hashing runs on every seed at once in uint32 arithmetic,
+    srandom's 128-bit steps on Python ints.
     """
-    z = np.empty((len(seeds), n, 2, 2, 2))
-    for i, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=z[i])
+    seeds = np.arange(count, dtype=np.uint64) + np.uint64(start)
+    pool = np.zeros((4, count), dtype=np.uint32)  # one row per pool word
+    pool[0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[1] = seeds >> np.uint64(32)
+    a = np.array(_SS_HASH_A, dtype=np.uint32)[:, None]
+    pool = _hashmix(pool, a[:4], a[1:5])
+    for src in range(4):
+        # each other word x, in row order, becomes mix(x, hashmix(pool[src])):
+        # (MIX_L x - MIX_R y) ^ >> 16, one hash step per destination
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        mixed = pool[dst] * np.uint32(_SS_MIX_L)
+        mixed -= _hashmix(pool[src], a[k:k + 3], a[k + 1:k + 4]) * np.uint32(_SS_MIX_R)
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    b = np.array(_SS_HASH_B, dtype=np.uint32)[:, None]
+    words = _hashmix(np.tile(pool, (2, 1)), b[:8], b[1:]).astype(np.uint64)
+    words = words[0::2] | (words[1::2] << np.uint64(32))  # little-endian uint64 pairs
+    for s_hi, s_lo, i_hi, i_lo in words.T.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK_128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK_128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def _local_factors(n: int, start: int, count: int) -> np.ndarray:
+    """The n 2x2 factors of the orbit samples seeded at start + k for k < count, as (count, n, 2, 2).
+
+    Sample k takes one draw of 8n normals from default_rng(start + k), which
+    consumes the stream exactly as n _random_local_operator calls do when no
+    factor needs a redraw. For seeds below 2^64 that stream comes from one
+    reused PCG64 whose state is set to exactly that of default_rng(start + k);
+    larger seeds build their generator. A sample with any factor below
+    DET_FLOOR is replayed from a fresh generator, factor by factor.
+    """
+    z = np.empty((count, n, 2, 2, 2))
+    derived = min(count, max(0, _DERIVED_SEED_BOUND - start))
+    if derived:  # a run starting at or past the bound has no derived states
+        bit_generator = np.random.PCG64(0)  # its state is replaced before each draw
+        generator = np.random.Generator(bit_generator)
+        for row, state in zip(z[:derived], _pcg64_states(start, derived)):
+            bit_generator.state = state
+            generator.standard_normal(out=row)
+    for k in range(derived, count):
+        np.random.default_rng(start + k).standard_normal(out=z[k])
     g = z[:, :, 0] + 1j * z[:, :, 1]
-    for i in np.flatnonzero(np.any(np.abs(_det_2x2(g)) < DET_FLOOR, axis=1)):
-        rng = np.random.default_rng(seeds[i])
-        g[i] = [_random_local_operator(rng) for _ in range(n)]
+    for k in np.flatnonzero(np.any(np.abs(_det_2x2(g)) < DET_FLOOR, axis=1)):
+        rng = np.random.default_rng(start + int(k))
+        g[k] = [_random_local_operator(rng) for _ in range(n)]
     return g
 
 
@@ -356,6 +424,13 @@ def _apply_local_factors(amps: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return t.reshape(b, -1)
 
 
+def _integer(value, what: str) -> int:
+    # bool is an Integral too, but True as a count or seed is a caller's slip
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ArgumentError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> List[EmpsVector]:
     """Energy vectors of `count` random states in the SLOCC orbit of psi.
 
@@ -363,27 +438,31 @@ def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> 
     complex-Gaussian 2x2 factors (resampled when |det g_i| < 1e-6) and
     renormalizes. Sample k draws its factors from its own generator,
     default_rng(seed + k), so sample k is the same bits whatever the count
-    and however the samples are batched.
+    and however the samples are batched. count and seed are integers (NumPy
+    integers too, bools not); anything else is an ArgumentError.
 
     Samples are processed in batches of at most 2^16 amplitudes: the factors
     act as per-qubit 2x2 contractions on the batch's amplitude tensor (no
     2^n x 2^n Kronecker product is formed), the rows are normalized, and one
     call to the marginal kernel gives every qubit's energy in closed form.
     """
+    count = _integer(count, "sample count")
+    seed = _integer(seed, "orbit seed")
     if count < 1:
         raise ArgumentError(f"sample count must be >= 1, got {count}")
     if seed < 0:
         raise ArgumentError(f"orbit seed must be a non-negative integer, got {seed}")
     n = psi.n
     batch = max(1, _CHUNK_AMPLITUDES // psi.dim)
-    out: List[EmpsVector] = []
+    energies = np.empty((count, n))
     for start in range(0, count, batch):
-        factors = _local_factors(n, range(seed + start, seed + min(start + batch, count)))
-        phi = _apply_local_factors(psi.amps, factors)
+        stop = min(start + batch, count)
+        phi = _apply_local_factors(psi.amps, _local_factors(n, seed + start, stop - start))
         phi /= np.linalg.norm(phi, axis=1)[:, None]
         qcore._require_normalized_rows(phi, "orbit sample", start)
-        out.extend(EmpsVector._trusted(row) for row in _pure_emps(phi))
-    return out
+        energies[start:stop] = _pure_emps(phi)
+    energies.flags.writeable = False  # and with it every row view
+    return [EmpsVector._trusted(row) for row in energies]
 
 
 # W-family mixtures stay genuinely multipartite entangled below this noise

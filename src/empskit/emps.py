@@ -48,8 +48,10 @@ class EmpsVector:
     @classmethod
     def _trusted(cls, values: np.ndarray) -> "EmpsVector":
         # Internal constructor for kernel output: a 1-D float64 array that
-        # _min_eigenvalues_2x2 has already clipped into [0, 1/2].
-        values.flags.writeable = False
+        # _min_eigenvalues_2x2 has already clipped into [0, 1/2]. Row views of
+        # a read-only stack are read-only already and skip the flag write.
+        if values.flags.writeable:
+            values.flags.writeable = False
         obj = object.__new__(cls)
         object.__setattr__(obj, "n", values.size)
         object.__setattr__(obj, "values", values)

@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths under test: the partial
 trace is a literal index-summation loop, eigenvalues come from bisection on
 an inertia count (a root finder on det(A - x) sign structure, robust to
 multiplicities), passive energy is an enumeration over all
-eigenvalue pairings, and spin-chain Hamiltonians are sums of dense
-Kronecker products of 2x2 Pauli matrices.
+eigenvalue pairings, spin-chain Hamiltonians are sums of dense
+Kronecker products of 2x2 Pauli matrices, and an orbit sample is replayed
+from its own default_rng one factor at a time and applied as a dense
+Kronecker product.
 """
 
 from itertools import permutations
@@ -158,3 +160,46 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (z + z.conj().T)
+
+
+def orbit_factors_oracle(n: int, seed: int, det_floor: float):
+    """The n local factors of the orbit sample seeded at `seed`, and whether any was redrawn.
+
+    The seeding contract one factor at a time: default_rng(seed) draws each
+    2x2 factor as real then imaginary part, redrawing while |det g| < det_floor.
+    """
+    rng = np.random.default_rng(seed)
+    factors, redrawn = [], False
+    for _ in range(n):
+        while True:
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            if abs(np.linalg.det(g)) >= det_floor:
+                break
+            redrawn = True
+        factors.append(g)
+    return factors, redrawn
+
+
+def min_marginal_eigenvalues_oracle(phi: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of every single-qubit marginal of a normalized pure state."""
+    n = phi.size.bit_length() - 1
+    t = phi.reshape([2] * n)
+    out = []
+    for q in range(n):
+        a = np.moveaxis(t, q, 0).reshape(2, -1)
+        out.append(np.linalg.eigvalsh(a @ a.conj().T)[0])
+    return np.clip(out, 0.0, 0.5)
+
+
+def orbit_row_kron_oracle(amps: np.ndarray, seed: int, det_floor: float):
+    """Energy vector of the orbit sample seeded at `seed`, and whether a factor was redrawn.
+
+    G = g_1 x ... x g_n is formed as a dense 2^n x 2^n Kronecker product.
+    """
+    n = amps.size.bit_length() - 1
+    factors, redrawn = orbit_factors_oracle(n, seed, det_floor)
+    g = np.array([[1.0 + 0j]])
+    for f in factors:
+        g = np.kron(g, f)
+    phi = g @ amps
+    return min_marginal_eigenvalues_oracle(phi / np.linalg.norm(phi)), redrawn

@@ -26,6 +26,8 @@ from empskit.emps import EmpsVector, emps_vector, eta_indicator
 from empskit.errors import ArgumentError, ValidationError
 from empskit.qcore import DensityMatrix, basis_state, random_pure_state
 
+from oracles import min_marginal_eigenvalues_oracle, orbit_factors_oracle, orbit_row_kron_oracle
+
 
 # ---------------------------------------------------------------- builders
 
@@ -288,47 +290,37 @@ def test_orbit_sample_rejects_a_negative_seed():
         slocc_orbit_sample(basis_state("000"), 2, seed=-1)
 
 
-def _replay_factors(n, seed):
-    # the seeding contract, one factor at a time: redraw while |det g| < DET_FLOOR
-    rng = np.random.default_rng(seed)
-    factors, redrawn = [], False
-    for _ in range(n):
-        while True:
-            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            if abs(np.linalg.det(g)) >= classify.DET_FLOOR:
-                break
-            redrawn = True
-        factors.append(g)
-    return factors, redrawn
+@pytest.mark.parametrize("count, seed", [
+    (2.0, 1), (True, 1), ("2", 1), (None, 1), (np.float64(2), 1),
+    (2, 1.5), (2, None), (2, False), (2, "7"), (2, np.float64(3)),
+])
+def test_orbit_sample_rejects_a_non_integer_count_or_seed(count, seed):
+    with pytest.raises(ArgumentError, match="must be an integer, got"):
+        slocc_orbit_sample(basis_state("000"), count, seed=seed)
 
 
-def _min_marginal_eigenvalues(phi, n):
-    t = phi.reshape([2] * n)
-    out = []
-    for q in range(n):
-        a = np.moveaxis(t, q, 0).reshape(2, -1)
-        out.append(np.linalg.eigvalsh(a @ a.conj().T)[0])
-    return np.clip(out, 0.0, 0.5)
-
-
-def _replay_row_kron(psi, seed):
-    # G = g_1 x ... x g_n as a dense 2^n x 2^n matrix
-    factors, redrawn = _replay_factors(psi.n, seed)
-    g = np.array([[1.0 + 0j]])
-    for f in factors:
-        g = np.kron(g, f)
-    phi = g @ psi.amps
-    return _min_marginal_eigenvalues(phi / np.linalg.norm(phi), psi.n), redrawn
+def test_orbit_sample_accepts_numpy_integers():
+    psi = ORBIT_STATES[3]
+    want = [v.values for v in slocc_orbit_sample(psi, 3, seed=7)]
+    for count, seed in ((np.int64(3), np.int64(7)), (np.uint8(3), np.uint64(7)), (np.int32(3), 7)):
+        got = slocc_orbit_sample(psi, count, seed=seed)
+        assert len(got) == 3
+        assert all(np.array_equal(v.values, w) for v, w in zip(got, want))
+    # seed + k runs on Python ints: a uint64 seed next to 2^64 does not wrap
+    top = 2 ** 64 - 2
+    got = slocc_orbit_sample(psi, 4, seed=np.uint64(top))
+    want = slocc_orbit_sample(psi, 4, seed=top)
+    assert all(np.array_equal(v.values, w.values) for v, w in zip(got, want))
 
 
 def _replay_row_tensordot(psi, seed):
     # the same G applied one qubit at a time, for sizes where the dense G is too big
-    factors, _ = _replay_factors(psi.n, seed)
+    factors, _ = orbit_factors_oracle(psi.n, seed, classify.DET_FLOOR)
     t = psi.amps.reshape([2] * psi.n)
     for q, f in enumerate(factors):
         t = np.moveaxis(np.tensordot(f, t, axes=([1], [q])), 0, q)
     phi = t.reshape(-1)
-    return _min_marginal_eigenvalues(phi / np.linalg.norm(phi), psi.n)
+    return min_marginal_eigenvalues_oracle(phi / np.linalg.norm(phi))
 
 
 ORBIT_STATES = {
@@ -360,6 +352,21 @@ def test_orbit_sample_is_the_same_bits_across_a_batch_boundary():
     assert all(np.array_equal(a.values, b.values) for a, b in zip(run[7:], shifted))
 
 
+def test_orbit_sample_batches_at_and_past_2_64():
+    psi = ORBIT_STATES[3]
+    for seed in (2 ** 64, 2 ** 64 + 5):
+        (v,) = slocc_orbit_sample(psi, 1, seed=seed)
+        want, _ = orbit_row_kron_oracle(psi.amps, seed, classify.DET_FLOOR)
+        assert np.max(np.abs(v.values - want)) <= 1e-12
+    # the first batch crosses 2^64, the second starts past it
+    psi = ORBIT_STATES[6]
+    per_batch = classify._CHUNK_AMPLITUDES // psi.dim
+    seed = 2 ** 64 - 2
+    run = slocc_orbit_sample(psi, per_batch + 3, seed=seed)
+    for k in (0, 1, 2, per_batch - 1, per_batch, per_batch + 2):
+        assert np.array_equal(run[k].values, slocc_orbit_sample(psi, 1, seed=seed + k)[0].values)
+
+
 def test_orbit_rows_match_kron_replay_with_frequent_redraws(monkeypatch):
     monkeypatch.setattr(classify, "DET_FLOOR", 0.5)
     for n in (3, 4, 5):
@@ -367,7 +374,7 @@ def test_orbit_rows_match_kron_replay_with_frequent_redraws(monkeypatch):
         run = slocc_orbit_sample(psi, 40, seed=77)
         redraws = 0
         for k, v in enumerate(run):
-            want, redrawn = _replay_row_kron(psi, 77 + k)
+            want, redrawn = orbit_row_kron_oracle(psi.amps, 77 + k, classify.DET_FLOOR)
             redraws += redrawn
             assert np.max(np.abs(v.values - want)) <= 1e-12
         assert 5 <= redraws < 40
@@ -377,8 +384,62 @@ def test_orbit_rows_match_kron_replay():
     for n in (3, 4, 5, 6):
         psi = ORBIT_STATES[n]
         for k, v in enumerate(slocc_orbit_sample(psi, 10, seed=31)):
-            want, _ = _replay_row_kron(psi, 31 + k)
+            want, _ = orbit_row_kron_oracle(psi.amps, 31 + k, classify.DET_FLOOR)
             assert np.max(np.abs(v.values - want)) <= 1e-12
+
+
+def test_derived_pcg64_states_equal_default_rng():
+    states = list(classify._pcg64_states(0, 4096))
+    assert all(state == np.random.default_rng(s).bit_generator.state for s, state in enumerate(states))
+    # one and two 32-bit entropy words, and the last seed below the fallback bound
+    for s in (2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1):
+        assert list(classify._pcg64_states(s, 1)) == [np.random.default_rng(s).bit_generator.state]
+
+
+# runs from 0, across the one-word/two-word entropy boundary, into the per-sample
+# fallback, and wholly inside it
+LOCAL_FACTOR_RUNS = [(0, 300), (2 ** 32 - 2, 5), (2 ** 64 - 3, 6), (2 ** 64, 3), (2 ** 64 + 5, 3)]
+
+
+@pytest.mark.parametrize("start, count", LOCAL_FACTOR_RUNS)
+def test_local_factors_are_the_per_sample_default_rng_draws(start, count):
+    n = 3
+    g = classify._local_factors(n, start, count)
+    assert g.shape == (count, n, 2, 2)
+    for k in range(count):  # no factor of these seeds falls below DET_FLOOR
+        z = np.random.default_rng(start + k).standard_normal((n, 2, 2, 2))
+        assert np.array_equal(g[k], z[:, 0] + 1j * z[:, 1])
+
+
+@pytest.mark.parametrize("start", [start for start, _ in LOCAL_FACTOR_RUNS])
+def test_local_factors_replay_redraws_from_default_rng(monkeypatch, start):
+    monkeypatch.setattr(classify, "DET_FLOOR", 0.5)
+    n = 3
+    g = classify._local_factors(n, start, 40)
+    redraws = 0
+    for k, row in enumerate(g):
+        factors, redrawn = orbit_factors_oracle(n, start + k, classify.DET_FLOOR)
+        redraws += redrawn
+        assert np.array_equal(row, np.array(factors))
+    assert 3 <= redraws < 40
+
+
+def test_local_factors_build_a_generator_only_to_replay_or_past_2_64(monkeypatch):
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: built.append(seed) or default_rng(seed))
+    classify._local_factors(3, 10, 200)
+    assert built == []
+    classify._local_factors(3, 2 ** 64 - 2, 4)
+    assert built == [2 ** 64, 2 ** 64 + 1]
+    built.clear()
+    classify._local_factors(3, 2 ** 64 + 5, 2)
+    assert built == [2 ** 64 + 5, 2 ** 64 + 6]
+    monkeypatch.setattr(classify, "DET_FLOOR", 0.5)
+    replayed = [s for s in range(10, 30) if orbit_factors_oracle(3, s, classify.DET_FLOOR)[1]]
+    built.clear()
+    classify._local_factors(3, 10, 20)
+    assert replayed and built == replayed
 
 
 def test_twelve_qubit_orbit_without_dense_operator():

@@ -7,7 +7,9 @@ import pytest
 
 from empskit import cli
 from empskit.qcore import state_to_dict
-from empskit.classify import build_noisy_w
+from empskit.classify import DET_FLOOR, build_dicke, build_noisy_w, build_w, slocc_orbit_sample
+
+from oracles import orbit_row_kron_oracle
 
 
 def run_json(capsys, argv):
@@ -133,6 +135,33 @@ def test_orbit_csv_and_seed_determinism(tmp_path):
     assert len(rows) == 9
     total = sum(float(x) for x in rows[1])
     assert total <= 1.0 + 1e-9
+
+
+def test_orbit_csv_and_json_are_the_library_values(tmp_path, capsys):
+    want = [v.values.tolist() for v in slocc_orbit_sample(build_dicke(5, 2), 20, seed=99)]
+    argv = ["orbit", "--builder", "dicke", "--n", "5", "--l", "2", "--samples", "20", "--seed", "99"]
+    out = tmp_path / "o.csv"
+    assert cli.run(argv + ["--format", "csv", "-o", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == ["e1", "e2", "e3", "e4", "e5"]
+    assert [[float(x) for x in row] for row in rows[1:]] == want
+    assert run_json(capsys, argv + ["--format", "json"])["points"] == want
+
+
+# from 2^64 - 2, two samples come from derived PCG64 states and two from default_rng;
+# from 2^64, all four come from default_rng
+@pytest.mark.parametrize("seed", [18446744073709551614, 18446744073709551616])
+def test_orbit_seed_past_the_derived_states_matches_kron_replay(tmp_path, seed):
+    out = tmp_path / "o.csv"
+    argv = ["orbit", "--builder", "w", "--coeffs", "0.5,0.25,0.25", "--samples", "4",
+            "--seed", str(seed), "--format", "csv", "-o", str(out)]
+    assert cli.run(argv) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+    assert len(rows) == 4
+    psi = build_w([0.5, 0.25, 0.25])
+    for k, row in enumerate(rows):
+        want, _ = orbit_row_kron_oracle(psi.amps, seed + k, DET_FLOOR)
+        assert np.max(np.abs(np.array(row, dtype=float) - want)) <= 1e-12
 
 
 def test_orbit_env_seed_override(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from empskit.classify import build_dicke, build_ghz, build_w
+from empskit.classify import build_dicke, build_ghz, build_w, slocc_orbit_sample
 from empskit.emps import (
     EmpsVector,
     emps,
@@ -155,6 +155,20 @@ def test_emps_vector_uniform_w():
 
 def test_emps_vector_all_zeros_product():
     assert np.array_equal(emps_vector(basis_state("0000")).values, np.zeros(4))
+
+
+def test_emps_vector_values_are_read_only_on_every_path():
+    w = build_w([1 / 3] * 3)
+    vectors = [
+        emps_vector(w),
+        emps_vector(w.density()),
+        EmpsVector._trusted(np.zeros(3)),
+        *slocc_orbit_sample(w, 3, seed=1),
+    ]
+    for v in vectors:
+        assert not v.values.flags.writeable
+        with pytest.raises(ValueError):
+            v.values[0] = 0.25
 
 
 def test_emps_vector_validation():
