@@ -9,8 +9,9 @@ inequalities, each one at most the sum of the others.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,12 +34,13 @@ class EmpsVector:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError("energy vector needs at least one qubit")
         arr = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if self.n != arr.size:
             raise ValidationError(f"declared n={self.n} but got {arr.size} values")
         floor = qcore.EIGENVALUE_FLOOR
-        in_range = arr.size == 0 or (arr.min() >= floor and arr.max() <= 0.5 - floor)
-        if not in_range:
+        if not (arr.min() >= floor and arr.max() <= 0.5 - floor):
             raise ValidationError(
                 f"marginal passive energies must lie in [0, 1/2], got {arr.tolist()}"
             )
@@ -86,6 +88,13 @@ def passive_energy(rho: Union[DensityMatrix, np.ndarray], hamiltonian: np.ndarra
     return float(np.dot(lam[::-1], eps))
 
 
+# Stacks of at most this many 2x2 marginals take the closed form on Python
+# floats, larger ones the numpy form. The loop costs about 1 µs per marginal,
+# the numpy form a fixed cost of a dozen ufunc calls; the two measured times
+# cross at about this size (README, "Numerical conventions").
+_SCALAR_MARGINALS = 24
+
+
 def _min_eigenvalues_2x2(marginals: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian 2x2 in a (..., len(qubits), 2, 2) stack.
 
@@ -93,8 +102,16 @@ def _min_eigenvalues_2x2(marginals: np.ndarray, qubits: Sequence[int]) -> np.nda
     which avoids the cancellation of (tr - sqrt(...)) / 2 as det -> 0.
     A value below qcore.EIGENVALUE_FLOOR means the input was not a marginal
     of a state (ValidationError naming the 1-based qubit); rounding noise is
-    clipped into [0, 1/2].
+    clipped into [0, 1/2]. Small stacks are evaluated on Python floats and
+    large ones with numpy, in the same IEEE operations, so both give the
+    same bits.
     """
+    if marginals.size <= 4 * _SCALAR_MARGINALS:
+        return _min_eigenvalues_scalar(marginals, qubits)
+    return _min_eigenvalues_numpy(marginals, qubits)
+
+
+def _min_eigenvalues_numpy(marginals: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     p0 = marginals[..., 0, 0].real
     p1 = marginals[..., 1, 1].real
     c = marginals[..., 0, 1]
@@ -102,11 +119,31 @@ def _min_eigenvalues_2x2(marginals: np.ndarray, qubits: Sequence[int]) -> np.nda
     lam_min = 2.0 * (p0 * p1 - c_sq) / (p0 + p1 + np.sqrt((p0 - p1) ** 2 + 4.0 * c_sq))
     if not lam_min.min() >= qcore.EIGENVALUE_FLOOR:
         index = tuple(np.argwhere(~(lam_min >= qcore.EIGENVALUE_FLOOR))[0])
-        raise ValidationError(
-            f"marginal of qubit {qubits[index[-1]]} has eigenvalue {lam_min[index]:.3e} < 0"
-        )
+        raise _negative_marginal(qubits[index[-1]], lam_min[index])
     # the same values as np.clip, at half its per-call cost on a few entries
     return np.minimum(np.maximum(lam_min, 0.0), 0.5)
+
+
+def _min_eigenvalues_scalar(marginals: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    # _min_eigenvalues_numpy operation for operation. Squares are x * x, as
+    # numpy's `** 2` computes them; Python's x ** 2 goes through pow and can
+    # round differently. Each float64 row is p0, Im p0, Re c, Im c, Re c*,
+    # Im c*, p1, Im p1.
+    per_stack = marginals.shape[-3]
+    out = []
+    for p0, _, cr, ci, _, _, p1, _ in marginals.reshape(-1, 4).view(np.float64).tolist():
+        c_sq = cr * cr + ci * ci
+        d = p0 - p1
+        lam = 2.0 * (p0 * p1 - c_sq) / (p0 + p1 + math.sqrt(d * d + 4.0 * c_sq))
+        if not lam >= qcore.EIGENVALUE_FLOOR:
+            raise _negative_marginal(qubits[len(out) % per_stack], lam)
+        # np.maximum(-0.0, 0.0) is +0.0, so -0.0 becomes +0.0 here too
+        out.append(0.5 if lam >= 0.5 else lam if lam > 0.0 else 0.0)
+    return np.array(out).reshape(marginals.shape[:-2])
+
+
+def _negative_marginal(qubit: int, value: float) -> ValidationError:
+    return ValidationError(f"marginal of qubit {qubit} has eigenvalue {value:.3e} < 0")
 
 
 def _pure_emps(amps: np.ndarray) -> np.ndarray:
@@ -187,9 +224,7 @@ def polygon_check(v: EmpsVector) -> PolygonReport:
     worst_slack is min_i (sum_{j != i} E_j - E_i); the inequalities hold when
     it is >= -SLACK_TOL. Pure multi-qubit states always satisfy them.
     """
-    slacks = _slacks(v.values)
-    worst = int(np.argmin(slacks))
-    worst_slack = float(slacks[worst])
+    worst, worst_slack = _worst_slack(v.values)
     satisfied = worst_slack >= -SLACK_TOL
     return PolygonReport(
         satisfied=satisfied,
@@ -198,8 +233,17 @@ def polygon_check(v: EmpsVector) -> PolygonReport:
     )
 
 
-def _slacks(energies: np.ndarray) -> np.ndarray:
-    return energies.sum(axis=-1, keepdims=True) - 2.0 * energies
+def _worst_slack(energies: np.ndarray) -> Tuple[int, float]:
+    """(i, slack) of the smallest slack sum_{j != i} E_j - E_i of one energy vector.
+
+    worst_slacks' arithmetic on Python floats: one numpy sum, then
+    total - 2 E_i, so the slack has its bits; i is the first minimum, as
+    np.argmin gives it.
+    """
+    total = float(energies.sum())
+    slacks = [total - 2.0 * e for e in energies.tolist()]
+    worst = min(slacks)
+    return slacks.index(worst), worst
 
 
 def worst_slacks(energies) -> np.ndarray:
@@ -211,7 +255,7 @@ def worst_slacks(energies) -> np.ndarray:
     arr = np.asarray(energies, dtype=np.float64)
     if arr.ndim < 1 or arr.shape[-1] < 1:
         raise ValidationError(f"energy stack needs a nonempty last axis, got shape {arr.shape}")
-    return _slacks(arr).min(axis=-1)
+    return (arr.sum(axis=-1, keepdims=True) - 2.0 * arr).min(axis=-1)
 
 
 def eta_indicator(state_or_vector: Union[State, EmpsVector]) -> float:
@@ -226,4 +270,4 @@ def eta_indicator(state_or_vector: Union[State, EmpsVector]) -> float:
         v = emps_vector(state_or_vector)
     if v.n < 3:
         raise ArgumentError(f"energy indicator needs at least 3 qubits, got n={v.n}")
-    return float(_slacks(v.values).min())
+    return _worst_slack(v.values)[1]

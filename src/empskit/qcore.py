@@ -74,7 +74,7 @@ class PureState:
             raise ValidationError("state vector needs at least one qubit")
         if n is not None and n != inferred:
             raise ValidationError(f"declared n={n} but amplitude vector has 2^{inferred} entries")
-        norm_sq = float(np.sum(np.abs(arr) ** 2))
+        norm_sq = float(np.vdot(arr, arr).real)
         if not abs(norm_sq - 1.0) <= NORMALIZATION_ATOL:
             raise ValidationError(
                 f"state is not normalized: sum |amps|^2 = {norm_sq!r} (tolerance {NORMALIZATION_ATOL})"
@@ -133,6 +133,8 @@ class DensityMatrix:
         # Checks shared by both constructors: qubit dimension, Hermiticity and
         # unit trace. Stores the exactly Hermitian part, read-only.
         n = _qubit_count_for_dim(arr.shape[0], "density matrix")
+        if n < 1:
+            raise ValidationError("density matrix needs at least one qubit")
         _require_hermitian(arr, "density matrix", HERMITICITY_ATOL)
         tr = complex(np.trace(arr))
         if not abs(tr - 1.0) <= TRACE_ATOL:

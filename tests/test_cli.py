@@ -52,6 +52,7 @@ def test_emps_rejects_unnormalized_state_file(tmp_path, capsys):
         ({"dim": 4.0, "entries": [[0.25, 0.0]] * 16}, '"dim" must be an integer'),
         ({"dim": -2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}, "not dim^2 for dim=-2"),
         ({"n": 1.0, "amps": [[1.0, 0.0], [0.0, 0.0]]}, '"n" must be an integer'),
+        ({"dim": 1, "entries": [[1, 0]]}, "density matrix needs at least one qubit"),
     ],
 )
 def test_emps_rejects_bad_state_size_exits_2(tmp_path, capsys, payload, message):

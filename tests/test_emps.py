@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from empskit.classify import build_dicke, build_ghz, build_w, slocc_orbit_sample
 from empskit.emps import (
     EmpsVector,
+    _min_eigenvalues_numpy,
+    _min_eigenvalues_scalar,
     emps,
     emps_vector,
     emps_vectors,
@@ -176,6 +178,8 @@ def test_emps_vector_validation():
         EmpsVector(n=3, values=np.array([0.6, 0.0, 0.0]))
     with pytest.raises(ValidationError):
         EmpsVector(n=2, values=np.array([0.1, 0.1, 0.1]))
+    with pytest.raises(ValidationError, match="at least one qubit"):
+        EmpsVector(n=0, values=[])
 
 
 def test_emps_vectors_rejects_malformed_stacks():
@@ -271,6 +275,59 @@ def test_closed_form_density_matrix_matches_pure_state():
         pure = emps_vector(psi).values
         mixed = emps_vector(psi.density()).values
         assert np.max(np.abs(pure - mixed)) <= 1e-12
+
+
+def _haar_marginals(n, rng):
+    return np.stack(_explicit_marginals(random_pure_state(n, rng).amps, n))
+
+
+def _twin_stacks():
+    # Haar marginals for n = 1..12, then a (B, n, 2, 2) stack of them
+    rng = np.random.default_rng(731)
+    for n in range(1, 13):
+        yield _haar_marginals(n, rng)
+    yield np.stack([_haar_marginals(5, rng) for _ in range(7)])
+    # product marginals (c = 0, p1 = 0, also as -0.0) and maximally mixed ones
+    yield np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, -0.0]], [[-0.0, 0], [0, 1]]], complex)
+    yield np.tile(np.eye(2, dtype=complex) / 2, (5, 1, 1))
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert a.tobytes() == b.tobytes()
+
+
+def test_closed_form_scalar_and_numpy_paths_are_bit_identical():
+    for stack in _twin_stacks():
+        qubits = range(1, stack.shape[-3] + 1)
+        scalar = _min_eigenvalues_scalar(stack, qubits)
+        _assert_same_bits(scalar, _min_eigenvalues_numpy(stack, qubits))
+    # a stack with one eigenvalue below the floor: both raise the same error, naming qubit 3
+    rng = np.random.default_rng(733)
+    stack = np.stack([_haar_marginals(4, rng) for _ in range(3)])
+    stack[1, 2] = [[0.5, 0.6], [0.6, 0.5]]
+    messages = []
+    for path in (_min_eigenvalues_scalar, _min_eigenvalues_numpy):
+        with pytest.raises(ValidationError, match="qubit 3 ") as info:
+            path(stack, range(1, 5))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 12])
+def test_single_state_path_matches_stack_entry_points_bit_for_bit(n):
+    # criterion 02's batched twin covers n = 3..8
+    rng = np.random.default_rng(740 + n)
+    z = rng.standard_normal((6, 2 ** n)) + 1j * rng.standard_normal((6, 2 ** n))
+    amps = z / np.linalg.norm(z, axis=1)[:, None]
+    energies = emps_vectors(amps)
+    slacks = worst_slacks(energies)
+    for row, want, slack in zip(amps, energies, slacks):
+        v = emps_vector(PureState(row))
+        _assert_same_bits(v.values, want)
+        assert polygon_check(v).worst_slack.hex() == float(slack).hex()
+        if n >= 3:
+            assert eta_indicator(v).hex() == float(slack).hex()
 
 
 def test_closed_form_rejects_non_positive_marginal():

@@ -45,6 +45,9 @@ def test_pure_state_requires_power_of_two_length():
 def test_nan_inputs_are_rejected():
     with pytest.raises(ValidationError):
         PureState(np.array([np.nan, 0.0]))
+    for amps in ([np.inf, 0.0], [complex(0.0, np.inf), 0.0], [np.inf, -np.inf]):
+        with pytest.raises(ValidationError, match="normalized"):
+            PureState(np.array(amps))
     with pytest.raises(ValidationError):
         DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))
 
@@ -83,6 +86,8 @@ def test_density_matrix_rejects_negative_eigenvalue():
 def test_density_matrix_rejects_non_power_of_two():
     with pytest.raises(ValidationError):
         DensityMatrix(np.eye(3) / 3)
+    with pytest.raises(ValidationError, match="at least one qubit"):
+        DensityMatrix([[1.0]])
 
 
 def test_basis_state_and_projector():
