@@ -11,9 +11,7 @@ on numerical failures. orbit, the one randomized command, seeds with
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -107,11 +105,15 @@ def _emit(text: str, output: Optional[str]):
 
 
 def _csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """The bytes csv.writer gives for a header and rows of plain names, ints and Python floats.
+
+    No such cell needs quoting, and str of a float is the shortest
+    round-trip text that csv.writer writes for it. Lines end in \r\n.
+    """
+    lines = [",".join(map(str, header))]
+    lines += [",".join(map(str, row)) for row in rows]
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 # Each subcommand returns its result: a record (printed as indented JSON) or CSV text.

@@ -150,24 +150,26 @@ def _pure_emps(amps: np.ndarray) -> np.ndarray:
     """Marginal passive energies, as (B, n), of a (B, 2^n) stack of normalized amplitude rows.
 
     The one kernel behind emps_vector, emps_vectors and slocc_orbit_sample:
-    every single-qubit marginal from qcore._marginals, then the closed form
-    of _min_eigenvalues_2x2, so no eigensolver runs. Each row's result does
-    not depend on B.
+    every single-qubit marginal from qcore._qubit_marginals, then the closed
+    form of _min_eigenvalues_2x2, so no eigensolver runs. Each row's result
+    does not depend on B.
     """
     n = amps.shape[1].bit_length() - 1
-    return _min_eigenvalues_2x2(qcore._marginals(amps, qcore._subset_table(n, 1)), range(1, n + 1))
+    return _min_eigenvalues_2x2(qcore._qubit_marginals(amps), range(1, n + 1))
 
 
 def _marginal_min_eigenvalues(state: State, qubits: Sequence[int]) -> np.ndarray:
     """Smallest eigenvalue of each named qubit's marginal (1-based qubits), in closed form.
 
-    Pure states go through _pure_emps as a stack of one; density matrices
-    through partial_trace and _min_eigenvalues_2x2.
+    Pure states take only the named qubits' marginals from
+    qcore._qubit_marginals, with the bits each has in emps_vector; density
+    matrices go through partial_trace. Both end in _min_eigenvalues_2x2.
     """
     qubits = qcore._check_keep(qubits, state.n)
     if isinstance(state, PureState):
-        return _pure_emps(state.amps[None, :])[0, [q - 1 for q in qubits]]
-    marginals = np.stack([qcore.partial_trace(state, (q,)).entries for q in qubits])
+        marginals = qcore._qubit_marginals(state.amps[None, :], [q - 1 for q in qubits])[0]
+    else:
+        marginals = np.stack([qcore.partial_trace(state, (q,)).entries for q in qubits])
     return _min_eigenvalues_2x2(marginals, qubits)
 
 

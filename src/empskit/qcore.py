@@ -239,13 +239,18 @@ def reduced_density_matrix(state: State, keep: Iterable[int]) -> DensityMatrix:
     """Marginal of a pure or mixed state on the kept qubits (1-based, order preserved).
 
     Pure inputs avoid building the full projector: the amplitudes are gathered
-    as a (kept, rest) matrix A and the marginal is A A^dag.
+    as a (kept, rest) matrix A and the marginal is A A^dag. A single kept
+    qubit's marginal comes from _qubit_marginals, with the bits of every
+    other single-qubit marginal of the state.
     """
     if isinstance(state, DensityMatrix):
         return partial_trace(state, keep)
     kept = _check_keep(keep, state.n)
+    amps = state.amps[None, :]
+    if len(kept) == 1:
+        return DensityMatrix._trusted(_qubit_marginals(amps, [kept[0] - 1])[0, 0])
     table = _gather_table(state.n, (tuple(q - 1 for q in kept),))
-    return DensityMatrix._trusted(_marginals(state.amps[None, :], table)[0, 0])
+    return DensityMatrix._trusted(_marginals(amps, table)[0, 0])
 
 
 @lru_cache(maxsize=2 * MAX_QUBITS)
@@ -257,8 +262,14 @@ def _subsets(n: int, k: int) -> tuple:
 # One take gathers at most this many amplitudes (B * 2^n per group for a
 # stack of B states, 128 KiB of complex128), and always at least one group:
 # larger fresh gather buffers cost more than the extra takes they save
-# (README, "Numerical conventions").
+# (README, "Numerical conventions"). Single-qubit marginals of states with
+# _DOT_MARGINALS qubits or more do not pass through the gather.
 _GATHER_MAX_ENTRIES = 1 << 13
+
+# States of at least this many qubits take their single-qubit marginals from
+# strided dot products, smaller ones from the gather kernel: the two measured
+# times cross here (README, "Numerical conventions").
+_DOT_MARGINALS = 10
 
 
 def _gather_table(n: int, groups: tuple) -> np.ndarray:
@@ -297,7 +308,8 @@ def _marginals(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
     many at a time as _GATHER_MAX_ENTRIES allows; a single take's product is
     returned as is, and several fill one output. Each marginal is its own
     product over the same rows, so the bits depend neither on that split
-    nor on B.
+    nor on B. Single-qubit marginals go through _qubit_marginals, which
+    calls this kernel only below _DOT_MARGINALS qubits.
     """
     b, dim = amps.shape
     g, d = table.shape[:2]
@@ -311,6 +323,66 @@ def _marginals(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
         t = np.take(amps, table[start:start + step], axis=1)
         np.matmul(t, t.conj().swapaxes(-1, -2), out=out[:, start:start + step])
     return out
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _bit_table(n: int) -> np.ndarray:
+    """Read-only 0/1 table that turns sums of squared amplitude parts into every qubit's (p0, p1).
+
+    The squared real and imaginary parts of n-qubit amplitudes, laid out as
+    a (2^h, 2^(n-h+1)) grid with h = n // 2, have qubits 1..h on the row
+    index and qubits h+1..n, then re/im, on the column index. The grid's
+    row sums followed by its column sums, times this table, give
+    (p0, p1) of qubits 1..n, interleaved.
+    """
+
+    def pairs(bits: np.ndarray) -> np.ndarray:
+        # (rows, k) qubit bits -> (rows, 2k) columns: bit == 0, bit == 1 per qubit
+        return np.stack([1 - bits, bits], axis=-1).reshape(len(bits), -1)
+
+    h = n // 2
+    high = np.arange(1 << h)[:, None] >> np.arange(h - 1, -1, -1) & 1
+    low = np.arange(2 << (n - h))[:, None] >> np.arange(n - h, 0, -1) & 1  # drops the re/im bit
+    table = np.zeros((len(high) + len(low), 2 * n))
+    table[:len(high), :2 * h] = pairs(high)
+    table[len(high):, 2 * h:] = pairs(low)
+    table.flags.writeable = False
+    return table
+
+
+def _qubit_marginals(amps: np.ndarray, qubits: Optional[Sequence[int]] = None) -> np.ndarray:
+    """(B, Q, 2, 2) marginals of a (B, 2^n) pure-amplitude stack on Q single 0-based qubits (default all).
+
+    Below _DOT_MARGINALS qubits this is the gather kernel _marginals. From
+    there on each row is taken on its own, as a marginal [[p0, c], [c*, p1]]
+    per qubit: p0 and p1 of every qubit from the row and column sums of its
+    squared amplitude parts (_bit_table), and c = <a_1|a_0> of each named
+    qubit from one vdot over strided views of the row. Qubits h+1..n (h =
+    n // 2) are read from a transposed copy, where their views are runs of
+    at least 2^h amplitudes. A qubit's marginal has the same bits whichever
+    qubits are named and whatever B is.
+    """
+    n = amps.shape[1].bit_length() - 1
+    every = qubits is None
+    if n < _DOT_MARGINALS:
+        table = _subset_table(n, 1) if every else _gather_table(n, tuple((q,) for q in qubits))
+        return _marginals(amps, table)
+    qubits = list(range(n)) if every else list(qubits)
+    h = n // 2
+    bits = _bit_table(n)
+    # per qubit p0, c, c*, p1: the row-major entries of its marginal
+    out = np.empty((amps.shape[0], len(qubits), 4), dtype=np.complex128)
+    for row, flat in zip(np.ascontiguousarray(amps), out):
+        parts = row.view(np.float64)
+        squares = (parts * parts).reshape(1 << h, -1)
+        p = (np.concatenate([squares.sum(axis=1), squares.sum(axis=0)]) @ bits).reshape(n, 2)
+        flat[:, ::3] = p if every else p[qubits]
+        low = row.reshape(1 << h, -1).T.ravel() if max(qubits) >= h else None
+        for i, q in enumerate(qubits):
+            x = row.reshape(1 << q, 2, -1) if q < h else low.reshape(1 << (q - h), 2, -1)
+            flat[i, 1] = np.vdot(x[:, 1], x[:, 0])
+        flat[:, 2] = flat[:, 1].conj()
+    return out.reshape(-1, len(qubits), 2, 2)
 
 
 def _eigh(matrix: np.ndarray, vectors: bool = False):

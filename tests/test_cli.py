@@ -138,6 +138,23 @@ def test_orbit_csv_and_seed_determinism(tmp_path):
     assert total <= 1.0 + 1e-9
 
 
+def test_csv_text_is_what_csv_writer_writes():
+    header = ["parameter", "e1", "degenerate"]
+    rows = [
+        [0.0, -0.0, 1],
+        [float("inf"), float("-inf"), 0],
+        [float("nan"), 5e-324, -7],
+        [0.30000000000000004, 1e22, 12345678901234567890],
+        [0.1, 2.5e-17, 0],
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert cli._csv(header, iter(rows)) == buf.getvalue()
+    assert cli._csv(header, []) == "parameter,e1,degenerate\r\n"
+
+
 def test_orbit_csv_and_json_are_the_library_values(tmp_path, capsys):
     want = [v.values.tolist() for v in slocc_orbit_sample(build_dicke(5, 2), 20, seed=99)]
     argv = ["orbit", "--builder", "dicke", "--n", "5", "--l", "2", "--samples", "20", "--seed", "99"]

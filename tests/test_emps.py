@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empskit.classify import build_dicke, build_ghz, build_w, slocc_orbit_sample
+from empskit import qcore
 from empskit.emps import (
     EmpsVector,
+    _min_eigenvalues_2x2,
     _min_eigenvalues_numpy,
     _min_eigenvalues_scalar,
     emps,
@@ -328,6 +330,61 @@ def test_single_state_path_matches_stack_entry_points_bit_for_bit(n):
         assert polygon_check(v).worst_slack.hex() == float(slack).hex()
         if n >= 3:
             assert eta_indicator(v).hex() == float(slack).hex()
+
+
+def _gather_kernel_emps(amps):
+    # the gather/zgemm kernel that serves states below qcore._DOT_MARGINALS qubits
+    n = amps.size.bit_length() - 1
+    marginals = qcore._marginals(amps[None, :], qcore._subset_table(n, 1))
+    return _min_eigenvalues_2x2(marginals, range(1, n + 1))[0]
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_dot_path_energies_match_the_gather_kernel(n):
+    rng = np.random.default_rng(750 + n)
+    product = random_pure_state(1, rng)
+    for _ in range(n - 1):
+        product = tensor_product(product, random_pure_state(1, rng))
+    states = [random_pure_state(n, rng) for _ in range(3)] + [
+        build_ghz(n, math.pi / 4),
+        build_ghz(n, 0.3),
+        build_w([1 / n] * n),
+        basis_state("1" + "0" * (n - 1)),
+        product,
+    ]
+    for psi in states:
+        got = emps_vector(psi).values
+        assert np.max(np.abs(got - _gather_kernel_emps(psi.amps))) <= 4e-15
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_dot_path_exact_values(n):
+    # marginals that are exact projectors give exactly 0
+    plus = tensor_product(PureState(np.full(2 ** (n - 1), 2.0 ** (-(n - 1) / 2))), basis_state("0"))
+    for psi in (basis_state("01" * (n // 2) + "0" * (n % 2)), plus):
+        assert np.array_equal(emps_vector(psi).values, np.zeros(n))
+    # GHZ: 1/2 exactly when both amplitudes round alike, else the gather kernel's bits
+    amps = np.zeros(2 ** n)
+    amps[[0, -1]] = math.cos(math.pi / 4)
+    assert np.array_equal(emps_vector(PureState(amps)).values, np.full(n, 0.5))
+    ghz = build_ghz(n, math.pi / 4)
+    assert np.array_equal(emps_vector(ghz).values, _gather_kernel_emps(ghz.amps))
+    assert np.max(np.abs(emps_vector(ghz).values - 0.5)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 9, 10, 12])
+def test_emps_of_one_qubit_has_the_bits_of_emps_vector(n):
+    psi = random_pure_state(n, np.random.default_rng(760 + n))
+    want = emps_vector(psi).values
+    for q in range(1, n + 1):
+        assert emps(psi, q).hex() == float(want[q - 1]).hex(), q
+
+
+def test_orbit_sample_prefix_stability_on_the_dot_path():
+    psi = random_pure_state(10, np.random.default_rng(770))
+    short = slocc_orbit_sample(psi, 3, seed=21)
+    long = slocc_orbit_sample(psi, 5, seed=21)
+    assert all(np.array_equal(x.values, y.values) for x, y in zip(short, long))
 
 
 def test_closed_form_rejects_non_positive_marginal():

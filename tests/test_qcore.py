@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empskit import cli, qcore
+from empskit.classify import build_ghz, build_w
 from empskit.errors import ArgumentError, CapacityError, NumericError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
@@ -447,6 +448,65 @@ def test_qubit_marginals_gather_and_loop_layouts_agree(monkeypatch, b):
                     for group, got in zip(groups, one_take[row]):
                         want = partial_trace_oracle(rho, n, [q + 1 for q in group])
                         assert np.max(np.abs(got - want)) <= 1e-12 * np.trace(rho).real, group
+
+
+def _single_qubit_test_states(n, rng):
+    # Haar, GHZ(pi/4), W, a basis state and a product of random one-qubit states
+    product = np.array([1.0 + 0j])
+    for _ in range(n):
+        product = np.kron(product, random_pure_state(1, rng).amps)
+    return [
+        random_pure_state(n, rng).amps,
+        build_ghz(n, math.pi / 4).amps,
+        build_w([1 / n] * n).amps,
+        basis_state("10" * (n // 2) + "1" * (n % 2)).amps,
+        product,
+    ]
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_dot_marginals_match_the_gather_kernel(n):
+    # the gather kernel on the single-qubit table stays callable as the cross-check
+    rng = np.random.default_rng(820 + n)
+    for amps in _single_qubit_test_states(n, rng):
+        got = qcore._qubit_marginals(amps[None, :])
+        want = qcore._marginals(amps[None, :], qcore._subset_table(n, 1))
+        assert got.shape == want.shape == (1, n, 2, 2)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        # both sides of the transposed copy, against an einsum that uses neither kernel
+        for q in (0, n // 2 - 1, n // 2, n - 1):
+            assert np.max(np.abs(got[0, q] - _einsum_marginal(amps, (q,)))) <= 1e-15, q
+
+
+def test_single_qubit_marginals_switch_to_dot_products_at_ten_qubits(monkeypatch):
+    calls = []
+    gather = qcore._marginals
+    monkeypatch.setattr(qcore, "_marginals", lambda amps, table: calls.append(amps.shape) or gather(amps, table))
+    rng = np.random.default_rng(825)
+    for n in (9, 10):
+        z = rng.standard_normal((2, 2 ** n)) + 1j * rng.standard_normal((2, 2 ** n))
+        qcore._qubit_marginals(z)
+        qcore._qubit_marginals(z, [0])
+    assert calls == [(2, 2 ** 9)] * 2
+
+
+@pytest.mark.parametrize("n", [3, 9, 10, 12])
+def test_named_qubit_marginals_have_the_bits_of_every_qubit_stack(n):
+    # on both sides of the switch: any named qubits in any order, any B, one kept qubit
+    rng = np.random.default_rng(830 + n)
+    z = rng.standard_normal((3, 2 ** n)) + 1j * rng.standard_normal((3, 2 ** n))
+    amps = z / np.linalg.norm(z, axis=1)[:, None]
+    full = qcore._qubit_marginals(amps)
+    for row in range(3):
+        assert np.array_equal(qcore._qubit_marginals(amps[row:row + 1])[0], full[row])
+    named = [n - 1, 0, n // 2]
+    assert np.array_equal(qcore._qubit_marginals(amps, named), full[:, named])
+    psi = PureState(amps[0])
+    for q in range(n):
+        want = DensityMatrix._trusted(full[0, q]).entries
+        assert np.array_equal(reduced_density_matrix(psi, (q + 1,)).entries, want), q
+    # a stack that is not C-contiguous is read as its contiguous copy
+    assert np.array_equal(qcore._qubit_marginals(np.asfortranarray(amps)), full)
 
 
 def test_kept_subset_tables_are_not_cached():

@@ -473,6 +473,12 @@ def test_entropy_criterion_matches_density_matrix_marginals(n):
         assert abs(entropy_criterion(psi) - _entropy_criterion_reference(psi.density())) <= 1e-12
 
 
+def test_entropy_criterion_on_the_dot_path_matches_density_matrix_marginals():
+    # 10 qubits: the single-qubit marginals come from strided dot products
+    psi = random_pure_state(10, np.random.default_rng(960))
+    assert abs(entropy_criterion(psi) - _entropy_criterion_reference(psi.density())) <= 1e-12
+
+
 def test_entropy_criterion_rejects_a_corrupted_marginal(monkeypatch):
     psi = build_w([1 / 3] * 3)
     marginals = qcore._marginals
