@@ -6,13 +6,17 @@ optionally extended by extra Pauli-string terms (per-site letters I/X/Y/Z
 with full Pauli matrices). Ground states feed the energy indicator and the
 pairwise entropy criterion for genuine multipartite entanglement.
 
-A chain is one ordered list of (coefficient, Pauli string) terms, grouped
-by x mask into one row of values per group (_PauliSum). The dense fill
-and the matrix-free product both read that operator:
+A chain is one ordered list of Pauli strings with one row of coefficients
+per chain, grouped by x mask into one row of values per group (_PauliSum);
+chains that differ only in their coefficients, such as the rows of a
+sweep, share one operator with a leading row axis. The dense fill and the
+matrix-free product both read it:
 
-- N <= 7: the dense matrix, float64 when no term has an odd number of Y
-  letters and complex128 otherwise, goes to LAPACK eigh. The gap is the
-  difference of the two lowest eigenvalues with multiplicity.
+- N <= 7: the dense matrices, float64 when no term has an odd number of Y
+  letters and complex128 otherwise, are filled as one stack and go to one
+  stacked LAPACK eigh, which gives each matrix the bits of its own solve.
+  The gap is the difference of the two lowest eigenvalues with
+  multiplicity.
 - N = 8..12: Lanczos with full reorthogonalisation from a seeded start
   vector, once for the ground pair and once more orthogonal to the ground
   vector for the next level, so a degenerate ground level gives a zero gap.
@@ -21,7 +25,8 @@ and the matrix-free product both read that operator:
 
 On both paths the state's phase is fixed and its eigenpair residual is
 checked against EIGENPAIR_RESIDUAL_TOL, and `degenerate` means a gap below
-DEGENERACY_GAP_TOL.
+DEGENERACY_GAP_TOL. A sweep takes eta and the entropy criterion of all its
+ground states from one stacked marginal pass.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from . import qcore
-from .emps import eta_indicator
+from .emps import _CHUNK_AMPLITUDES, _pure_emps, worst_slacks
 from .errors import ArgumentError, NumericError, ValidationError
 from .qcore import PureState
 
@@ -136,49 +141,66 @@ def _parity(n: int) -> np.ndarray:
 
 
 class _PauliSum:
-    """Sum of coeff * Pauli string over n sites, grouped by x mask.
+    """K operators sum_t coeffs[k, t] * letters[t] over n sites, grouped by x mask.
 
-    A string with x mask x, z mask z and Y count nY sends basis state i to
-    i ^ x with the phase i^nY (-1)^popcount(i & z). All terms of one x mask
-    share their nonzero pattern, so group g is one row of values:
-    H[j, rows[g, j]] = vals[g, j] with rows[g, j] = j ^ masks[g]. Each value
-    is accumulated in term order, so the dense fill adds the same entries in
-    the same order as a term-by-term sum. vals is float64 when every term has
-    an even Y count (every phase is then real) and complex128 otherwise.
+    All K rows share one list of term strings. A string with x mask x, z
+    mask z and Y count nY sends basis state i to i ^ x with the phase
+    i^nY (-1)^popcount(i & z). All terms of one x mask share their nonzero
+    pattern, so group g of row k is one row of values:
+    H_k[j, rows[g, j]] = vals[k, g, j] with rows[g, j] = j ^ masks[g]. Each
+    value is accumulated in term order, each term as coeff * (phase *
+    parity), so an entry has the same bits whatever K is and whichever rows
+    share the stack. vals is float64 when every term has an even Y count
+    (every phase is then real) and complex128 otherwise.
     """
 
-    def __init__(self, n: int, terms: Sequence[Tuple[float, str]]):
-        parity = _parity(n)
-        parsed = [(coeff, *_pauli_masks(letters)) for coeff, letters in terms]
-        group = {}
-        for _, x, _, _ in parsed:
-            group.setdefault(x, len(group))
-        real = all(ny % 2 == 0 for _, _, _, ny in parsed)
-        self.masks = np.array(list(group), dtype=np.int64)
+    def __init__(self, n: int, letters: Sequence[str], coeffs):
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        x, z, ny = np.array([_pauli_masks(s) for s in letters]).T
+        first = {}  # groups in order of first appearance, which fixes matvec's summation order
+        group = [first.setdefault(m, len(first)) for m in x.tolist()]
+        self.masks = np.array(list(first), dtype=np.int64)
         self.rows = np.arange(1 << n) ^ self.masks[:, None]
-        self.vals = np.zeros(self.rows.shape, dtype=np.float64 if real else np.complex128)
-        for coeff, x, z, ny in parsed:
-            # the term's entry in row j sits in column j ^ x, whose phase it takes
-            self.vals[group[x]] += coeff * (1, 1j, -1, -1j)[ny % 4] * parity[self.rows[group[x]] & z]
+        # the term's entry in row j sits in column j ^ x, whose phase it takes
+        phases = np.array([1, 1j, -1, -1j])[ny % 4] if np.any(ny % 2) else 1.0 - ny % 4
+        signs = phases[:, None] * _parity(n)[self.rows[group] & z[:, None]]
+        self.vals = np.zeros((len(coeffs), *self.rows.shape), dtype=signs.dtype)
+        for g, term in zip(group, coeffs.T[:, :, None] * signs[:, None]):
+            self.vals[:, g] += term
 
     def dense(self) -> np.ndarray:
-        idx = np.arange(self.rows.shape[1])
-        ham = np.zeros((idx.size, idx.size), dtype=self.vals.dtype)
-        ham[idx, self.rows] = self.vals
+        """(K, 2^n, 2^n) stack of the dense matrices."""
+        k, _, dim = self.vals.shape
+        ham = np.zeros((k, dim, dim), dtype=self.vals.dtype)
+        ham[:, np.arange(dim), self.rows] = self.vals
         return ham
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """(H v)[j] = sum over groups of vals[g, j] * v[j ^ masks[g]], without the dense matrix."""
-        return (self.vals * v[self.rows]).sum(axis=0)
+        """(H v)[j] = sum over groups g of vals[0, g, j] * v[j ^ masks[g]], without the dense matrix.
+
+        For a K = 1 operator, as Lanczos builds it.
+        """
+        return (self.vals[0] * v[self.rows]).sum(axis=0)
 
 
-def _chain_terms(spec: SpinChainSpec) -> List[Tuple[float, str]]:
-    """The chain as one ordered term list: ZZ bonds, then Z fields, then the extra strings."""
+def _chain_letters(spec: SpinChainSpec) -> List[str]:
+    """The chain's term strings in order: ZZ bonds, then Z fields, then the extra strings."""
     n = spec.N
+    bonds = ["I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1)]
+    fields = ["I" * i + "Z" + "I" * (n - 1 - i) for i in range(n)]
+    return bonds + fields + [s for _, s in spec.extra_terms]
+
+
+def _chain_coeffs(spec: SpinChainSpec) -> List[float]:
+    """The coefficients of _chain_letters' terms."""
     # s^z s^z = sigma_z sigma_z / 4 and s^z = sigma_z / 2
-    bonds = [(-0.25 * spec.J, "I" * i + "ZZ" + "I" * (n - 2 - i)) for i in range(n - 1)]
-    fields = [(-0.5 * spec.h, "I" * i + "Z" + "I" * (n - 1 - i)) for i in range(n)]
-    return bonds + fields + list(spec.extra_terms)
+    n = spec.N
+    return [-0.25 * spec.J] * (n - 1) + [-0.5 * spec.h] * n + [c for c, _ in spec.extra_terms]
+
+
+def _chain_operator(specs: Sequence[SpinChainSpec]) -> _PauliSum:
+    """One row per spec; the specs differ only in their coefficients."""
+    return _PauliSum(specs[0].N, _chain_letters(specs[0]), [_chain_coeffs(s) for s in specs])
 
 
 def pauli_string_matrix(letters: str) -> np.ndarray:
@@ -186,7 +208,7 @@ def pauli_string_matrix(letters: str) -> np.ndarray:
 
     float64 when the string has an even number of Y letters, complex128 otherwise.
     """
-    return _PauliSum(len(letters), [(1.0, letters.upper())]).dense()
+    return _PauliSum(len(letters), [letters.upper()], [[1.0]]).dense()[0]
 
 
 def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
@@ -195,7 +217,7 @@ def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
     float64 (real symmetric) when no extra string has an odd number of Y
     letters, complex128 otherwise.
     """
-    return _PauliSum(spec.N, _chain_terms(spec)).dense()
+    return _chain_operator([spec]).dense()[0]
 
 
 def nearest_neighbor_chain(N: int = 5, J: float = 1.0, h: float = 1.0) -> SpinChainSpec:
@@ -230,20 +252,34 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
     in which case indicator values computed from it are not well defined.
     """
     if isinstance(hamiltonian, SpinChainSpec):
-        if hamiltonian.N > _DENSE_MAX_SITES:
-            return _lanczos_ground_state(hamiltonian)
-        ham = build_hamiltonian(hamiltonian)
-        w, v = qcore._eigh(ham, vectors=True)  # Hermitian by construction
-    else:
-        ham = np.asarray(hamiltonian)
-        if ham.ndim != 2 or ham.shape[0] != ham.shape[1] or ham.shape[0] & (ham.shape[0] - 1):
-            raise ValidationError(
-                f"Hamiltonian must be square with power-of-two dimension, got shape {ham.shape}"
-            )
-        spec = qcore.eig_hermitian(ham, vectors=True)
-        w, v = spec.eigenvalues, spec.eigenvectors
+        return _ground_states([hamiltonian])[0]
+    ham = np.asarray(hamiltonian)
+    if ham.ndim != 2 or ham.shape[0] != ham.shape[1] or ham.shape[0] & (ham.shape[0] - 1):
+        raise ValidationError(
+            f"Hamiltonian must be square with power-of-two dimension, got shape {ham.shape}"
+        )
+    spec = qcore.eig_hermitian(ham, vectors=True)
+    w, v = spec.eigenvalues, spec.eigenvectors
     gap = float(w[1] - w[0]) if w.size > 1 else float("inf")
-    return _checked_result(float(w[0]), v[:, 0], gap, lambda x: ham @ x)
+    return _checked_result(float(w[0]), v[:, 0], gap, ham.__matmul__)
+
+
+def _ground_states(specs: Sequence[SpinChainSpec]) -> List[GroundStateResult]:
+    """ground_state of each spec; the specs differ only in their coefficients.
+
+    Up to _DENSE_MAX_SITES sites the chains are filled as one stack and
+    solved by one stacked LAPACK eigh, which runs the same routine on each
+    matrix, so every row has the bits of its own solve. Longer chains take
+    one Lanczos solve each.
+    """
+    if specs[0].N > _DENSE_MAX_SITES:
+        return [_lanczos_ground_state(spec) for spec in specs]
+    ham = _chain_operator(specs).dense()
+    w, v = qcore._eigh(ham, vectors=True)  # Hermitian by construction
+    return [
+        _checked_result(float(w[k, 0]), v[k, :, 0], float(w[k, 1] - w[k, 0]), ham[k].__matmul__)
+        for k in range(len(specs))
+    ]
 
 
 def _checked_result(energy: float, vec: np.ndarray, gap: float, apply) -> GroundStateResult:
@@ -271,7 +307,7 @@ def _lanczos_ground_state(spec: SpinChainSpec) -> GroundStateResult:
     shows up as a zero gap, which a single Krylov space cannot see. Both
     start vectors come from a fixed seed, so results are reproducible.
     """
-    op = _PauliSum(spec.N, _chain_terms(spec))
+    op = _chain_operator([spec])
     rng = np.random.default_rng(_LANCZOS_SEED)
     energy, vec = _lanczos_lowest(op, rng.standard_normal(1 << spec.N))
     vec /= np.linalg.norm(vec)
@@ -319,14 +355,27 @@ def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[flo
 
 
 def _marginal_entropies(stack: np.ndarray) -> np.ndarray:
-    """Entropies in bits of a (K, d, d) stack of marginals, from one stacked eigensolve.
+    """Entropies in bits of a (..., d, d) stack of marginals, from one stacked eigensolve.
 
     Each matrix is first replaced by its exactly Hermitian part, as a
     DensityMatrix stores it, so every value is the bits of von_neumann_entropy
     on the same marginal.
     """
-    herm = 0.5 * (stack + stack.conj().swapaxes(1, 2))
+    herm = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     return qcore._entropy_bits(qcore._eigh(herm)[0])
+
+
+def _entropy_criteria(amps: np.ndarray) -> np.ndarray:
+    """entropy_criterion of each row of a (B, 2^n) stack of pure-state amplitudes, n >= 3.
+
+    Every single-qubit and every pair marginal of the stack, each group in
+    one stacked eigensolve; a row's value does not depend on B.
+    """
+    n = amps.shape[1].bit_length() - 1
+    singles = _marginal_entropies(qcore._qubit_marginals(amps))
+    pairs = _marginal_entropies(qcore._marginals(amps, qcore._subset_table(n, 2)))
+    i, j = np.array(qcore._subsets(n, 2)).T
+    return np.min(np.abs(pairs - singles[:, i] - singles[:, j]), axis=1)
 
 
 def entropy_criterion(psi: PureState) -> float:
@@ -336,44 +385,60 @@ def entropy_criterion(psi: PureState) -> float:
     the pure state; any product structure across a cut drives some pair to
     additivity and the minimum to zero.
     """
-    n = psi.n
-    if n < 3:
-        raise ArgumentError(f"entropy criterion needs at least 3 qubits, got n={n}")
-    amps = psi.amps[None, :]
-    singles = _marginal_entropies(qcore._qubit_marginals(amps)[0])
-    pairs = _marginal_entropies(qcore._marginals(amps, qcore._subset_table(n, 2))[0])
-    i, j = np.array(qcore._subsets(n, 2)).T
-    return float(np.min(np.abs(pairs - singles[i] - singles[j])))
+    if psi.n < 3:
+        raise ArgumentError(f"entropy criterion needs at least 3 qubits, got n={psi.n}")
+    return float(_entropy_criteria(psi.amps[None, :])[0])
 
 
 def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]) -> List[SweepRow]:
     """Ground-state indicators along a one-parameter family of chains.
 
     parameter is one of "J", "h", or "coefficient"; the last scales every
-    extra-term coefficient by the swept value. Rows with a degenerate ground
+    extra-term coefficient by the swept value, so it needs a chain with
+    extra terms. Both indicators need N >= 3. Rows with a degenerate ground
     level are flagged rather than silently resolved, since the indicators are
     not well defined on an arbitrary vector of the ground space.
+
+    Rows are solved in chunks of at most _CHUNK_AMPLITUDES matrix entries,
+    which bounds the working set: one stacked fill and eigh per chunk (one
+    Lanczos solve per row from 8 sites on), then eta and the entropy
+    criterion of the whole chunk from one marginal pass. Every row has the
+    bits of ground_state, eta_indicator and entropy_criterion on its own
+    chain, whatever the chunk size. A value that gives an invalid chain
+    raises after the rows before it are solved, as a row-by-row loop would.
     """
     if parameter not in ("J", "h", "coefficient"):
         raise ArgumentError(f'parameter must be "J", "h", or "coefficient", got {parameter!r}')
+    if spec.N < 3:
+        raise ArgumentError(f"energy indicator needs at least 3 qubits, got n={spec.N}")
+    if parameter == "coefficient" and not spec.extra_terms:
+        raise ArgumentError('parameter "coefficient" scales the extra terms, and the chain has none')
+    xs: List[float] = []
+    specs: List[SpinChainSpec] = []
+    invalid = None
+    for x in map(float, values):
+        try:
+            if parameter == "coefficient":
+                specs.append(replace(spec, extra_terms=tuple((c * x, s) for c, s in spec.extra_terms)))
+            else:
+                specs.append(replace(spec, **{parameter: x}))
+        except ValidationError as exc:
+            invalid = exc
+            break
+        xs.append(x)
     rows: List[SweepRow] = []
-    for x in values:
-        x = float(x)
-        if parameter == "coefficient":
-            varied = replace(spec, extra_terms=tuple((c * x, s) for c, s in spec.extra_terms))
-        else:
-            varied = replace(spec, **{parameter: x})
-        gs = ground_state(varied)
-        rows.append(
-            SweepRow(
-                parameter=x,
-                ground_energy=gs.energy,
-                gap=gs.degeneracy_gap,
-                eta=eta_indicator(gs.state),
-                entropy_criterion=entropy_criterion(gs.state),
-                degenerate=gs.degenerate,
-            )
+    step = max(1, _CHUNK_AMPLITUDES >> 2 * spec.N)
+    for start in range(0, len(specs), step):
+        states = _ground_states(specs[start:start + step])
+        amps = np.stack([gs.state.amps for gs in states])
+        etas = worst_slacks(_pure_emps(amps)).tolist()
+        criteria = _entropy_criteria(amps).tolist()
+        rows += (
+            SweepRow(x, gs.energy, gs.degeneracy_gap, eta, criterion, gs.degenerate)
+            for x, gs, eta, criterion in zip(xs[start:start + step], states, etas, criteria)
         )
+    if invalid is not None:
+        raise invalid
     return rows
 
 

@@ -372,11 +372,43 @@ def test_generalized_dicke_builder(capsys):
     assert abs(record["total"] - 1.0) <= 1e-9
 
 
-def test_sweep_on_two_site_chain_exits_2(capsys):
-    # indicator columns need at least three qubits
+def _no_solve(specs):
+    raise AssertionError("a rejected sweep must not reach the eigensolver")
+
+
+def test_sweep_on_two_site_chain_exits_2(monkeypatch, capsys):
+    # indicator columns need at least three qubits, and no row is solved first
+    monkeypatch.setattr(cli.sc, "_ground_states", _no_solve)
     code = cli.run(["sweep", "--model", "ising", "--sites", "2", "--param", "h", "--values", "1.0"])
     assert code == 2
     assert "3 qubits" in capsys.readouterr().err
+
+
+# `sweep --model longrange --range 0:2:5`, recorded from the row-by-row sweep
+# (one fill, eigh and indicator pass per row) with numpy's OpenBLAS 0.3.31 build.
+LONGRANGE_SWEEP_CSV = (
+    b"parameter,ground_energy,gap,eta_over_E,entropy_criterion,degenerate\r\n"
+    b"0.0,-10.028028772400813,1.7763568394002505e-15,0.9459687740296524,2.4554857549818898e-05,1\r\n"
+    b"0.5,-10.10013776213974,0.05076885397808084,0.8566473714539595,0.0015193335522607487,0\r\n"
+    b"1.0,-10.256056127482845,0.15681908445302994,0.7648604268880465,0.005704316960430056,0\r\n"
+    b"1.5,-10.507109611613737,0.279159394423953,0.6723298825061292,0.0129364114415631,0\r\n"
+    b"2.0,-10.866603282237904,0.45591417106508914,0.5818427294834285,0.023092131674142702,0\r\n"
+)
+
+
+def test_sweep_longrange_csv_bytes(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert cli.run(["sweep", "--model", "longrange", "--range", "0:2:5", "-o", str(out)]) == 0
+    assert out.read_bytes() == LONGRANGE_SWEEP_CSV
+
+
+def test_sweep_coefficient_without_extra_terms_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli.sc, "_ground_states", _no_solve)
+    code = cli.run(["sweep", "--model", "ising", "--sites", "4", "--param", "coefficient", "--values", "1,2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert '"coefficient" scales the extra terms, and the chain has none' in captured.err
 
 
 def test_consecutive_runs_share_no_arguments(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,7 +287,7 @@ def test_hamiltonian_dtype_follows_the_y_parity():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_matvec_is_the_dense_product(n):
     spec = SpinChainSpec(N=n, J=0.9, h=-0.4, extra_terms=_mixed_terms(n))
-    op = spinchain._PauliSum(n, spinchain._chain_terms(spec))
+    op = spinchain._chain_operator([spec])
     v = np.random.default_rng(n).standard_normal(2 ** n) + 1j * np.random.default_rng(50 + n).standard_normal(2 ** n)
     assert np.max(np.abs(op.matvec(v) - build_hamiltonian(spec) @ v)) <= 1e-12
 
@@ -349,7 +350,7 @@ def test_ground_state_switches_to_lanczos_above_seven_sites(n, monkeypatch):
 
 
 def test_lanczos_odd_y_chain_is_complex():
-    assert spinchain._PauliSum(6, spinchain._chain_terms(_odd_y(6))).vals.dtype == np.complex128
+    assert spinchain._chain_operator([_odd_y(6)]).vals.dtype == np.complex128
 
 
 @pytest.mark.parametrize("n", [4, 10])
@@ -393,7 +394,8 @@ def test_twelve_site_ground_state(spec):
     k = int(np.argmax(np.abs(psi)))
     assert psi[k].imag == 0.0 and psi[k].real > 0.0
     # residual from the terms applied site by site, not from the grouped operator
-    h_psi = sum(c * _apply_term(letters, psi, 12) for c, letters in spinchain._chain_terms(spec))
+    terms = zip(spinchain._chain_coeffs(spec), spinchain._chain_letters(spec))
+    h_psi = sum(c * _apply_term(letters, psi, 12) for c, letters in terms)
     assert np.linalg.norm(h_psi - result.energy * psi) <= 1e-8
     assert not result.degenerate and result.degeneracy_gap > 0.1
 
@@ -570,3 +572,89 @@ def test_sweep_rows_reproducible():
     b = indicator_sweep(long_range_chain(), "h", [0.8, 1.2])
     assert a == b
     assert isinstance(a[0], SweepRow)
+
+
+def _sweep_reference(spec, parameter, values):
+    # one chain at a time through the public per-state functions
+    rows = []
+    for x in values:
+        if parameter == "coefficient":
+            varied = replace(spec, extra_terms=tuple((c * x, s) for c, s in spec.extra_terms))
+        else:
+            varied = replace(spec, **{parameter: x})
+        gs = ground_state(varied)
+        rows.append(SweepRow(x, gs.energy, gs.degeneracy_gap, eta_indicator(gs.state),
+                             entropy_criterion(gs.state), gs.degenerate))
+    return rows
+
+
+_SWEEP_VALUES = {"J": [-0.6, 0.0, 1.1, 2.4], "h": [0.0, 0.35, -0.8, 1.3], "coefficient": [0.0, 0.5, -1.2, 2.0]}
+
+
+@pytest.mark.parametrize("parameter", sorted(_SWEEP_VALUES))
+@pytest.mark.parametrize(
+    "spec",
+    [_transverse_field(n) for n in range(3, 8)] + [_odd_y(n) for n in range(3, 8)],
+    ids=[f"tf{n}" for n in range(3, 8)] + [f"odd_y{n}" for n in range(3, 8)],
+)
+def test_sweep_rows_are_the_per_row_path_bit_for_bit(spec, parameter):
+    values = _SWEEP_VALUES[parameter]
+    assert indicator_sweep(spec, parameter, values) == _sweep_reference(spec, parameter, values)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_sweep_degenerate_rows_are_the_per_row_path(n):
+    # the plain chain at h = 0: all-up and all-down share the ground level
+    plain = nearest_neighbor_chain(N=n, h=0.0)
+    zero_term = SpinChainSpec(N=n, J=1.0, h=0.0, extra_terms=((0.0, "X" * n),))
+    for spec, parameter, values in (
+        (plain, "h", [0.0, 0.5]),
+        (plain, "J", [1.0, 0.0]),
+        (zero_term, "coefficient", [1.0, -2.0]),
+    ):
+        rows = indicator_sweep(spec, parameter, values)
+        assert rows == _sweep_reference(spec, parameter, values)
+        assert rows[0].degenerate
+    assert not indicator_sweep(plain, "h", [0.5])[0].degenerate
+
+
+@pytest.mark.parametrize("spec", [_transverse_field(8), _odd_y(8)], ids=["tf8", "odd_y8"])
+def test_sweep_lanczos_rows_are_the_per_row_path(spec):
+    assert indicator_sweep(spec, "h", [0.2, 1.4]) == _sweep_reference(spec, "h", [0.2, 1.4])
+
+
+@pytest.mark.parametrize(
+    "spec", [_transverse_field(4), _odd_y(5), long_range_chain()], ids=["tf4", "odd_y5", "longrange"]
+)
+def test_sweep_rows_do_not_depend_on_the_chunk_budget(spec, monkeypatch):
+    values = [0.1 * k - 0.7 for k in range(17)]
+    whole = indicator_sweep(spec, "h", values)
+    for matrices in (1, 3):
+        monkeypatch.setattr(spinchain, "_CHUNK_AMPLITUDES", matrices << 2 * spec.N)
+        assert indicator_sweep(spec, "h", values) == whole
+    assert whole == _sweep_reference(spec, "h", values)
+
+
+def _no_solve(specs):
+    raise AssertionError("a rejected sweep must not reach the eigensolver")
+
+
+def test_sweep_rejects_coefficient_on_a_chain_without_extra_terms(monkeypatch):
+    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
+    with pytest.raises(ArgumentError, match='"coefficient" scales the extra terms, and the chain has none'):
+        indicator_sweep(nearest_neighbor_chain(N=4), "coefficient", [1.0, 2.0])
+
+
+@pytest.mark.parametrize("values", [[1.0], []])
+def test_sweep_rejects_two_site_chains_before_solving(values, monkeypatch):
+    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
+    with pytest.raises(ArgumentError, match="energy indicator needs at least 3 qubits, got n=2"):
+        indicator_sweep(nearest_neighbor_chain(N=2), "h", values)
+
+
+def test_sweep_raises_in_row_order():
+    # the first row fails its residual gate before the second row's value is rejected
+    with pytest.raises(NumericError, match="residual"):
+        indicator_sweep(long_range_chain(), "J", [1e9, float("nan")])
+    with pytest.raises(ValidationError, match="J must be a finite number"):
+        indicator_sweep(long_range_chain(), "J", [1.0, float("nan"), 1e9])
