@@ -9,7 +9,6 @@ orbits for empirical polytope-containment checks.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Union
@@ -424,13 +423,6 @@ def _apply_local_factors(amps: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return t.reshape(b, -1)
 
 
-def _integer(value, what: str) -> int:
-    # bool is an Integral too, but True as a count or seed is a caller's slip
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ArgumentError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> List[EmpsVector]:
     """Energy vectors of `count` random states in the SLOCC orbit of psi.
 
@@ -446,8 +438,8 @@ def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> 
     2^n x 2^n Kronecker product is formed), the rows are normalized, and one
     call to the marginal kernel gives every qubit's energy in closed form.
     """
-    count = _integer(count, "sample count")
-    seed = _integer(seed, "orbit seed")
+    count = qcore._integer(count, "sample count")
+    seed = qcore._integer(seed, "orbit seed")
     if count < 1:
         raise ArgumentError(f"sample count must be >= 1, got {count}")
     if seed < 0:
@@ -482,9 +474,9 @@ def discriminate_noisy(rho: DensityMatrix, which: str) -> NoisyReport:
     """
     if rho.n != 3:
         raise ArgumentError(f"noisy discrimination is defined for 3 qubits, got n={rho.n}")
-    which = which.lower()
-    if which not in ("w", "ghz"):
+    if not isinstance(which, str) or which.lower() not in ("w", "ghz"):
         raise ArgumentError(f"which must be 'w' or 'ghz', got {which!r}")
+    which = which.lower()
     v = emps_vector(rho)
     total = v.total()
     if which == "w":

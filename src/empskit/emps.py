@@ -158,19 +158,17 @@ def _pure_emps(amps: np.ndarray) -> np.ndarray:
     return _min_eigenvalues_2x2(qcore._qubit_marginals(amps), range(1, n + 1))
 
 
-def _marginal_min_eigenvalues(state: State, qubits: Sequence[int]) -> np.ndarray:
-    """Smallest eigenvalue of each named qubit's marginal (1-based qubits), in closed form.
+def _marginal_min_eigenvalues(state: State, qubits: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Smallest eigenvalue of each named qubit's marginal (1-based qubits, default all), in closed form.
 
-    Pure states take only the named qubits' marginals from
-    qcore._qubit_marginals, with the bits each has in emps_vector; density
-    matrices go through partial_trace. Both end in _min_eigenvalues_2x2.
+    Pure and mixed states alike take their marginals from
+    qcore._state_marginals, where a named qubit's marginal has the bits it
+    has among every qubit's, and _min_eigenvalues_2x2 takes the eigenvalues.
     """
+    if qubits is None:
+        return _min_eigenvalues_2x2(qcore._state_marginals(state), range(1, state.n + 1))
     qubits = qcore._check_keep(qubits, state.n)
-    if isinstance(state, PureState):
-        marginals = qcore._qubit_marginals(state.amps[None, :], [q - 1 for q in qubits])[0]
-    else:
-        marginals = np.stack([qcore.partial_trace(state, (q,)).entries for q in qubits])
-    return _min_eigenvalues_2x2(marginals, qubits)
+    return _min_eigenvalues_2x2(qcore._state_marginals(state, [(q - 1,) for q in qubits]), qubits)
 
 
 def emps(state: State, qubit: int) -> float:
@@ -187,7 +185,7 @@ def emps_vector(state: State) -> EmpsVector:
     """Marginal passive energies of every qubit, as the characteristic vector."""
     if isinstance(state, PureState):
         return EmpsVector._trusted(_pure_emps(state.amps[None, :])[0])
-    return EmpsVector._trusted(_marginal_min_eigenvalues(state, range(1, state.n + 1)))
+    return EmpsVector._trusted(_marginal_min_eigenvalues(state))
 
 
 # Amplitudes per batch (1 MiB of complex128) for the stack entry points:

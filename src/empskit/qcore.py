@@ -29,11 +29,6 @@ TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
 
-def _as_complex_vector(amps) -> np.ndarray:
-    arr = np.asarray(amps, dtype=np.complex128).reshape(-1)
-    return arr
-
-
 def _qubit_count_for_dim(dim: int, what: str) -> int:
     n = int(round(math.log2(dim))) if dim > 0 else 0
     if dim <= 0 or 2 ** n != dim:
@@ -68,7 +63,7 @@ class PureState:
     __slots__ = ("n", "amps")
 
     def __init__(self, amps, n: Optional[int] = None):
-        arr = _as_complex_vector(amps)
+        arr = np.asarray(amps, dtype=np.complex128).reshape(-1)
         inferred = _qubit_count_for_dim(arr.size, "state vector")
         if inferred < 1:
             raise ValidationError("state vector needs at least one qubit")
@@ -177,6 +172,7 @@ def basis_state(bits: str) -> PureState:
 
 def random_pure_state(n: int, rng: Optional[np.random.Generator] = None) -> PureState:
     """Haar-random pure state: normalized vector of independent standard complex Gaussians."""
+    n = _integer(n, "qubit count")
     if not 1 <= n <= MAX_QUBITS:
         raise ArgumentError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
     rng = np.random.default_rng() if rng is None else rng
@@ -199,14 +195,22 @@ def tensor_product(a: State, b: State) -> State:
 def permute_qubits(psi: PureState, order: Sequence[int]) -> PureState:
     """Rearrange qubits so position k of the result holds original qubit order[k-1] (1-based)."""
     n = psi.n
+    order = [_integer(q, "qubit index") for q in order]
     if sorted(order) != list(range(1, n + 1)):
         raise ArgumentError(f"order must be a permutation of 1..{n}, got {tuple(order)}")
     arr = psi.amps.reshape([2] * n).transpose([q - 1 for q in order]).reshape(-1)
     return PureState(arr.copy())
 
 
+def _integer(value, what: str) -> int:
+    # NumPy integers pass; bool is an Integral too, but True as a count or a qubit is a caller's slip
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ArgumentError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_keep(keep: Iterable[int], n: int) -> list:
-    kept = list(keep)
+    kept = [_integer(q, "qubit index") for q in keep]
     if not kept:
         raise ArgumentError("keep must name at least one qubit")
     if len(set(kept)) != len(kept):
@@ -218,39 +222,42 @@ def _check_keep(keep: Iterable[int], n: int) -> list:
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept qubits, in the order given.
+    """Reduced density matrix on the kept qubits (1-based), in the order given.
 
-    Qubit indices are 1-based. The traced-out qubits are summed over; the
-    result keeps trace 1 and positivity automatically.
+    The density-matrix case of reduced_density_matrix: the traced-out qubits
+    are summed over, and the result keeps trace 1 and positivity.
     """
-    n = rho.n
-    kept = _check_keep(keep, n)
-    kept0 = [q - 1 for q in kept]
-    arr = rho.entries.reshape([2] * (2 * n))
-    row_labels = list(range(n))
-    col_labels = [n + i if i in kept0 else i for i in range(n)]
-    out_labels = kept0 + [n + i for i in kept0]
-    red = np.einsum(arr, row_labels + col_labels, out_labels)
-    k = len(kept0)
-    return DensityMatrix._trusted(red.reshape(2 ** k, 2 ** k))
+    return reduced_density_matrix(rho, keep)
 
 
 def reduced_density_matrix(state: State, keep: Iterable[int]) -> DensityMatrix:
     """Marginal of a pure or mixed state on the kept qubits (1-based, order preserved).
 
-    Pure inputs avoid building the full projector: the amplitudes are gathered
-    as a (kept, rest) matrix A and the marginal is A A^dag. A single kept
-    qubit's marginal comes from _qubit_marginals, with the bits of every
-    other single-qubit marginal of the state.
+    From _state_marginals: a pure input's full projector is never built, and
+    one kept qubit's marginal has its bits among all single-qubit marginals.
     """
-    if isinstance(state, DensityMatrix):
-        return partial_trace(state, keep)
     kept = _check_keep(keep, state.n)
-    amps = state.amps[None, :]
-    if len(kept) == 1:
-        return DensityMatrix._trusted(_qubit_marginals(amps, [kept[0] - 1])[0, 0])
-    table = _gather_table(state.n, (tuple(q - 1 for q in kept),))
-    return DensityMatrix._trusted(_marginals(amps, table)[0, 0])
+    return DensityMatrix._trusted(_state_marginals(state, (tuple(q - 1 for q in kept),))[0])
+
+
+def _state_marginals(state: State, groups: Optional[Sequence[Sequence[int]]] = None) -> np.ndarray:
+    """(G, 2^k, 2^k) marginals of a state on G groups of k distinct 0-based qubits (default: every qubit).
+
+    The one place that picks a marginal kernel; rows and columns follow the
+    group's qubit order. Pure states: _qubit_marginals for single qubits,
+    _marginals for larger groups. A density matrix reads the index table T
+    as rho_g[a, b] = sum_r rho[T[a, r], T[b, r]]: one take of G 2^k 2^n
+    entries (at most rho's 4^n for one group or distinct single qubits),
+    exactly Hermitian since [b, a] sums [a, b]'s conjugates in order. Every
+    qubit reads the cached _subset_table(n, 1), named groups a fresh table.
+    """
+    if isinstance(state, PureState):
+        amps = state.amps[None, :]
+        if groups is None or len(groups[0]) == 1:
+            return _qubit_marginals(amps, None if groups is None else [q for q, in groups])[0]
+        return _marginals(amps, _gather_table(state.n, groups))[0]
+    table = _subset_table(state.n, 1) if groups is None else _gather_table(state.n, groups)
+    return state.entries[table[:, :, None, :], table[:, None, :, :]].sum(axis=-1)
 
 
 @lru_cache(maxsize=2 * MAX_QUBITS)
@@ -273,17 +280,18 @@ _DOT_MARGINALS = 10
 
 
 def _gather_table(n: int, groups: tuple) -> np.ndarray:
-    """(G, 2^k, 2^(n-k)) amplitude indices for G groups of k distinct 0-based qubits.
+    """(G, 2^k, 2^(n-k)) basis-state indices for G groups of k distinct 0-based qubits.
 
-    Row r of group g lists the amplitudes whose bits on g's qubits, read in
-    g's order, spell r; along the row the other qubits keep ascending index
-    order.
+    Row r of group g lists the basis states whose bits on g's qubits, read
+    in g's order, spell r; along the row the other qubits keep ascending
+    index order. Pure marginals gather amplitudes by it, density-matrix
+    marginals entries.
     """
     idx = np.arange(1 << n).reshape([2] * n)
     k = len(groups[0])
     table = np.empty((len(groups), 1 << k, 1 << (n - k)), dtype=idx.dtype)
     for g, block in zip(groups, table):
-        block.reshape([2] * n)[...] = np.moveaxis(idx, g, range(k))
+        block.reshape([2] * n)[...] = idx.transpose([*g, *(q for q in range(n) if q not in g)])
     return table
 
 
@@ -404,16 +412,16 @@ def eig_hermitian(matrix: Union[DensityMatrix, np.ndarray], vectors: bool = Fals
 
     Accepts a DensityMatrix, a raw Hermitian ndarray, or a stack of them of
     shape (..., d, d), which is solved in one call with spectra along the last
-    axis. Non-Hermitian input raises ValidationError; failure of LAPACK to
-    converge raises NumericError.
+    axis. Non-Hermitian, non-square or empty input raises ValidationError;
+    failure of LAPACK to converge raises NumericError.
     """
     if isinstance(matrix, DensityMatrix):
         arr = matrix.entries
     else:
         arr = np.asarray(matrix, dtype=np.complex128)
-        if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-            raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-        scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
+        if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
+            raise ValidationError(f"expected a nonempty square matrix, got shape {arr.shape}")
+        scale = max(1.0, float(np.max(np.abs(arr))))
         _require_hermitian(arr, "matrix", HERMITICITY_ATOL * scale)
     w, v = _eigh(arr, vectors)
     return Spectrum(eigenvalues=w, eigenvectors=v)

@@ -491,6 +491,12 @@ def test_discriminate_argument_errors():
         discriminate_noisy(DensityMatrix(np.eye(4) / 4), "w")
 
 
+@pytest.mark.parametrize("which", [None, 3, ("w",)])
+def test_discriminate_rejects_a_family_that_is_not_a_string(which):
+    with pytest.raises(ArgumentError, match="which must be 'w' or 'ghz'"):
+        discriminate_noisy(build_noisy_w(0.1), which)
+
+
 # ---------------------------------------------------------------- analytic facets
 
 

@@ -131,6 +131,18 @@ def test_emps_index_out_of_range():
         emps(basis_state("00"), 0)
 
 
+@pytest.mark.parametrize("qubit", [1.0, np.float64(2), True, "1", None])
+def test_emps_qubit_must_be_an_integer(qubit):
+    for state in (basis_state("00"), basis_state("00").density()):
+        with pytest.raises(ArgumentError, match="must be an integer, got"):
+            emps(state, qubit)
+
+
+def test_emps_accepts_a_numpy_integer_qubit():
+    rho = DensityMatrix(random_density(8, np.random.default_rng(111)))
+    assert emps(rho, np.int64(2)) == emps(rho, 2)
+
+
 def test_emps_agrees_with_passive_energy_of_marginal():
     rng = np.random.default_rng(109)
     for _ in range(10):
@@ -374,10 +386,16 @@ def test_dot_path_exact_values(n):
 
 @pytest.mark.parametrize("n", [3, 9, 10, 12])
 def test_emps_of_one_qubit_has_the_bits_of_emps_vector(n):
-    psi = random_pure_state(n, np.random.default_rng(760 + n))
-    want = emps_vector(psi).values
-    for q in range(1, n + 1):
-        assert emps(psi, q).hex() == float(want[q - 1]).hex(), q
+    rng = np.random.default_rng(760 + n)
+    psi = random_pure_state(n, rng)
+    states = [psi]
+    if n <= 10:  # the density path, on the projector and on a mixture of two pure states
+        mixed = 0.6 * psi.density().entries + 0.4 * random_pure_state(n, rng).density().entries
+        states += [psi.density(), DensityMatrix._trusted(mixed)]
+    for state in states:
+        want = emps_vector(state).values
+        for q in range(1, n + 1):
+            assert emps(state, q).hex() == float(want[q - 1]).hex(), (state, q)
 
 
 def test_orbit_sample_prefix_stability_on_the_dot_path():

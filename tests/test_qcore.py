@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empskit import cli, qcore
-from empskit.classify import build_ghz, build_w
+from empskit.classify import build_dicke, build_ghz, build_noisy_ghz, build_noisy_w, build_w
 from empskit.errors import ArgumentError, CapacityError, NumericError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
@@ -203,6 +203,112 @@ def test_partial_trace_argument_errors():
         partial_trace(rho, (3,))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: partial_trace(BELL.density(), (1.0,)),
+        lambda: partial_trace(BELL.density(), (True,)),
+        lambda: reduced_density_matrix(random_pure_state(3, np.random.default_rng(1)), (1.0, 2)),
+        lambda: reduced_density_matrix(BELL, (np.float64(2),)),
+        lambda: permute_qubits(random_pure_state(3, np.random.default_rng(1)), (2.0, 1.0, 3.0)),
+        lambda: permute_qubits(BELL, (True, 2)),
+        lambda: random_pure_state(3.0),
+        lambda: random_pure_state(True),
+        lambda: random_pure_state("3"),
+    ],
+    ids=["trace-float", "trace-bool", "rdm-float", "rdm-np-float", "permute-float", "permute-bool",
+         "random-float", "random-bool", "random-str"],
+)
+def test_qubit_labels_and_counts_must_be_integers(call):
+    with pytest.raises(ArgumentError, match="must be an integer, got"):
+        call()
+
+
+def test_numpy_integer_qubit_labels_and_counts_are_accepted():
+    psi = random_pure_state(3, np.random.default_rng(4))
+    keep = (np.int64(3), np.uint8(1))
+    assert np.array_equal(reduced_density_matrix(psi, keep).entries, reduced_density_matrix(psi, (3, 1)).entries)
+    rho = psi.density()
+    assert np.array_equal(partial_trace(rho, keep).entries, partial_trace(rho, (3, 1)).entries)
+    order = (np.int32(2), np.int64(3), np.uint16(1))
+    assert np.array_equal(permute_qubits(psi, order).amps, permute_qubits(psi, (2, 3, 1)).amps)
+    assert random_pure_state(np.int64(2), np.random.default_rng(0)).n == 2
+
+
+def _density_inputs(n, rng):
+    # a random full-rank state, white-noise W and GHZ mixtures, and a pure projector
+    states = [DensityMatrix(random_density(2 ** n, rng)), random_pure_state(n, rng).density()]
+    if n == 3:
+        states += [build_noisy_w(0.2), build_noisy_ghz(0.5)]
+    elif n >= 2:
+        for pure in (build_dicke(n, 1), build_ghz(n, math.pi / 4)):
+            states.append(DensityMatrix(0.7 * pure.density().entries + 0.3 / 2 ** n * np.eye(2 ** n)))
+    return states
+
+
+def _relabel(marginal, order):
+    # the marginal of a sorted kept subset with its qubits read in `order` (positions into the subset)
+    k = len(order)
+    t = marginal.reshape([2] * (2 * k))
+    return t.transpose(list(order) + [k + i for i in order]).reshape(2 ** k, 2 ** k)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_density_marginals_match_the_summation_oracle_in_every_order(n):
+    # every kept subset in every order, up to all n qubits permuted; from five qubits
+    # on the oracle runs once per subset and each order relabels its output
+    rng = np.random.default_rng(1100 + n)
+    eps = np.finfo(float).eps
+    for rho in _density_inputs(n, rng):
+        for k in range(1, n + 1):
+            # the oracle adds 2^(n-k) terms one after another; on the noisy W mixture at
+            # n = 6 its own rounding reaches 1e-15 (the kernel's is checked below)
+            tol = max(1e-15, 2 ** (n - k - 2) * eps)
+            for subset in itertools.combinations(range(1, n + 1), k):
+                sorted_want = partial_trace_oracle(rho.entries, n, subset)
+                for order in itertools.permutations(range(k)):
+                    keep = tuple(subset[i] for i in order)
+                    want = partial_trace_oracle(rho.entries, n, keep) if n <= 4 else _relabel(sorted_want, order)
+                    got = partial_trace(rho, keep).entries
+                    assert np.max(np.abs(got - want)) <= tol, keep
+                    assert np.array_equal(reduced_density_matrix(rho, keep).entries, got), keep
+        every = qcore._state_marginals(rho)
+        singles = [partial_trace_oracle(rho.entries, n, (q,)) for q in range(1, n + 1)]
+        assert np.max(np.abs(every - singles)) <= max(1e-15, 2 ** (n - 3) * eps)
+        # each qubit's populations against the exactly rounded sums of the diagonal
+        diag = rho.entries.diagonal().real
+        for q in range(n):
+            bit = np.arange(2 ** n) >> (n - 1 - q) & 1
+            exact = [math.fsum(diag[bit == 0]), math.fsum(diag[bit == 1])]
+            assert np.max(np.abs(every[q].diagonal().real - exact)) <= 2 * eps, q
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8])
+def test_density_marginals_are_exactly_hermitian(n):
+    # entry [b, a] sums the conjugates of entry [a, b]'s terms in the same order
+    rng = np.random.default_rng(1200 + n)
+    rho = DensityMatrix._trusted(random_density(2 ** n, rng))
+    groups = [None, [(q,) for q in range(n)][::-1]]
+    if n >= 3:
+        groups.append([(n - 1, 0, 1)])
+    for group in groups:
+        m = qcore._state_marginals(rho, group)
+        assert np.array_equal(m, m.conj().swapaxes(-1, -2))
+        assert np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)) <= 1e-14
+
+
+def test_density_marginals_of_every_qubit_read_the_cached_table():
+    rho = DensityMatrix(random_density(16, np.random.default_rng(13)))
+    qcore._state_marginals(rho)
+    before = qcore._subset_table.cache_info()
+    qcore._state_marginals(rho)
+    after = qcore._subset_table.cache_info()
+    assert after.hits == before.hits + 1 and after.currsize == before.currsize
+    for keep in itertools.permutations(range(1, 5), 3):
+        partial_trace(rho, keep)
+    assert qcore._subset_table.cache_info().currsize == before.currsize
+
+
 def test_reduced_density_matrix_pure_fast_path_agrees():
     rng = np.random.default_rng(9)
     psi = random_pure_state(5, rng)
@@ -280,6 +386,12 @@ def test_eig_reconstruction_residual():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError, match="Hermitian"):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])
+def test_eig_rejects_empty_input(shape):
+    with pytest.raises(ValidationError, match="nonempty square matrix"):
+        eig_hermitian(np.zeros(shape))
 
 
 def test_eig_handles_degenerate_spectra():

@@ -418,7 +418,7 @@ def test_entropy_criterion_ghz_is_one():
 def _entropy_criterion_reference(psi):
     # the per-pair public-API path: one marginal and one eigensolve at a time; a
     # PureState's marginals come from the same qcore kernel as entropy_criterion's,
-    # a DensityMatrix's from partial_trace's einsum
+    # a DensityMatrix's from the density-matrix take over the same index table
     n = psi.n
     singles = [von_neumann_entropy(reduced_density_matrix(psi, (i,))) for i in range(1, n + 1)]
     return min(
@@ -468,7 +468,8 @@ def test_entropy_criterion_is_the_per_pair_loop_on_ground_states(n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_entropy_criterion_matches_density_matrix_marginals(n):
-    # marginals by partial_trace on the projector, independent of the pure-state kernel
+    # marginals by partial_trace on the projector: they share the pure kernel's index
+    # table, which the density-marginal oracle tests in test_qcore.py guard
     rng = np.random.default_rng(950 + n)
     states = [random_pure_state(n, rng), _transverse_field_ground_state(n, h=0.7)]
     for psi in states:
