@@ -89,13 +89,15 @@ def _require(cond: bool, constraint: str):
 
 
 def _indices_with_excitations(n: int, l: int) -> List[int]:
-    out = [i for i in range(2 ** n) if bin(i).count("1") == l]
-    return out
+    """Basis indices of the n-qubit states with l ones, for integers 2 <= n <= MAX_QUBITS, 1 <= l <= n-1."""
+    _require(qcore._is_integer(n) and 2 <= n <= qcore.MAX_QUBITS, f"2 <= n <= {qcore.MAX_QUBITS}")
+    _require(qcore._is_integer(l) and 1 <= l <= n - 1, "1 <= l <= n-1")
+    return [i for i in range(2 ** n) if bin(i).count("1") == l]
 
 
 def build_ghz(n: int, theta: float) -> PureState:
     """cos(theta)|0...0> + sin(theta)|1...1> with theta in (0, pi/4]."""
-    _require(isinstance(n, int) and 2 <= n <= qcore.MAX_QUBITS, f"2 <= n <= {qcore.MAX_QUBITS}")
+    _require(qcore._is_integer(n) and 2 <= n <= qcore.MAX_QUBITS, f"2 <= n <= {qcore.MAX_QUBITS}")
     # slack admits pi/4 rounded to fewer digits than a double carries
     _require(0.0 < theta <= math.pi / 4 + 1e-9, "theta in (0, pi/4]")
     amps = np.zeros(2 ** n, dtype=np.complex128)
@@ -119,8 +121,6 @@ def build_w(coeffs: Sequence[float]) -> PureState:
 
 def build_dicke(n: int, l: int) -> PureState:
     """Symmetric state of n qubits with exactly l excitations, uniform over permutations."""
-    _require(isinstance(n, int) and 2 <= n <= qcore.MAX_QUBITS, f"2 <= n <= {qcore.MAX_QUBITS}")
-    _require(isinstance(l, int) and 1 <= l <= n - 1, "1 <= l <= n-1")
     idx = _indices_with_excitations(n, l)
     amps = np.zeros(2 ** n, dtype=np.complex128)
     amps[idx] = 1.0 / math.sqrt(len(idx))
@@ -133,8 +133,6 @@ def build_generalized_dicke(n: int, l: int, coeffs: Sequence[complex]) -> PureSt
     Coefficient order follows ascending basis index of the bit strings with
     exactly l ones.
     """
-    _require(isinstance(n, int) and 2 <= n <= qcore.MAX_QUBITS, f"2 <= n <= {qcore.MAX_QUBITS}")
-    _require(isinstance(l, int) and 1 <= l <= n - 1, "1 <= l <= n-1")
     idx = _indices_with_excitations(n, l)
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     _require(c.size == len(idx), f"coefficient count equals C({n},{l}) = {len(idx)}")
@@ -146,7 +144,7 @@ def build_generalized_dicke(n: int, l: int, coeffs: Sequence[complex]) -> PureSt
 
 def build_biseparable(alpha: complex, beta: complex, position: int) -> PureState:
     """Three-qubit state |0> at `position` times alpha|00> + beta|11> on the other two."""
-    _require(position in (1, 2, 3), "position in {1, 2, 3}")
+    _require(qcore._is_integer(position) and position in (1, 2, 3), "position in {1, 2, 3}")
     _require(abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= qcore.NORMALIZATION_ATOL, "|alpha|^2 + |beta|^2 = 1")
     pair = [q for q in (1, 2, 3) if q != position]
     amps = np.zeros(8, dtype=np.complex128)
@@ -157,7 +155,7 @@ def build_biseparable(alpha: complex, beta: complex, position: int) -> PureState
 
 def build_noisy_w(v1: float) -> DensityMatrix:
     """(1 - v1) |W><W| + v1/8 * identity on three qubits, v1 in [0, 1]."""
-    _require(0.0 <= v1 <= 1.0, "v1 in [0, 1]")
+    _require(0.0 <= v1 <= 1.0 and qcore._is_number(v1), "v1 in [0, 1]")
     w = build_dicke(3, 1).density().entries
     mixed = (1.0 - v1) * w + (v1 / 8.0) * np.eye(8)
     return DensityMatrix._trusted(mixed)
@@ -165,7 +163,7 @@ def build_noisy_w(v1: float) -> DensityMatrix:
 
 def build_noisy_ghz(v2: float) -> DensityMatrix:
     """(1 - v2) |GHZ><GHZ| + v2/8 * identity on three qubits, v2 in [0, 1]."""
-    _require(0.0 <= v2 <= 1.0, "v2 in [0, 1]")
+    _require(0.0 <= v2 <= 1.0 and qcore._is_number(v2), "v2 in [0, 1]")
     g = build_ghz(3, math.pi / 4).density().entries
     mixed = (1.0 - v2) * g + (v2 / 8.0) * np.eye(8)
     return DensityMatrix._trusted(mixed)

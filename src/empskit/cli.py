@@ -79,11 +79,14 @@ def _read_json(path: str, what: str):
         raise ValidationError(f"{what} file {path} cannot be read: {exc}") from exc
 
 
+_STATE_FILE_FORMS = (("builder", "params"), *qcore._STATE_FORMS)
+
+
 def _load_state(args):
     """Resolve --state / --builder into (state, state_id)."""
     if getattr(args, "state", None):
         payload = _read_json(args.state, "state")
-        if isinstance(payload, dict) and "builder" in payload:
+        if qcore._json_fields(payload, "state description", _STATE_FILE_FORMS) == "builder":
             spec = cls.StateBuilderSpec(family=str(payload["builder"]), params=payload.get("params", {}))
             return cls.build_state(spec), args.state
         return qcore.state_from_dict(payload), args.state
@@ -138,8 +141,6 @@ def _cmd_emps(args) -> dict:
 
 def _cmd_classify(args) -> dict:
     state, state_id = _load_state(args)
-    if not isinstance(state, qcore.PureState):
-        raise ArgumentError("classification needs a pure state")
     label = cls.classify_three_qubit(state)
     v = emps_vector(state)
     return {

@@ -208,8 +208,6 @@ def emps_vectors(amps) -> np.ndarray:
     if arr.ndim != 2:
         raise ValidationError(f"amplitude stack must have shape (B, 2^n), got {arr.shape}")
     n = qcore._qubit_count_for_dim(arr.shape[1], "state vector")
-    if n < 1:
-        raise ValidationError("state vector needs at least one qubit")
     qcore._require_normalized_rows(arr, "amplitude row")
     out = np.empty((arr.shape[0], n))
     batch = max(1, _CHUNK_AMPLITUDES // arr.shape[1])

@@ -30,12 +30,47 @@ EIGENVALUE_FLOOR = -1e-10
 
 
 def _qubit_count_for_dim(dim: int, what: str) -> int:
+    """The qubit count of a dimension: a power of two for 1 to MAX_QUBITS qubits."""
     n = int(round(math.log2(dim))) if dim > 0 else 0
     if dim <= 0 or 2 ** n != dim:
         raise ValidationError(f"{what} dimension {dim} is not a power of two")
     if n > MAX_QUBITS:
         raise CapacityError(f"{what} needs {n} qubits, limit is {MAX_QUBITS}")
+    if n < 1:
+        raise ValidationError(f"{what} needs at least one qubit")
     return n
+
+
+def _is_integer(value) -> bool:
+    """numbers.Integral, NumPy integers too, but not bool: True as a count or a qubit is a slip."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """numbers.Real but not bool, so no numeric string either; NaN and inf are numbers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value, what: str, error: type = ArgumentError) -> int:
+    if not _is_integer(value):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_fields(payload, what: str, forms: Sequence[tuple]) -> Optional[str]:
+    """The name of the form a JSON object takes: the first form whose name, its first field, it holds.
+
+    A form named None is always taken. ValidationError for a non-object, no form, or a field outside it.
+    """
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    for form in forms:
+        if form[0] is None or form[0] in payload:
+            unknown = sorted(set(payload) - set(form))
+            if unknown:
+                raise ValidationError(f"{what} has fields {unknown} outside {[f for f in form if f]}")
+            return form[0]
+    raise ValidationError(f"{what} needs " + " or ".join(f'"{form[0]}"' for form in forms))
 
 
 def _require_hermitian(arr: np.ndarray, what: str, atol: float):
@@ -65,8 +100,6 @@ class PureState:
     def __init__(self, amps, n: Optional[int] = None):
         arr = np.asarray(amps, dtype=np.complex128).reshape(-1)
         inferred = _qubit_count_for_dim(arr.size, "state vector")
-        if inferred < 1:
-            raise ValidationError("state vector needs at least one qubit")
         if n is not None and n != inferred:
             raise ValidationError(f"declared n={n} but amplitude vector has 2^{inferred} entries")
         norm_sq = float(np.vdot(arr, arr).real)
@@ -128,8 +161,6 @@ class DensityMatrix:
         # Checks shared by both constructors: qubit dimension, Hermiticity and
         # unit trace. Stores the exactly Hermitian part, read-only.
         n = _qubit_count_for_dim(arr.shape[0], "density matrix")
-        if n < 1:
-            raise ValidationError("density matrix needs at least one qubit")
         _require_hermitian(arr, "density matrix", HERMITICITY_ATOL)
         tr = complex(np.trace(arr))
         if not abs(tr - 1.0) <= TRACE_ATOL:
@@ -162,9 +193,7 @@ def basis_state(bits: str) -> PureState:
     """Computational basis state from a bit string, e.g. "010" -> |010>."""
     if not bits or any(c not in "01" for c in bits):
         raise ValidationError(f"basis label must be a nonempty string of 0/1, got {bits!r}")
-    n = len(bits)
-    if n > MAX_QUBITS:
-        raise CapacityError(f"basis state on {n} qubits exceeds the {MAX_QUBITS}-qubit limit")
+    n = _qubit_count_for_dim(1 << len(bits), "basis state")
     amps = np.zeros(2 ** n, dtype=np.complex128)
     amps[int(bits, 2)] = 1.0
     return PureState(amps)
@@ -185,8 +214,7 @@ def tensor_product(a: State, b: State) -> State:
     pure = isinstance(a, PureState) and isinstance(b, PureState)
     if not (pure or (isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix))):
         raise ArgumentError("tensor_product operands must both be PureState or both DensityMatrix")
-    if a.n + b.n > MAX_QUBITS:
-        raise CapacityError(f"tensor product on {a.n + b.n} qubits exceeds the {MAX_QUBITS}-qubit limit")
+    _qubit_count_for_dim(a.dim * b.dim, "tensor product")
     if pure:
         return PureState(np.kron(a.amps, b.amps))
     return DensityMatrix._trusted(np.kron(a.entries, b.entries))
@@ -200,13 +228,6 @@ def permute_qubits(psi: PureState, order: Sequence[int]) -> PureState:
         raise ArgumentError(f"order must be a permutation of 1..{n}, got {tuple(order)}")
     arr = psi.amps.reshape([2] * n).transpose([q - 1 for q in order]).reshape(-1)
     return PureState(arr.copy())
-
-
-def _integer(value, what: str) -> int:
-    # NumPy integers pass; bool is an Integral too, but True as a count or a qubit is a caller's slip
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ArgumentError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_keep(keep: Iterable[int], n: int) -> list:
@@ -465,40 +486,29 @@ def state_to_dict(state: State) -> dict:
     }
 
 
+# The forms of state_from_dict, each named by its first field
+_STATE_FORMS = (("amps", "n"), ("entries", "dim"))
+
+
 def state_from_dict(payload: dict) -> State:
     """Parse {"n", "amps": [[re, im], ...]} or {"dim", "entries": row-major [[re, im], ...]}.
 
+    n and dim are optional integers; any other field is a ValidationError.
     Builder-style payloads ({"builder": ..., "params": ...}) are handled one
     level up, by the classify module's state factory.
     """
-    if not isinstance(payload, dict):
-        raise ValidationError("state description must be a JSON object")
-    if "amps" in payload:
-        amps = _pairs_to_complex(payload["amps"], "amps")
-        state = PureState(amps)
-        declared = _declared_int(payload, "n")
-        if declared is not None and declared != state.n:
-            raise ValidationError(f"declared n={declared} but amps describe {state.n} qubits")
-        return state
-    if "entries" in payload:
-        entries = _pairs_to_complex(payload["entries"], "entries")
-        dim = _declared_int(payload, "dim")
-        if dim is None:
-            dim = int(round(math.sqrt(entries.size)))
-        if dim < 1 or dim * dim != entries.size:
-            raise ValidationError(
-                f"entries has {entries.size} values, which is not dim^2 for dim={dim}"
-            )
-        return DensityMatrix(entries.reshape(dim, dim), dim=dim)
-    raise ValidationError('state description needs "amps", "entries", or "builder"')
-
-
-def _declared_int(payload: dict, field: str) -> Optional[int]:
-    """payload[field] if present, which must be an integer (a bool is not one), else None."""
-    value = payload.get(field)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise ValidationError(f'state field "{field}" must be an integer, got {value!r}')
-    return value
+    if _json_fields(payload, "state description", _STATE_FORMS) == "amps":
+        n = payload.get("n")
+        n = None if n is None else _integer(n, 'state field "n"', ValidationError)
+        return PureState(_pairs_to_complex(payload["amps"], "amps"), n)
+    entries = _pairs_to_complex(payload["entries"], "entries")
+    dim = payload.get("dim")
+    dim = round(math.sqrt(entries.size)) if dim is None else _integer(dim, 'state field "dim"', ValidationError)
+    if dim < 1 or dim * dim != entries.size:
+        raise ValidationError(
+            f"entries has {entries.size} values, which is not dim^2 for dim={dim}"
+        )
+    return DensityMatrix(entries.reshape(dim, dim), dim=dim)
 
 
 def _pairs_to_complex(values, what: str) -> np.ndarray:

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import operator
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple, Union
 
@@ -70,16 +68,18 @@ class SpinChainSpec:
     extra_terms: Tuple[Tuple[float, str], ...] = ()
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "N", operator.index(self.N))
-        except TypeError:
-            raise ValidationError(f"site count N must be an integer, got {self.N!r}") from None
+        object.__setattr__(self, "N", qcore._integer(self.N, "site count N", ValidationError))
         if not MIN_SITES <= self.N <= MAX_SITES:
             raise ValidationError(f"site count N must be in {MIN_SITES}..{MAX_SITES}, got {self.N}")
         for name in ("J", "h"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            try:
+                finite = qcore._is_number(value) and math.isfinite(value)
+            except OverflowError:  # an integer past the float range
+                finite = False
+            if not finite:
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         try:
             terms = tuple((float(c), str(s).upper()) for c, s in self.extra_terms)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -443,17 +443,10 @@ def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]
 
 
 def spec_from_dict(payload: dict) -> SpinChainSpec:
-    """Parse {"N", "J", "h", "extra_terms": [[coeff, "IXZ..."], ...]}."""
-    if not isinstance(payload, dict):
-        raise ValidationError("spin chain spec must be a JSON object")
-    known = {"N", "J", "h", "extra_terms"}
-    unknown = set(payload) - known
-    if unknown:
-        raise ValidationError(f"unknown spin chain fields {sorted(unknown)}")
-    try:
-        n, J, h = (float(payload.get(k, d)) for k, d in (("N", 5), ("J", 1.0), ("h", 1.0)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("spin chain fields N, J and h must be numbers") from exc
-    if not n.is_integer():
-        raise ValidationError(f"site count N must be an integer, got {payload['N']!r}")
-    return SpinChainSpec(N=int(n), J=J, h=h, extra_terms=payload.get("extra_terms", ()))
+    """Parse {"N", "J", "h", "extra_terms": [[coeff, "IXZ..."], ...]}; N may be a whole float such as 4.0."""
+    qcore._json_fields(payload, "spin chain spec", [(None, "N", "J", "h", "extra_terms")])
+    n, J, h = (payload.get(k, d) for k, d in (("N", 5), ("J", 1.0), ("h", 1.0)))
+    if not all(map(qcore._is_number, (n, J, h))):
+        raise ValidationError("spin chain fields N, J and h must be numbers")
+    n = int(n) if isinstance(n, float) and n.is_integer() else n  # SpinChainSpec rejects other floats
+    return SpinChainSpec(N=n, J=J, h=h, extra_terms=payload.get("extra_terms", ()))

@@ -564,3 +564,57 @@ def test_random_biseparable_has_zero_marginal_at_cut():
         assert v[cut - 1] <= 1e-12
         others = [v[i] for i in range(3) if i != cut - 1]
         assert abs(others[0] - others[1]) <= 1e-9
+
+
+# ---------------------------------------------------------------- parameter types
+
+
+@pytest.mark.parametrize("n, l", [(np.int64(4), np.int64(2)), (np.int32(3), np.uint8(1))])
+def test_integer_builders_accept_numpy_integers(n, l):
+    assert np.array_equal(build_ghz(n, 0.5).amps, build_ghz(int(n), 0.5).amps)
+    assert np.array_equal(build_dicke(n, l).amps, build_dicke(int(n), int(l)).amps)
+    m = math.comb(int(n), int(l))
+    coeffs = np.full(m, 1 / math.sqrt(m))
+    assert np.array_equal(
+        build_generalized_dicke(n, l, coeffs).amps, build_generalized_dicke(int(n), int(l), coeffs).amps
+    )
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("ghz", {"n": True, "theta": 0.5}, "2 <= n"),
+        ("ghz", {"n": 3.0, "theta": 0.5}, "2 <= n"),
+        ("dicke", {"n": 3, "l": True}, "1 <= l"),
+        ("dicke", {"n": 3, "l": 1.0}, "1 <= l"),
+        ("generalized_dicke", {"n": 3, "l": True, "coeffs": [0.6, 0.8, 0.0]}, "1 <= l"),
+        ("biseparable", {"alpha": 0.6, "beta": 0.8, "position": 1.0}, "position"),
+        ("biseparable", {"alpha": 0.6, "beta": 0.8, "position": True}, "position"),
+        ("noisy_w", {"v1": True}, "v1"),
+        ("noisy_ghz", {"v2": False}, "v2"),
+    ],
+)
+def test_builders_reject_bools_and_floats_for_integers_and_bools_for_numbers(family, params, message):
+    with pytest.raises(ValidationError, match=f"builder parameters violate: .*{message}"):
+        build_state(StateBuilderSpec(family=family, params=params))
+
+
+def test_biseparable_rejects_a_float_position():
+    with pytest.raises(ValidationError, match="position in"):
+        build_biseparable(0.6, 0.8, 1.0)
+
+
+@pytest.mark.parametrize("family, params", [("noisy_w", {"v1": "0.5"}), ("noisy_ghz", {"v2": None})])
+def test_uncomparable_noise_weight_is_a_wrong_type(family, params):
+    with pytest.raises(ValidationError, match=f"family '{family}' got a parameter of the wrong type"):
+        build_state(StateBuilderSpec(family=family, params=params))
+
+
+def test_string_qubit_count_violates_the_range():
+    with pytest.raises(ValidationError, match="builder parameters violate: 2 <= n <= 12"):
+        build_state(StateBuilderSpec(family="ghz", params={"n": "3", "theta": 0.5}))
+
+
+def test_random_biseparable_rejects_a_cut_outside_1_to_3():
+    with pytest.raises(ArgumentError, match="cut must be 1, 2, or 3, got 4"):
+        random_biseparable_three_qubit(np.random.default_rng(0), cut=4)

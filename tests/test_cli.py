@@ -487,3 +487,98 @@ def test_ising_on_twelve_site_spec_file(tmp_path, capsys, extra):
     assert record["spec"]["N"] == 12
     assert record["degenerate"] is False and record["gap"] > 0.1
     assert record["eta"] > 0.0 and record["entropy_criterion"] >= 0.0
+
+
+# ---------------------------------------------------------------- input rules
+
+
+def _exits_2(tmp_path, capsys, argv, payload, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert cli.run([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"builder": "dicke", "params": {"n": 3, "l": True}}, "1 <= l <= n-1"),
+        ({"builder": "biseparable", "params": {"alpha": 0.6, "beta": 0.8, "position": True}}, "position in"),
+        ({"builder": "noisy_w", "params": {"v1": True}}, "v1 in [0, 1]"),
+        ({"builder": "ghz", "params": {"n": True, "theta": 0.5}}, "2 <= n <= 12"),
+    ],
+)
+def test_builder_file_with_a_bool_parameter_exits_2(tmp_path, capsys, payload, message):
+    _exits_2(tmp_path, capsys, ["emps", "--state"], payload, f"builder parameters violate: {message}")
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"N": "4"}, "N, J and h must be numbers"),
+        ({"J": "1.5"}, "N, J and h must be numbers"),
+        ({"h": True}, "N, J and h must be numbers"),
+        ({"N": 3, "J": 10 ** 400}, "J must be a finite number"),
+        ({"N": 3, "extra": []}, "spin chain spec has fields ['extra'] outside"),
+    ],
+)
+@pytest.mark.parametrize("argv", [["ising", "--spec"], ["sweep", "--values", "1.0", "--spec"]], ids=["ising", "sweep"])
+def test_spec_file_with_a_string_bool_huge_or_unknown_field_exits_2(tmp_path, capsys, argv, payload, message):
+    _exits_2(tmp_path, capsys, argv, payload, message)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 1, "amps": [[1, 0], [0, 0]], "N": 5}, "fields ['N'] outside ['amps', 'n']"),
+        ({"dim": 2, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]], "note": "x"}, "fields ['note'] outside"),
+        ({"builder": "dicke", "params": {"n": 3, "l": 1}, "label": "W"}, "fields ['label'] outside"),
+        ({"amps": [[1, 0], [0, 0]], "entries": [[1, 0]]}, "fields ['entries'] outside ['amps', 'n']"),
+        ({"builder": "dicke", "params": {"n": 3, "l": 1}, "amps": [[1, 0], [0, 0]]}, "fields ['amps'] outside"),
+        ({"state": [[1, 0], [0, 0]]}, 'state description needs "builder" or "amps" or "entries"'),
+    ],
+)
+def test_state_file_with_an_unknown_field_or_two_forms_exits_2(tmp_path, capsys, payload, message):
+    _exits_2(tmp_path, capsys, ["emps", "--state"], payload, message)
+
+
+def test_state_file_without_dim_infers_it(tmp_path, capsys):
+    payload = state_to_dict(build_noisy_w(0.2))
+    with_dim = tmp_path / "with.json"
+    with_dim.write_text(json.dumps(payload))
+    del payload["dim"]
+    without = tmp_path / "without.json"
+    without.write_text(json.dumps(payload))
+    a = run_json(capsys, ["emps", "--state", str(with_dim)])
+    b = run_json(capsys, ["emps", "--state", str(without)])
+    assert a.pop("state_id") != b.pop("state_id") and a == b
+
+
+@pytest.mark.parametrize("field", ["amps", "entries"])
+def test_state_file_with_non_numeric_pairs_exits_2(tmp_path, capsys, field):
+    payload = {field: [["x", 0], [0, 0]]}
+    _exits_2(tmp_path, capsys, ["emps", "--state"], payload, f"{field} must be a list of [re, im] pairs")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["emps", "--builder", "w", "--coeffs", "0.5,x"], "--coeffs must be a comma-separated list of numbers"),
+        (["polytope", "--point", "0.1,,0.2;0.3"], "--point must be a comma-separated list of numbers"),
+        (["sweep", "--model", "ising", "--values", "0.5,one"], "--values must be a comma-separated list of numbers"),
+        (["orbit", "--builder", "noisy_w", "--v1", "0.2", "--samples", "2"], "orbit sampling needs a pure state"),
+        (["ising"], "provide --spec FILE or --model ising|longrange"),
+        (["sweep", "--values", "1"], "provide --spec FILE or --model ising|longrange"),
+        (["sweep", "--model", "ising", "--range", "0:two:3"], "--range must look like start:stop:count"),
+        (["sweep", "--model", "ising", "--range", "0:2:1.5"], "--range must look like start:stop:count"),
+        (["sweep", "--model", "ising", "--range", "0:2:0"], "--range count must be >= 1"),
+        (["sweep", "--model", "ising", "--range", "0:2:-3"], "--range count must be >= 1"),
+    ],
+)
+def test_bad_flag_values_exit_2_with_their_message(capsys, argv, message):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -700,3 +700,60 @@ def test_state_from_dict_rejects_garbage():
             state_from_dict(payload)
     with pytest.raises(ValidationError, match="not dim\\^2 for dim=-2"):
         state_from_dict({"dim": -2, "entries": mixed})
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"N": 1, "amps": [[1.0, 0.0], [0.0, 0.0]]}, r"fields \['N'\] outside \['amps', 'n'\]"),
+        ({"dim": 2, "entries": [[1.0, 0.0]] * 4, "n": 1}, r"fields \['n'\] outside \['entries', 'dim'\]"),
+        ({"amps": [[1.0, 0.0], [0.0, 0.0]], "entries": [[1.0, 0.0]]}, r"fields \['entries'\] outside"),
+        ({"n": 1}, 'needs "amps" or "entries"'),
+        ({"builder": "w", "params": {"coeffs": [0.5, 0.5]}}, 'needs "amps" or "entries"'),
+        ("amps", "state description must be a JSON object"),
+    ],
+)
+def test_state_from_dict_rejects_unknown_fields_and_mixed_forms(payload, message):
+    with pytest.raises(ValidationError, match=message):
+        state_from_dict(payload)
+
+
+def test_state_from_dict_infers_dim_from_the_entry_count():
+    rho = DensityMatrix(random_density(4, np.random.default_rng(35)))
+    payload = state_to_dict(rho)
+    del payload["dim"]
+    assert np.array_equal(state_from_dict(payload).entries, rho.entries)
+    with pytest.raises(ValidationError, match="not dim\\^2 for dim=2"):
+        state_from_dict({"entries": [[0.5, 0.0]] * 5})
+
+
+@pytest.mark.parametrize("field", ["amps", "entries"])
+@pytest.mark.parametrize("values", [[["a", 0.0], [0.0, 0.0]], [[1.0, {}], [0.0, 0.0]], [[1.0, [0.0]], [0.0, 0.0]]])
+def test_state_from_dict_rejects_non_numeric_pairs(field, values):
+    with pytest.raises(ValidationError, match=f"{field} must be a list of \\[re, im\\] pairs"):
+        state_from_dict({field: values})
+
+
+def test_state_from_dict_accepts_numpy_integer_sizes():
+    pure = [[1.0, 0.0], [0.0, 0.0]]
+    assert state_from_dict({"n": np.int64(1), "amps": pure}).n == 1
+    assert state_from_dict({"dim": np.int32(2), "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}).dim == 2
+
+
+def test_density_matrix_rejects_non_square_and_mismatched_dim():
+    with pytest.raises(ValidationError, match="must be square, got shape \\(2, 4\\)"):
+        DensityMatrix(np.full((2, 4), 0.25))
+    with pytest.raises(ValidationError, match="must be square"):
+        DensityMatrix(np.full(4, 0.25))
+    with pytest.raises(ValidationError, match="declared dim=4 but entries are 2x2"):
+        DensityMatrix(np.eye(2) / 2, dim=4)
+
+
+def test_state_size_limits_beyond_twelve_qubits():
+    with pytest.raises(CapacityError, match="13 qubits"):
+        basis_state("0" * 13)
+    assert basis_state("1" * 12).amps[-1] == 1.0
+    with pytest.raises(ArgumentError, match="qubit count must be in 1..12, got 13"):
+        random_pure_state(13)
+    with pytest.raises(ArgumentError, match="qubit count must be in 1..12, got 0"):
+        random_pure_state(0)

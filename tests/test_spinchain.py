@@ -659,3 +659,45 @@ def test_sweep_raises_in_row_order():
         indicator_sweep(long_range_chain(), "J", [1e9, float("nan")])
     with pytest.raises(ValidationError, match="J must be a finite number"):
         indicator_sweep(long_range_chain(), "J", [1.0, float("nan"), 1e9])
+
+
+@pytest.mark.parametrize("name", ["J", "h"])
+@pytest.mark.parametrize("value", [True, False, "1.5", None, 10 ** 400, -(10 ** 400)],
+                         ids=["true", "false", "str", "none", "1e400", "-1e400"])
+def test_spec_rejects_bools_strings_and_ints_past_the_float_range(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be a finite number"):
+        SpinChainSpec(N=3, **{name: value})
+
+
+def test_spec_stores_couplings_as_floats():
+    spec = SpinChainSpec(N=3, J=2, h=np.float32(0.5))
+    assert type(spec.J) is float and type(spec.h) is float
+    assert spec == SpinChainSpec(N=3, J=2.0, h=0.5)
+
+
+def test_spec_rejects_a_bool_site_count():
+    with pytest.raises(ValidationError, match="site count N must be an integer, got True"):
+        SpinChainSpec(N=True)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"N": "4"}, "N, J and h must be numbers"),
+        ({"J": "1.5"}, "N, J and h must be numbers"),
+        ({"h": True}, "N, J and h must be numbers"),
+        ({"N": False}, "N, J and h must be numbers"),
+        ({"N": 3, "J": 10 ** 400}, "J must be a finite number"),
+        ({"N": 3, "h": -(10 ** 400)}, "h must be a finite number"),
+        ({"N": 3, "Js": 1.0}, r"fields \['Js'\] outside"),
+        ("N=3", "spin chain spec must be a JSON object"),
+    ],
+)
+def test_spec_from_dict_rejects_strings_bools_and_unknown_fields(payload, message):
+    with pytest.raises(ValidationError, match=message):
+        spec_from_dict(payload)
+
+
+def test_spec_from_dict_takes_numpy_and_whole_float_site_counts():
+    assert spec_from_dict({"N": np.int64(4), "J": 1, "h": np.float64(0.5)}) == SpinChainSpec(N=4, J=1.0, h=0.5)
+    assert spec_from_dict({"N": 4.0}).N == 4
