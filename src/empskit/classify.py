@@ -9,6 +9,7 @@ orbits for empirical polytope-containment checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Union
@@ -145,7 +146,8 @@ def build_generalized_dicke(n: int, l: int, coeffs: Sequence[complex]) -> PureSt
 def build_biseparable(alpha: complex, beta: complex, position: int) -> PureState:
     """Three-qubit state |0> at `position` times alpha|00> + beta|11> on the other two."""
     _require(qcore._is_integer(position) and position in (1, 2, 3), "position in {1, 2, 3}")
-    _require(abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= qcore.NORMALIZATION_ATOL, "|alpha|^2 + |beta|^2 = 1")
+    unit = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= qcore.NORMALIZATION_ATOL  # a string fails here: wrong type
+    _require(unit and all(qcore._is_number(a, numbers.Complex) for a in (alpha, beta)), "|alpha|^2 + |beta|^2 = 1")
     pair = [q for q in (1, 2, 3) if q != position]
     amps = np.zeros(8, dtype=np.complex128)
     amps[0] = alpha
@@ -227,12 +229,9 @@ def polytope_membership_3q(v: EmpsVector, polytope: Union[str, ClassVerdict]) ->
     if v.n != 3:
         raise ArgumentError(f"polytope facets are defined for n=3, got n={v.n}")
     which = polytope.value if isinstance(polytope, ClassVerdict) else str(polytope).lower()
-    if which in ("w", "w_class"):
-        want_w = True
-    elif which in ("ghz", "ghz_class"):
-        want_w = False
-    else:
+    if which not in ("w", "w_class", "ghz", "ghz_class"):
         raise ArgumentError(f"polytope must be 'w' or 'ghz', got {polytope!r}")
+    want_w = which in ("w", "w_class")
     e = v.values
     total = v.total()
     slacks: Dict[str, float] = {}
@@ -255,7 +254,8 @@ def classify_three_qubit(psi: PureState) -> ClassLabel:
     so that case is reported as undetermined with the region named. A zero
     indicator falls through to the biseparable/separable patterns.
     """
-    if not isinstance(psi, PureState) or psi.n != 3:
+    qcore._require_pure(psi, "classification")
+    if psi.n != 3:
         raise ArgumentError("classification needs a 3-qubit pure state")
     v = emps_vector(psi)
     e = v.values
@@ -428,14 +428,15 @@ def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> 
     complex-Gaussian 2x2 factors (resampled when |det g_i| < 1e-6) and
     renormalizes. Sample k draws its factors from its own generator,
     default_rng(seed + k), so sample k is the same bits whatever the count
-    and however the samples are batched. count and seed are integers (NumPy
-    integers too, bools not); anything else is an ArgumentError.
+    and however the samples are batched. psi is a PureState, count and seed
+    integers (NumPy integers too, bools not); anything else is an ArgumentError.
 
     Samples are processed in batches of at most 2^16 amplitudes: the factors
     act as per-qubit 2x2 contractions on the batch's amplitude tensor (no
     2^n x 2^n Kronecker product is formed), the rows are normalized, and one
     call to the marginal kernel gives every qubit's energy in closed form.
     """
+    qcore._require_pure(psi, "orbit sampling")
     count = qcore._integer(count, "sample count")
     seed = qcore._integer(seed, "orbit seed")
     if count < 1:
@@ -491,7 +492,7 @@ def random_biseparable_three_qubit(
     """Random pure state that factors as (1 qubit) x (2 qubits) at the given cut."""
     if cut is None:
         cut = int(rng.integers(1, 4))
-    if cut not in (1, 2, 3):
+    if not (qcore._is_integer(cut) and cut in (1, 2, 3)):
         raise ArgumentError(f"cut must be 1, 2, or 3, got {cut}")
     single = qcore.random_pure_state(1, rng)
     pair = qcore.random_pure_state(2, rng)

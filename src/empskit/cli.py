@@ -180,8 +180,6 @@ def _cmd_polytope(args) -> dict:
 
 def _cmd_orbit(args) -> Union[dict, str]:
     state, state_id = _load_state(args)
-    if not isinstance(state, qcore.PureState):
-        raise ArgumentError("orbit sampling needs a pure state")
     seed = _resolve_seed(args)
     samples = cls.slocc_orbit_sample(state, args.samples, seed=seed)
     if args.format == "csv":

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qcore
 from .errors import ArgumentError, ValidationError
-from .qcore import DensityMatrix, PureState, State
+from .qcore import DensityMatrix, State
 
 # Slack tolerance for inequality verdicts: an order above eigensolver error,
 # well below any physically meaningful violation.
@@ -149,26 +149,13 @@ def _negative_marginal(qubit: int, value: float) -> ValidationError:
 def _pure_emps(amps: np.ndarray) -> np.ndarray:
     """Marginal passive energies, as (B, n), of a (B, 2^n) stack of normalized amplitude rows.
 
-    The one kernel behind emps_vector, emps_vectors and slocc_orbit_sample:
-    every single-qubit marginal from qcore._qubit_marginals, then the closed
-    form of _min_eigenvalues_2x2, so no eigensolver runs. Each row's result
-    does not depend on B.
+    The kernel of the stack entry points emps_vectors, slocc_orbit_sample
+    and indicator_sweep: every single-qubit marginal from
+    qcore._qubit_marginals, then the closed form of _min_eigenvalues_2x2, so
+    no eigensolver runs. Each row's result does not depend on B.
     """
     n = amps.shape[1].bit_length() - 1
     return _min_eigenvalues_2x2(qcore._qubit_marginals(amps), range(1, n + 1))
-
-
-def _marginal_min_eigenvalues(state: State, qubits: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Smallest eigenvalue of each named qubit's marginal (1-based qubits, default all), in closed form.
-
-    Pure and mixed states alike take their marginals from
-    qcore._state_marginals, where a named qubit's marginal has the bits it
-    has among every qubit's, and _min_eigenvalues_2x2 takes the eigenvalues.
-    """
-    if qubits is None:
-        return _min_eigenvalues_2x2(qcore._state_marginals(state), range(1, state.n + 1))
-    qubits = qcore._check_keep(qubits, state.n)
-    return _min_eigenvalues_2x2(qcore._state_marginals(state, [(q - 1,) for q in qubits]), qubits)
 
 
 def emps(state: State, qubit: int) -> float:
@@ -178,14 +165,13 @@ def emps(state: State, qubit: int) -> float:
     qubit's reduced density matrix, which for pure states is half the
     geometric entanglement measure across the qubit-vs-rest cut.
     """
-    return float(_marginal_min_eigenvalues(state, [qubit])[0])
+    (q,) = qcore._check_keep([qubit], state.n)
+    return float(_min_eigenvalues_2x2(qcore._state_marginals(state, [(q - 1,)]), [q])[0])
 
 
 def emps_vector(state: State) -> EmpsVector:
     """Marginal passive energies of every qubit, as the characteristic vector."""
-    if isinstance(state, PureState):
-        return EmpsVector._trusted(_pure_emps(state.amps[None, :])[0])
-    return EmpsVector._trusted(_marginal_min_eigenvalues(state))
+    return EmpsVector._trusted(_min_eigenvalues_2x2(qcore._state_marginals(state), range(1, state.n + 1)))
 
 
 # Amplitudes per batch (1 MiB of complex128) for the stack entry points:

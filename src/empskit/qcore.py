@@ -46,15 +46,27 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    """numbers.Real but not bool, so no numeric string either; NaN and inf are numbers."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_number(value, kind: type = numbers.Real) -> bool:
+    """An instance of kind (numbers.Real, or Complex for amplitudes) but not bool, nor a string; NaN and inf count."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _integer(value, what: str, error: type = ArgumentError) -> int:
     if not _is_integer(value):
         raise error(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, what: str, error: type = ArgumentError) -> float:
+    if not _is_number(value):
+        raise error(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _require_pure(state, what: str) -> None:
+    """ArgumentError unless state is a PureState: the rule of every entry point that reads a caller's amplitudes."""
+    if not isinstance(state, PureState):
+        raise ArgumentError(f"{what} needs a pure state")
 
 
 def _json_fields(payload, what: str, forms: Sequence[tuple]) -> Optional[str]:
@@ -222,6 +234,7 @@ def tensor_product(a: State, b: State) -> State:
 
 def permute_qubits(psi: PureState, order: Sequence[int]) -> PureState:
     """Rearrange qubits so position k of the result holds original qubit order[k-1] (1-based)."""
+    _require_pure(psi, "qubit permutation")
     n = psi.n
     order = [_integer(q, "qubit index") for q in order]
     if sorted(order) != list(range(1, n + 1)):

@@ -81,7 +81,7 @@ class SpinChainSpec:
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
         try:
-            terms = tuple((float(c), str(s).upper()) for c, s in self.extra_terms)
+            terms = tuple((qcore._number(c, "coefficient", TypeError), str(s).upper()) for c, s in self.extra_terms)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"extra_terms must be (coefficient, Pauli string) pairs: {exc}") from None
         for c, s in terms:
@@ -245,11 +245,11 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
 
     A chain spec of up to 7 sites is filled densely in the operator's dtype
     and solved by LAPACK; from 8 sites on it is solved matrix-free by
-    Lanczos (see _lanczos_ground_state). A raw ndarray is checked for
-    Hermiticity and solved densely. The state's global phase is fixed so its
-    largest-magnitude amplitude is real and positive. The result is flagged
-    degenerate when the gap to the next level is below DEGENERACY_GAP_TOL,
-    in which case indicator values computed from it are not well defined.
+    Lanczos (see _lanczos_ground_state). A raw ndarray must be Hermitian
+    on 1 to 12 qubits and is solved densely. The state's global phase is
+    fixed so its largest-magnitude amplitude is real and positive. The
+    result is flagged degenerate when the gap to the next level is below
+    DEGENERACY_GAP_TOL, in which case indicator values from it are not well defined.
     """
     if isinstance(hamiltonian, SpinChainSpec):
         return _ground_states([hamiltonian])[0]
@@ -258,10 +258,10 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
         raise ValidationError(
             f"Hamiltonian must be square with power-of-two dimension, got shape {ham.shape}"
         )
+    qcore._qubit_count_for_dim(ham.shape[0], "Hamiltonian")  # 1 to 12 qubits, before any solve
     spec = qcore.eig_hermitian(ham, vectors=True)
     w, v = spec.eigenvalues, spec.eigenvectors
-    gap = float(w[1] - w[0]) if w.size > 1 else float("inf")
-    return _checked_result(float(w[0]), v[:, 0], gap, ham.__matmul__)
+    return _checked_result(float(w[0]), v[:, 0], float(w[1] - w[0]), ham.__matmul__)
 
 
 def _ground_states(specs: Sequence[SpinChainSpec]) -> List[GroundStateResult]:
@@ -385,6 +385,7 @@ def entropy_criterion(psi: PureState) -> float:
     the pure state; any product structure across a cut drives some pair to
     additivity and the minimum to zero.
     """
+    qcore._require_pure(psi, "entropy criterion")
     if psi.n < 3:
         raise ArgumentError(f"entropy criterion needs at least 3 qubits, got n={psi.n}")
     return float(_entropy_criteria(psi.amps[None, :])[0])

@@ -147,7 +147,9 @@ def random_unitary_energies(
 ) -> np.ndarray:
     """Tr(U rho U^dag H) for `count` Haar-random unitaries U."""
     u = haar_unitaries(rho.shape[0], count, rng)
-    return np.einsum("kij,jl,kml,mi->k", u, rho, u.conj(), hamiltonian).real
+    # U rho U^dag by two batched matmuls, then its trace against H: np.einsum
+    # does not optimise the order of more than two operands by default
+    return np.einsum("kim,mi->k", (u @ rho) @ u.conj().swapaxes(1, 2), hamiltonian).real
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

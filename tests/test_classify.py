@@ -24,7 +24,8 @@ from empskit.classify import (
 )
 from empskit.emps import EmpsVector, emps_vector, eta_indicator
 from empskit.errors import ArgumentError, ValidationError
-from empskit.qcore import DensityMatrix, basis_state, random_pure_state
+from empskit.qcore import DensityMatrix, basis_state, permute_qubits, random_pure_state
+from empskit.spinchain import entropy_criterion
 
 from oracles import min_marginal_eigenvalues_oracle, orbit_factors_oracle, orbit_row_kron_oracle
 
@@ -618,3 +619,42 @@ def test_string_qubit_count_violates_the_range():
 def test_random_biseparable_rejects_a_cut_outside_1_to_3():
     with pytest.raises(ArgumentError, match="cut must be 1, 2, or 3, got 4"):
         random_biseparable_three_qubit(np.random.default_rng(0), cut=4)
+
+
+def test_random_biseparable_rejects_a_bool_cut_and_takes_a_numpy_integer():
+    with pytest.raises(ArgumentError, match="cut must be 1, 2, or 3, got True"):
+        random_biseparable_three_qubit(np.random.default_rng(0), cut=True)
+    drawn = random_biseparable_three_qubit(np.random.default_rng(0), cut=np.int64(2))
+    assert np.array_equal(drawn.amps, random_biseparable_three_qubit(np.random.default_rng(0), cut=2).amps)
+
+
+@pytest.mark.parametrize("alpha, beta", [(True, False), (False, True), (True, 0.0)])
+def test_biseparable_rejects_bool_amplitudes(alpha, beta):
+    with pytest.raises(ValidationError, match=r"builder parameters violate: \|alpha\|\^2"):
+        build_biseparable(alpha, beta, 2)
+
+
+def test_biseparable_takes_complex_and_numpy_amplitudes():
+    psi = build_biseparable(0.6j, np.float64(0.8), 1)
+    assert np.array_equal(psi.amps, build_biseparable(np.complex128(0.6j), 0.8, 1).amps)
+    assert psi.amps[0] == 0.6j and psi.amps[3] == 0.8
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: slocc_orbit_sample(rho, 2),
+        entropy_criterion,
+        lambda rho: permute_qubits(rho, (2, 1, 3)),
+        classify_three_qubit,
+    ],
+    ids=["slocc_orbit_sample", "entropy_criterion", "permute_qubits", "classify_three_qubit"],
+)
+def test_pure_only_entry_points_reject_a_density_matrix(call):
+    with pytest.raises(ArgumentError, match="needs a pure state"):
+        call(build_noisy_w(0.2))
+
+
+def test_classification_rejects_a_four_qubit_pure_state():
+    with pytest.raises(ArgumentError, match="classification needs a 3-qubit pure state"):
+        classify_three_qubit(build_ghz(4, 0.5))

@@ -582,3 +582,13 @@ def test_bad_flag_values_exit_2_with_their_message(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_orbit_of_a_density_matrix_file_exits_2_from_the_library_rule(tmp_path, capsys):
+    payload = {"dim": 2, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}
+    _exits_2(tmp_path, capsys, ["orbit", "--samples", "2", "--state"], payload, "orbit sampling needs a pure state")
+
+
+@pytest.mark.parametrize("argv", [["ising", "--spec"], ["sweep", "--values", "1.0", "--spec"]], ids=["ising", "sweep"])
+def test_spec_file_with_a_bool_extra_term_coefficient_exits_2(tmp_path, capsys, argv):
+    _exits_2(tmp_path, capsys, argv, {"N": 3, "extra_terms": [[True, "ZZI"]]}, "extra_terms must be")

@@ -9,7 +9,7 @@ import pytest
 from empskit import qcore, spinchain
 from empskit.classify import build_dicke, build_ghz, build_w
 from empskit.emps import eta_indicator
-from empskit.errors import ArgumentError, NumericError, ValidationError
+from empskit.errors import ArgumentError, CapacityError, NumericError, ValidationError
 from empskit.qcore import (
     basis_state,
     random_pure_state,
@@ -701,3 +701,34 @@ def test_spec_from_dict_rejects_strings_bools_and_unknown_fields(payload, messag
 def test_spec_from_dict_takes_numpy_and_whole_float_site_counts():
     assert spec_from_dict({"N": np.int64(4), "J": 1, "h": np.float64(0.5)}) == SpinChainSpec(N=4, J=1.0, h=0.5)
     assert spec_from_dict({"N": 4.0}).N == 4
+
+
+@pytest.mark.parametrize("coeff", ["1.5", True, False, None], ids=["str", "true", "false", "none"])
+def test_spec_rejects_extra_term_coefficients_that_are_not_numbers(coeff):
+    with pytest.raises(ValidationError, match="extra_terms must be"):
+        SpinChainSpec(N=2, extra_terms=((1.0, "XX"), (coeff, "ZZ")))
+    with pytest.raises(ValidationError, match="extra_terms must be"):
+        spec_from_dict({"N": 2, "extra_terms": [[coeff, "ZZ"]]})
+
+
+def test_spec_takes_numpy_and_integer_extra_term_coefficients():
+    spec = SpinChainSpec(N=2, extra_terms=((np.float64(1.5), "XX"), (2, "zz"), (np.int64(-1), "YY")))
+    assert spec.extra_terms == ((1.5, "XX"), (2.0, "ZZ"), (-1.0, "YY"))
+    assert all(type(c) is float for c, _ in spec.extra_terms)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the Hamiltonian reached the eigensolver")
+
+
+def test_ground_state_rejects_a_one_by_one_matrix_before_any_solve(monkeypatch):
+    monkeypatch.setattr(qcore, "eig_hermitian", _no_solve)
+    with pytest.raises(ValidationError, match="Hamiltonian needs at least one qubit"):
+        ground_state(np.array([[1.0]]))
+
+
+def test_ground_state_rejects_thirteen_qubits_before_any_solve(monkeypatch):
+    monkeypatch.setattr(qcore, "eig_hermitian", _no_solve)
+    ham = np.broadcast_to(0.0, (1 << 13, 1 << 13))  # zero-stride view: no 2^26 entries are allocated
+    with pytest.raises(CapacityError, match="Hamiltonian needs 13 qubits, limit is 12"):
+        ground_state(ham)
