@@ -23,6 +23,7 @@ from .emps import (
     SLACK_TOL,
     EmpsVector,
     _pure_emps,
+    _require_vector,
     emps_vector,
     eta_indicator,
 )
@@ -155,20 +156,20 @@ def build_biseparable(alpha: complex, beta: complex, position: int) -> PureState
     return PureState(amps)
 
 
+def _white_noise(psi: PureState, v: float, name: str) -> DensityMatrix:
+    """(1 - v) |psi><psi| + v/d * identity, d the dimension of psi, for the weight v named name in [0, 1]."""
+    _require(0.0 <= v <= 1.0 and qcore._is_number(v), f"{name} in [0, 1]")
+    return DensityMatrix._trusted((1.0 - v) * psi.density().entries + (v / psi.dim) * np.eye(psi.dim))
+
+
 def build_noisy_w(v1: float) -> DensityMatrix:
     """(1 - v1) |W><W| + v1/8 * identity on three qubits, v1 in [0, 1]."""
-    _require(0.0 <= v1 <= 1.0 and qcore._is_number(v1), "v1 in [0, 1]")
-    w = build_dicke(3, 1).density().entries
-    mixed = (1.0 - v1) * w + (v1 / 8.0) * np.eye(8)
-    return DensityMatrix._trusted(mixed)
+    return _white_noise(build_dicke(3, 1), v1, "v1")
 
 
 def build_noisy_ghz(v2: float) -> DensityMatrix:
     """(1 - v2) |GHZ><GHZ| + v2/8 * identity on three qubits, v2 in [0, 1]."""
-    _require(0.0 <= v2 <= 1.0 and qcore._is_number(v2), "v2 in [0, 1]")
-    g = build_ghz(3, math.pi / 4).density().entries
-    mixed = (1.0 - v2) * g + (v2 / 8.0) * np.eye(8)
-    return DensityMatrix._trusted(mixed)
+    return _white_noise(build_ghz(3, math.pi / 4), v2, "v2")
 
 
 _BUILDERS = {
@@ -226,6 +227,7 @@ def polytope_membership_3q(v: EmpsVector, polytope: Union[str, ClassVerdict]) ->
     inequalities; the W polytope additionally caps the total at 1. Membership
     means every facet slack is >= -SLACK_TOL.
     """
+    _require_vector(v, "polytope membership")
     if v.n != 3:
         raise ArgumentError(f"polytope facets are defined for n=3, got n={v.n}")
     which = polytope.value if isinstance(polytope, ClassVerdict) else str(polytope).lower()
@@ -471,6 +473,7 @@ def discriminate_noisy(rho: DensityMatrix, which: str) -> NoisyReport:
     back off the total. GHZ mixtures have maximally mixed marginals at any
     noise level, so their total is pinned at 3/2.
     """
+    qcore._require_state(rho, "noisy discrimination")
     if rho.n != 3:
         raise ArgumentError(f"noisy discrimination is defined for 3 qubits, got n={rho.n}")
     if not isinstance(which, str) or which.lower() not in ("w", "ghz"):

@@ -165,12 +165,14 @@ def emps(state: State, qubit: int) -> float:
     qubit's reduced density matrix, which for pure states is half the
     geometric entanglement measure across the qubit-vs-rest cut.
     """
+    qcore._require_state(state, "marginal passive energy")
     (q,) = qcore._check_keep([qubit], state.n)
     return float(_min_eigenvalues_2x2(qcore._state_marginals(state, [(q - 1,)]), [q])[0])
 
 
 def emps_vector(state: State) -> EmpsVector:
     """Marginal passive energies of every qubit, as the characteristic vector."""
+    qcore._require_state(state, "energy vector")
     return EmpsVector._trusted(_min_eigenvalues_2x2(qcore._state_marginals(state), range(1, state.n + 1)))
 
 
@@ -202,12 +204,19 @@ def emps_vectors(amps) -> np.ndarray:
     return out
 
 
+def _require_vector(v, what: str) -> None:
+    """ArgumentError unless v is an EmpsVector: the rule of every entry point that reads a caller's energies."""
+    if not isinstance(v, EmpsVector):
+        raise ArgumentError(f"{what} needs an EmpsVector, got {type(v).__name__}")
+
+
 def polygon_check(v: EmpsVector) -> PolygonReport:
     """Check E_i <= sum_{j != i} E_j for every qubit i.
 
     worst_slack is min_i (sum_{j != i} E_j - E_i); the inequalities hold when
     it is >= -SLACK_TOL. Pure multi-qubit states always satisfy them.
     """
+    _require_vector(v, "polygon check")
     worst, worst_slack = _worst_slack(v.values)
     satisfied = worst_slack >= -SLACK_TOL
     return PolygonReport(

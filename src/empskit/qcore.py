@@ -69,6 +69,14 @@ def _require_pure(state, what: str) -> None:
         raise ArgumentError(f"{what} needs a pure state")
 
 
+def _require_state(state, what: str, kinds: tuple = ()) -> None:
+    """ArgumentError naming what was expected unless state is one of kinds (default: PureState or DensityMatrix)."""
+    kinds = kinds or (PureState, DensityMatrix)
+    if not isinstance(state, kinds):
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise ArgumentError(f"{what} needs a {expected}, got {type(state).__name__}")
+
+
 def _json_fields(payload, what: str, forms: Sequence[tuple]) -> Optional[str]:
     """The name of the form a JSON object takes: the first form whose name, its first field, it holds.
 
@@ -270,6 +278,7 @@ def reduced_density_matrix(state: State, keep: Iterable[int]) -> DensityMatrix:
     From _state_marginals: a pure input's full projector is never built, and
     one kept qubit's marginal has its bits among all single-qubit marginals.
     """
+    _require_state(state, "reduced density matrix")
     kept = _check_keep(keep, state.n)
     return DensityMatrix._trusted(_state_marginals(state, (tuple(q - 1 for q in kept),))[0])
 
@@ -446,13 +455,17 @@ def eig_hermitian(matrix: Union[DensityMatrix, np.ndarray], vectors: bool = Fals
 
     Accepts a DensityMatrix, a raw Hermitian ndarray, or a stack of them of
     shape (..., d, d), which is solved in one call with spectra along the last
-    axis. Non-Hermitian, non-square or empty input raises ValidationError;
-    failure of LAPACK to converge raises NumericError.
+    axis. Non-Hermitian, non-square or empty input raises ValidationError, an
+    object that is not numbers (a PureState, an EmpsVector) ArgumentError, and
+    failure of LAPACK to converge NumericError.
     """
     if isinstance(matrix, DensityMatrix):
         arr = matrix.entries
     else:
-        arr = np.asarray(matrix, dtype=np.complex128)
+        try:
+            arr = np.asarray(matrix, dtype=np.complex128)
+        except TypeError:
+            raise ArgumentError(f"expected a DensityMatrix or a Hermitian array, got {type(matrix).__name__}") from None
         if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
             raise ValidationError(f"expected a nonempty square matrix, got shape {arr.shape}")
         scale = max(1.0, float(np.max(np.abs(arr))))
@@ -476,6 +489,16 @@ def _entropy_bits(lam: np.ndarray) -> np.ndarray:
     return -np.sum(pos * np.log2(pos), axis=-1)
 
 
+def _marginal_entropies(stack: np.ndarray) -> np.ndarray:
+    """Entropies in bits of a (..., d, d) stack of marginals, from one stacked eigensolve.
+
+    Each matrix is first replaced by its exactly Hermitian part, as a
+    DensityMatrix stores it, so every value is the bits of von_neumann_entropy
+    on the same marginal.
+    """
+    return _entropy_bits(_eigh(0.5 * (stack + stack.conj().swapaxes(-1, -2)))[0])
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(lam * log2 lam) in bits, with 0*log 0 = 0.
 
@@ -483,11 +506,13 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     zero, as are positive values below 1e-14 (so exact-rank states report
     exact entropies); anything below the negative floor is rejected.
     """
+    _require_state(rho, "von Neumann entropy", (DensityMatrix,))
     return float(_entropy_bits(_eigh(rho.entries)[0]))
 
 
 def state_to_dict(state: State) -> dict:
     """JSON-ready description of a state (see state_from_dict for the schema)."""
+    _require_state(state, "state description")
     if isinstance(state, PureState):
         return {
             "n": state.n,

@@ -6,11 +6,11 @@ optionally extended by extra Pauli-string terms (per-site letters I/X/Y/Z
 with full Pauli matrices). Ground states feed the energy indicator and the
 pairwise entropy criterion for genuine multipartite entanglement.
 
-A chain is one ordered list of Pauli strings with one row of coefficients
-per chain, grouped by x mask into one row of values per group (_PauliSum);
-chains that differ only in their coefficients, such as the rows of a
-sweep, share one operator with a leading row axis. The dense fill and the
-matrix-free product both read it:
+A chain is one ordered list of (coefficient, Pauli string) terms,
+grouped by x mask into one row of values per group (_PauliSum); chains
+that differ only in their coefficients, such as the rows of a sweep, share
+one operator with a leading row axis. The dense fill and the matrix-free
+product both read it:
 
 - N <= 7: the dense matrices, float64 when no term has an odd number of Y
   letters and complex128 otherwise, are filled as one stack and go to one
@@ -183,24 +183,19 @@ class _PauliSum:
         return (self.vals[0] * v[self.rows]).sum(axis=0)
 
 
-def _chain_letters(spec: SpinChainSpec) -> List[str]:
-    """The chain's term strings in order: ZZ bonds, then Z fields, then the extra strings."""
-    n = spec.N
-    bonds = ["I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1)]
-    fields = ["I" * i + "Z" + "I" * (n - 1 - i) for i in range(n)]
-    return bonds + fields + [s for _, s in spec.extra_terms]
-
-
-def _chain_coeffs(spec: SpinChainSpec) -> List[float]:
-    """The coefficients of _chain_letters' terms."""
+def _chain_terms(spec: SpinChainSpec) -> List[Tuple[float, str]]:
+    """The chain's (coefficient, Pauli string) terms in order: ZZ bonds, then Z fields, then extra_terms."""
     # s^z s^z = sigma_z sigma_z / 4 and s^z = sigma_z / 2
     n = spec.N
-    return [-0.25 * spec.J] * (n - 1) + [-0.5 * spec.h] * n + [c for c, _ in spec.extra_terms]
+    bonds = [(-0.25 * spec.J, "I" * i + "ZZ" + "I" * (n - 2 - i)) for i in range(n - 1)]
+    fields = [(-0.5 * spec.h, "I" * i + "Z" + "I" * (n - 1 - i)) for i in range(n)]
+    return bonds + fields + list(spec.extra_terms)
 
 
 def _chain_operator(specs: Sequence[SpinChainSpec]) -> _PauliSum:
     """One row per spec; the specs differ only in their coefficients."""
-    return _PauliSum(specs[0].N, _chain_letters(specs[0]), [_chain_coeffs(s) for s in specs])
+    terms = [_chain_terms(s) for s in specs]
+    return _PauliSum(specs[0].N, [s for _, s in terms[0]], [[c for c, _ in row] for row in terms])
 
 
 def pauli_string_matrix(letters: str) -> np.ndarray:
@@ -354,17 +349,6 @@ def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[flo
     raise NumericError(f"Lanczos did not converge within Krylov dimension {dim - fixed}")
 
 
-def _marginal_entropies(stack: np.ndarray) -> np.ndarray:
-    """Entropies in bits of a (..., d, d) stack of marginals, from one stacked eigensolve.
-
-    Each matrix is first replaced by its exactly Hermitian part, as a
-    DensityMatrix stores it, so every value is the bits of von_neumann_entropy
-    on the same marginal.
-    """
-    herm = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
-    return qcore._entropy_bits(qcore._eigh(herm)[0])
-
-
 def _entropy_criteria(amps: np.ndarray) -> np.ndarray:
     """entropy_criterion of each row of a (B, 2^n) stack of pure-state amplitudes, n >= 3.
 
@@ -372,8 +356,8 @@ def _entropy_criteria(amps: np.ndarray) -> np.ndarray:
     one stacked eigensolve; a row's value does not depend on B.
     """
     n = amps.shape[1].bit_length() - 1
-    singles = _marginal_entropies(qcore._qubit_marginals(amps))
-    pairs = _marginal_entropies(qcore._marginals(amps, qcore._subset_table(n, 2)))
+    singles = qcore._marginal_entropies(qcore._qubit_marginals(amps))
+    pairs = qcore._marginal_entropies(qcore._marginals(amps, qcore._subset_table(n, 2)))
     i, j = np.array(qcore._subsets(n, 2)).T
     return np.min(np.abs(pairs - singles[:, i] - singles[:, j]), axis=1)
 
@@ -414,29 +398,27 @@ def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]
         raise ArgumentError(f"energy indicator needs at least 3 qubits, got n={spec.N}")
     if parameter == "coefficient" and not spec.extra_terms:
         raise ArgumentError('parameter "coefficient" scales the extra terms, and the chain has none')
-    xs: List[float] = []
-    specs: List[SpinChainSpec] = []
+    scaled = parameter == "coefficient"  # scales every extra term rather than setting one field
+    swept: List[Tuple[float, SpinChainSpec]] = []
     invalid = None
     for x in map(float, values):
+        change = {"extra_terms": tuple((c * x, s) for c, s in spec.extra_terms)} if scaled else {parameter: x}
         try:
-            if parameter == "coefficient":
-                specs.append(replace(spec, extra_terms=tuple((c * x, s) for c, s in spec.extra_terms)))
-            else:
-                specs.append(replace(spec, **{parameter: x}))
+            swept.append((x, replace(spec, **change)))
         except ValidationError as exc:
             invalid = exc
             break
-        xs.append(x)
     rows: List[SweepRow] = []
     step = max(1, _CHUNK_AMPLITUDES >> 2 * spec.N)
-    for start in range(0, len(specs), step):
-        states = _ground_states(specs[start:start + step])
+    for start in range(0, len(swept), step):
+        chunk = swept[start:start + step]
+        states = _ground_states([s for _, s in chunk])
         amps = np.stack([gs.state.amps for gs in states])
         etas = worst_slacks(_pure_emps(amps)).tolist()
         criteria = _entropy_criteria(amps).tolist()
         rows += (
             SweepRow(x, gs.energy, gs.degeneracy_gap, eta, criterion, gs.degenerate)
-            for x, gs, eta, criterion in zip(xs[start:start + step], states, etas, criteria)
+            for (x, _), gs, eta, criterion in zip(chunk, states, etas, criteria)
         )
     if invalid is not None:
         raise invalid

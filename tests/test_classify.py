@@ -22,9 +22,19 @@ from empskit.classify import (
     random_biseparable_three_qubit,
     slocc_orbit_sample,
 )
-from empskit.emps import EmpsVector, emps_vector, eta_indicator
-from empskit.errors import ArgumentError, ValidationError
-from empskit.qcore import DensityMatrix, basis_state, permute_qubits, random_pure_state
+from empskit.emps import EmpsVector, emps, emps_vector, eta_indicator, passive_energy, polygon_check
+from empskit.errors import ArgumentError, EmpskitError, ValidationError
+from empskit.qcore import (
+    DensityMatrix,
+    basis_state,
+    eig_hermitian,
+    partial_trace,
+    permute_qubits,
+    random_pure_state,
+    reduced_density_matrix,
+    state_to_dict,
+    von_neumann_entropy,
+)
 from empskit.spinchain import entropy_criterion
 
 from oracles import min_marginal_eigenvalues_oracle, orbit_factors_oracle, orbit_row_kron_oracle
@@ -82,6 +92,14 @@ def test_noisy_builders_are_valid_mixtures():
     assert abs(np.trace(rho.entries).real - 1.0) <= 1e-12
     rho = build_noisy_ghz(1.0)
     assert np.allclose(rho.entries, np.eye(8) / 8)
+
+
+@pytest.mark.parametrize("v", [0.0, 0.2, 0.37, 9 / 17, np.float64(0.75), 1.0])
+@pytest.mark.parametrize("build, psi", [(build_noisy_w, build_dicke(3, 1)), (build_noisy_ghz, build_ghz(3, math.pi / 4))],
+                         ids=["noisy_w", "noisy_ghz"])
+def test_noisy_builders_are_the_white_noise_formula_bit_for_bit(build, psi, v):
+    expected = (1 - v) * np.outer(psi.amps, psi.amps.conj()) + (v / 8) * np.eye(8)
+    assert np.array_equal(build(v).entries, expected)
 
 
 @pytest.mark.parametrize(
@@ -653,6 +671,47 @@ def test_biseparable_takes_complex_and_numpy_amplitudes():
 def test_pure_only_entry_points_reject_a_density_matrix(call):
     with pytest.raises(ArgumentError, match="needs a pure state"):
         call(build_noisy_w(0.2))
+
+
+# One value of each kind a caller might pass where a state or an energy vector goes, by type name
+_KINDS = {
+    "PureState": lambda: build_w([0.5, 0.25, 0.25]),
+    "DensityMatrix": lambda: build_noisy_w(0.2),
+    "ndarray": lambda: build_w([0.5, 0.25, 0.25]).amps,
+    "EmpsVector": lambda: emps_vector(build_w([0.5, 0.25, 0.25])),
+    "list": lambda: [0.5, 0.5],
+    "NoneType": lambda: None,
+}
+_NOT_A_STATE = ("ndarray", "EmpsVector", "list", "NoneType")
+_NOT_A_VECTOR = ("PureState", "DensityMatrix", "ndarray", "list", "NoneType")
+_STATE = "needs a PureState or DensityMatrix"
+_WRONG_KINDS = [
+    ("emps_vector", emps_vector, _NOT_A_STATE, _STATE),
+    ("emps", lambda x: emps(x, 1), _NOT_A_STATE, _STATE),
+    ("reduced_density_matrix", lambda x: reduced_density_matrix(x, [1]), _NOT_A_STATE, _STATE),
+    ("partial_trace", lambda x: partial_trace(x, [1]), _NOT_A_STATE, _STATE),
+    ("state_to_dict", state_to_dict, _NOT_A_STATE, _STATE),
+    ("discriminate_noisy", lambda x: discriminate_noisy(x, "w"), _NOT_A_STATE, _STATE),
+    ("von_neumann_entropy", von_neumann_entropy, ("PureState", *_NOT_A_STATE), "needs a DensityMatrix"),
+    ("polygon_check", polygon_check, _NOT_A_VECTOR, "needs an EmpsVector"),
+    ("polytope_membership_3q", lambda x: polytope_membership_3q(x, "w"), _NOT_A_VECTOR, "needs an EmpsVector"),
+    ("eta_indicator", eta_indicator, ("ndarray", "list", "NoneType"), _STATE),
+    ("eig_hermitian", eig_hermitian, ("PureState", "EmpsVector"), "expected a DensityMatrix or a Hermitian array"),
+    ("passive_energy", lambda x: passive_energy(x, np.diag([0.0, 1.0])), ("PureState", "EmpsVector"),
+     "expected a DensityMatrix or a Hermitian array"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [(call, kind, message) for _, call, kinds, message in _WRONG_KINDS for kind in kinds],
+    ids=[f"{name}-{kind}" for name, _, kinds, _ in _WRONG_KINDS for kind in kinds],
+)
+def test_an_argument_of_the_wrong_kind_raises_argument_error(call, kind, message):
+    with pytest.raises(EmpskitError) as info:  # any other exception escapes and fails the test
+        call(_KINDS[kind]())
+    assert isinstance(info.value, ArgumentError)
+    assert message in str(info.value) and f"got {kind}" in str(info.value)
 
 
 def test_classification_rejects_a_four_qubit_pure_state():

@@ -394,7 +394,7 @@ def test_twelve_site_ground_state(spec):
     k = int(np.argmax(np.abs(psi)))
     assert psi[k].imag == 0.0 and psi[k].real > 0.0
     # residual from the terms applied site by site, not from the grouped operator
-    terms = zip(spinchain._chain_coeffs(spec), spinchain._chain_letters(spec))
+    terms = spinchain._chain_terms(spec)
     h_psi = sum(c * _apply_term(letters, psi, 12) for c, letters in terms)
     assert np.linalg.norm(h_psi - result.energy * psi) <= 1e-8
     assert not result.degenerate and result.degeneracy_gap > 0.1
@@ -655,10 +655,11 @@ def test_sweep_rejects_two_site_chains_before_solving(values, monkeypatch):
 
 def test_sweep_raises_in_row_order():
     # the first row fails its residual gate before the second row's value is rejected
-    with pytest.raises(NumericError, match="residual"):
-        indicator_sweep(long_range_chain(), "J", [1e9, float("nan")])
-    with pytest.raises(ValidationError, match="J must be a finite number"):
-        indicator_sweep(long_range_chain(), "J", [1.0, float("nan"), 1e9])
+    for parameter, message in (("J", "J must be a finite number"), ("coefficient", "coefficient of 'IXXXI' must be finite")):
+        with pytest.raises(NumericError, match="residual"):
+            indicator_sweep(long_range_chain(), parameter, [1e9, float("nan")])
+        with pytest.raises(ValidationError, match=message):
+            indicator_sweep(long_range_chain(), parameter, [1.0, float("nan"), 1e9])
 
 
 @pytest.mark.parametrize("name", ["J", "h"])
