@@ -194,6 +194,8 @@ def build_state(spec: StateBuilderSpec) -> State:
       biseparable(alpha, beta, position)   |0> at position, alpha|00>+beta|11| elsewhere
       noisy_w(v1), noisy_ghz(v2)           white-noise mixtures, v in [0, 1]
     """
+    if not isinstance(spec, StateBuilderSpec):
+        raise ArgumentError(f"state builder needs a StateBuilderSpec, got {type(spec).__name__}")
     if spec.family not in _BUILDERS:
         raise ValidationError(
             f"unknown state family {spec.family!r}; known: {sorted(_BUILDERS)}"

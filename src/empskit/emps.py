@@ -36,7 +36,7 @@ class EmpsVector:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("energy vector needs at least one qubit")
-        arr = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        arr = np.array(self.values, dtype=np.float64).reshape(-1)  # a copy: the caller's array may change later
         if self.n != arr.size:
             raise ValidationError(f"declared n={self.n} but got {arr.size} values")
         floor = qcore.EIGENVALUE_FLOOR
@@ -149,10 +149,12 @@ def _negative_marginal(qubit: int, value: float) -> ValidationError:
 def _pure_emps(amps: np.ndarray) -> np.ndarray:
     """Marginal passive energies, as (B, n), of a (B, 2^n) stack of normalized amplitude rows.
 
-    The kernel of the stack entry points emps_vectors, slocc_orbit_sample
-    and indicator_sweep: every single-qubit marginal from
+    The kernel of the stack entry points emps_vectors and
+    slocc_orbit_sample: every single-qubit marginal from
     qcore._qubit_marginals, then the closed form of _min_eigenvalues_2x2, so
-    no eigensolver runs. Each row's result does not depend on B.
+    no eigensolver runs (indicator_sweep takes the same two steps and shares
+    the marginals with the entropy criterion). Each row's result does not
+    depend on B.
     """
     n = amps.shape[1].bit_length() - 1
     return _min_eigenvalues_2x2(qcore._qubit_marginals(amps), range(1, n + 1))

@@ -43,12 +43,14 @@ def _qubit_count_for_dim(dim: int, what: str) -> int:
 
 def _is_integer(value) -> bool:
     """numbers.Integral, NumPy integers too, but not bool: True as a count or a qubit is a slip."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # an exact int answers before the ABC check, which costs several times more
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _is_number(value, kind: type = numbers.Real) -> bool:
     """An instance of kind (numbers.Real, or Complex for amplitudes) but not bool, nor a string; NaN and inf count."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    # an exact float or int is Real and Complex alike and answers before the ABC check
+    return type(value) in (float, int) or (isinstance(value, kind) and not isinstance(value, bool))
 
 
 def _integer(value, what: str, error: type = ArgumentError) -> int:
@@ -60,7 +62,10 @@ def _integer(value, what: str, error: type = ArgumentError) -> int:
 def _number(value, what: str, error: type = ArgumentError) -> float:
     if not _is_number(value):
         raise error(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} must be a finite number, got an integer past the float range") from None
 
 
 def _require_pure(state, what: str) -> None:
@@ -118,7 +123,7 @@ class PureState:
     __slots__ = ("n", "amps")
 
     def __init__(self, amps, n: Optional[int] = None):
-        arr = np.asarray(amps, dtype=np.complex128).reshape(-1)
+        arr = np.array(amps, dtype=np.complex128).reshape(-1)  # a copy: the caller's array may change later
         inferred = _qubit_count_for_dim(arr.size, "state vector")
         if n is not None and n != inferred:
             raise ValidationError(f"declared n={n} but amplitude vector has 2^{inferred} entries")
@@ -133,6 +138,18 @@ class PureState:
 
     def __setattr__(self, *_):
         raise AttributeError("PureState is immutable")
+
+    @classmethod
+    def _trusted(cls, amps: np.ndarray) -> "PureState":
+        # Internal constructor for a fresh 1-D unit vector the caller owns,
+        # such as an eigenvector divided by its norm; skips the copy and the
+        # norm check. A real vector is converted, which copies it.
+        arr = np.asarray(amps, dtype=np.complex128)
+        arr.flags.writeable = False
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "n", arr.size.bit_length() - 1)
+        object.__setattr__(obj, "amps", arr)
+        return obj
 
     @property
     def dim(self) -> int:
@@ -247,8 +264,7 @@ def permute_qubits(psi: PureState, order: Sequence[int]) -> PureState:
     order = [_integer(q, "qubit index") for q in order]
     if sorted(order) != list(range(1, n + 1)):
         raise ArgumentError(f"order must be a permutation of 1..{n}, got {tuple(order)}")
-    arr = psi.amps.reshape([2] * n).transpose([q - 1 for q in order]).reshape(-1)
-    return PureState(arr.copy())
+    return PureState(psi.amps.reshape([2] * n).transpose([q - 1 for q in order]))
 
 
 def _check_keep(keep: Iterable[int], n: int) -> list:
@@ -348,6 +364,14 @@ def _subset_table(n: int, k: int) -> np.ndarray:
     table = _gather_table(n, _subsets(n, k))
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=2 * MAX_QUBITS)
+def _subset_indices(n: int, k: int) -> np.ndarray:
+    """Read-only (k, C) array of _subsets(n, k): row r holds the r-th qubit of every subset."""
+    indices = np.array(_subsets(n, k)).T
+    indices.flags.writeable = False
+    return indices
 
 
 def _marginals(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -455,9 +479,9 @@ def eig_hermitian(matrix: Union[DensityMatrix, np.ndarray], vectors: bool = Fals
 
     Accepts a DensityMatrix, a raw Hermitian ndarray, or a stack of them of
     shape (..., d, d), which is solved in one call with spectra along the last
-    axis. Non-Hermitian, non-square or empty input raises ValidationError, an
-    object that is not numbers (a PureState, an EmpsVector) ArgumentError, and
-    failure of LAPACK to converge NumericError.
+    axis. Non-Hermitian, non-square, ragged, non-numeric or empty input
+    raises ValidationError, an object that is not numbers (a PureState, an
+    EmpsVector) ArgumentError, and failure of LAPACK to converge NumericError.
     """
     if isinstance(matrix, DensityMatrix):
         arr = matrix.entries
@@ -466,6 +490,8 @@ def eig_hermitian(matrix: Union[DensityMatrix, np.ndarray], vectors: bool = Fals
             arr = np.asarray(matrix, dtype=np.complex128)
         except TypeError:
             raise ArgumentError(f"expected a DensityMatrix or a Hermitian array, got {type(matrix).__name__}") from None
+        except ValueError as exc:  # ragged rows or entries that are not numbers
+            raise ValidationError(f"matrix must be a rectangular array of numbers: {exc}") from None
         if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
             raise ValidationError(f"expected a nonempty square matrix, got shape {arr.shape}")
         scale = max(1.0, float(np.max(np.abs(arr))))
@@ -482,11 +508,11 @@ def _entropy_bits(lam: np.ndarray) -> np.ndarray:
     exact entropies); a lowest eigenvalue below the negative floor anywhere
     in the stack is rejected.
     """
-    low = float(np.min(lam[..., 0]))
+    low = float(lam[..., 0].min())
     if not low >= EIGENVALUE_FLOOR:
         raise ValidationError(f"eigenvalue {low:.3e} below {EIGENVALUE_FLOOR}; not a density matrix")
     pos = np.where(lam > 1e-14, lam, 1.0)  # 1 log2 1 = 0 exactly
-    return -np.sum(pos * np.log2(pos), axis=-1)
+    return -(pos * np.log2(pos)).sum(axis=-1)
 
 
 def _marginal_entropies(stack: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ pairwise entropy criterion for genuine multipartite entanglement.
 A chain is one ordered list of (coefficient, Pauli string) terms,
 grouped by x mask into one row of values per group (_PauliSum); chains
 that differ only in their coefficients, such as the rows of a sweep, share
-one operator with a leading row axis. The dense fill and the matrix-free
-product both read it:
+one operator with a leading row axis, and everything but the coefficients
+is cached per term list (_pauli_structure). The dense fill and the
+matrix-free product both read it:
 
 - N <= 7: the dense matrices, float64 when no term has an odd number of Y
   letters and complex128 otherwise, are filled as one stack and go to one
@@ -23,10 +24,11 @@ product both read it:
   Either solve not converged by the Krylov dimension 2^N raises
   NumericError. A 12-site transverse-field chain takes about 0.1 s.
 
-On both paths the state's phase is fixed and its eigenpair residual is
-checked against EIGENPAIR_RESIDUAL_TOL, and `degenerate` means a gap below
+On both paths, and for a raw matrix, one rule (_checked_result) fixes the
+phase of every state of a chunk and checks its eigenpair residual against
+EIGENPAIR_RESIDUAL_TOL, and `degenerate` means a gap below
 DEGENERACY_GAP_TOL. A sweep takes eta and the entropy criterion of all its
-ground states from one stacked marginal pass.
+ground states from one stack of single-qubit marginals.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from . import qcore
-from .emps import _CHUNK_AMPLITUDES, _pure_emps, worst_slacks
+from .emps import _CHUNK_AMPLITUDES, _min_eigenvalues_2x2, worst_slacks
 from .errors import ArgumentError, NumericError, ValidationError
 from .qcore import PureState
 
@@ -140,6 +142,31 @@ def _parity(n: int) -> np.ndarray:
     return table
 
 
+# a sweep and the chains of a session reuse a few term lists; the bound caps
+# the memory (README, "Numerical conventions")
+@functools.lru_cache(maxsize=8)
+def _pauli_structure(n: int, letters: Tuple[str, ...]) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...], np.ndarray]:
+    """(masks, rows, group, signs) of a term list over n sites: a _PauliSum without its coefficients.
+
+    masks holds the x masks in order of first appearance, which fixes
+    matvec's summation order; rows[g, j] = j ^ masks[g]; group[t] is term
+    t's group; signs[t, j] is term t's phase times the parity of its entry
+    in row j. Cached per (n, term strings), so the rows of a sweep and every
+    call on one chain share it; the arrays are read-only.
+    """
+    x, z, ny = np.array([_pauli_masks(s) for s in letters]).T
+    first = {}
+    group = tuple(first.setdefault(m, len(first)) for m in x.tolist())
+    masks = np.array(list(first), dtype=np.int64)
+    rows = np.arange(1 << n) ^ masks[:, None]
+    # the term's entry in row j sits in column j ^ x, whose phase it takes
+    phases = np.array([1, 1j, -1, -1j])[ny % 4] if np.any(ny % 2) else 1.0 - ny % 4
+    signs = phases[:, None] * _parity(n)[rows[list(group)] & z[:, None]]
+    for arr in (masks, rows, signs):
+        arr.flags.writeable = False
+    return masks, rows, group, signs
+
+
 class _PauliSum:
     """K operators sum_t coeffs[k, t] * letters[t] over n sites, grouped by x mask.
 
@@ -151,19 +178,13 @@ class _PauliSum:
     value is accumulated in term order, each term as coeff * (phase *
     parity), so an entry has the same bits whatever K is and whichever rows
     share the stack. vals is float64 when every term has an even Y count
-    (every phase is then real) and complex128 otherwise.
+    (every phase is then real) and complex128 otherwise. Only vals is built
+    per operator; the rest comes from _pauli_structure.
     """
 
     def __init__(self, n: int, letters: Sequence[str], coeffs):
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        x, z, ny = np.array([_pauli_masks(s) for s in letters]).T
-        first = {}  # groups in order of first appearance, which fixes matvec's summation order
-        group = [first.setdefault(m, len(first)) for m in x.tolist()]
-        self.masks = np.array(list(first), dtype=np.int64)
-        self.rows = np.arange(1 << n) ^ self.masks[:, None]
-        # the term's entry in row j sits in column j ^ x, whose phase it takes
-        phases = np.array([1, 1j, -1, -1j])[ny % 4] if np.any(ny % 2) else 1.0 - ny % 4
-        signs = phases[:, None] * _parity(n)[self.rows[group] & z[:, None]]
+        self.masks, self.rows, group, signs = _pauli_structure(n, tuple(letters))
         self.vals = np.zeros((len(coeffs), *self.rows.shape), dtype=signs.dtype)
         for g, term in zip(group, coeffs.T[:, :, None] * signs[:, None]):
             self.vals[:, g] += term
@@ -248,7 +269,10 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
     """
     if isinstance(hamiltonian, SpinChainSpec):
         return _ground_states([hamiltonian])[0]
-    ham = np.asarray(hamiltonian)
+    try:
+        ham = np.asarray(hamiltonian)
+    except ValueError as exc:  # ragged rows
+        raise ValidationError(f"Hamiltonian must be a rectangular array of numbers: {exc}") from None
     if ham.ndim != 2 or ham.shape[0] != ham.shape[1] or ham.shape[0] & (ham.shape[0] - 1):
         raise ValidationError(
             f"Hamiltonian must be square with power-of-two dimension, got shape {ham.shape}"
@@ -256,7 +280,7 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
     qcore._qubit_count_for_dim(ham.shape[0], "Hamiltonian")  # 1 to 12 qubits, before any solve
     spec = qcore.eig_hermitian(ham, vectors=True)
     w, v = spec.eigenvalues, spec.eigenvectors
-    return _checked_result(float(w[0]), v[:, 0], float(w[1] - w[0]), ham.__matmul__)
+    return _checked_result(w[:1], v[None, :, 0], w[1:2] - w[:1], _product(ham))[0]
 
 
 def _ground_states(specs: Sequence[SpinChainSpec]) -> List[GroundStateResult]:
@@ -271,26 +295,45 @@ def _ground_states(specs: Sequence[SpinChainSpec]) -> List[GroundStateResult]:
         return [_lanczos_ground_state(spec) for spec in specs]
     ham = _chain_operator(specs).dense()
     w, v = qcore._eigh(ham, vectors=True)  # Hermitian by construction
-    return [
-        _checked_result(float(w[k, 0]), v[k, :, 0], float(w[k, 1] - w[k, 0]), ham[k].__matmul__)
-        for k in range(len(specs))
-    ]
+    return _checked_result(w[:, 0], v[:, :, 0], w[:, 1] - w[:, 0], _product(ham))
 
 
-def _checked_result(energy: float, vec: np.ndarray, gap: float, apply) -> GroundStateResult:
-    """Phase-fixed ground state, after checking |H vec - energy vec| <= EIGENPAIR_RESIDUAL_TOL."""
-    k = int(np.argmax(np.abs(vec)))
-    vec = vec * (np.conj(vec[k]) / abs(vec[k]))
-    vec[k] = abs(vec[k])  # the product leaves a rounding-level imaginary part on complex vectors
-    residual = float(np.linalg.norm(apply(vec) - energy * vec))
-    if not residual <= EIGENPAIR_RESIDUAL_TOL:
+def _product(ham: np.ndarray):
+    """The map from a (K, 2^n) stack of vectors to their products with a matrix or a K-stack of matrices."""
+    return lambda vecs: (ham @ vecs[:, :, None])[:, :, 0]
+
+
+def _checked_result(energies: np.ndarray, vecs: np.ndarray, gaps: np.ndarray, apply) -> List[GroundStateResult]:
+    """Phase-fixed ground states of K eigenpairs, after checking each |H vec - energy vec| <= EIGENPAIR_RESIDUAL_TOL.
+
+    energies and gaps have shape (K,) and vecs (K, 2^n); apply maps such a
+    stack to its rows' products with their operators. The one rule for a
+    dense chunk, a Lanczos solve (K = 1) and a raw matrix: each row's phase
+    makes its first largest-magnitude entry real and positive. A row's top
+    entry, its factor and its norm come from that row alone, and |top| from a
+    NumPy scalar (NumPy's array abs of a complex entry can differ from the
+    scalar's in the last bit), so each state has the bits of a K = 1 call.
+    """
+    top = [np.abs(vec).argmax() for vec in vecs]
+    scale = np.empty(len(vecs), dtype=vecs.dtype)
+    for r, k in enumerate(top):
+        scale[r] = np.conj(vecs[r, k]) / abs(vecs[r, k])
+    vecs = vecs * scale[:, None]
+    for r, k in enumerate(top):
+        vecs[r, k] = abs(vecs[r, k])  # the product leaves a rounding-level imaginary part on complex vectors
+    residuals = np.linalg.norm(apply(vecs) - energies[:, None] * vecs, axis=1)
+    if not residuals.max() <= EIGENPAIR_RESIDUAL_TOL:  # NaN fails too
+        residual = residuals[~(residuals <= EIGENPAIR_RESIDUAL_TOL)][0]  # the first row that fails
         raise NumericError(f"ground-state residual {residual:.3e} exceeds {EIGENPAIR_RESIDUAL_TOL}")
-    return GroundStateResult(
-        energy=energy,
-        state=PureState(vec / np.linalg.norm(vec)),
-        degeneracy_gap=gap,
-        degenerate=gap < DEGENERACY_GAP_TOL,
-    )
+    return [
+        GroundStateResult(
+            energy=energy,
+            state=PureState._trusted(vec / np.linalg.norm(vec)),
+            degeneracy_gap=gap,
+            degenerate=gap < DEGENERACY_GAP_TOL,
+        )
+        for energy, vec, gap in zip(energies.tolist(), vecs, gaps.tolist())
+    ]
 
 
 def _lanczos_ground_state(spec: SpinChainSpec) -> GroundStateResult:
@@ -309,7 +352,8 @@ def _lanczos_ground_state(spec: SpinChainSpec) -> GroundStateResult:
     second, _ = _lanczos_lowest(op, rng.standard_normal(1 << spec.N), deflate=vec)
     # Both values are within their residuals of eigenvalues; a difference
     # below zero is a degenerate level seen through rounding.
-    return _checked_result(energy, vec, max(second - energy, 0.0), op.matvec)
+    gap = max(second - energy, 0.0)
+    return _checked_result(np.array([energy]), vec[None], np.array([gap]), lambda vecs: op.matvec(vecs[0])[None])[0]
 
 
 def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[float, np.ndarray]:
@@ -349,16 +393,17 @@ def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[flo
     raise NumericError(f"Lanczos did not converge within Krylov dimension {dim - fixed}")
 
 
-def _entropy_criteria(amps: np.ndarray) -> np.ndarray:
+def _entropy_criteria(amps: np.ndarray, qubit_marginals: np.ndarray) -> np.ndarray:
     """entropy_criterion of each row of a (B, 2^n) stack of pure-state amplitudes, n >= 3.
 
-    Every single-qubit and every pair marginal of the stack, each group in
-    one stacked eigensolve; a row's value does not depend on B.
+    qubit_marginals is the stack's qcore._qubit_marginals, which the caller
+    may share with the energies. Every single-qubit and every pair marginal,
+    each group in one stacked eigensolve; a row's value does not depend on B.
     """
     n = amps.shape[1].bit_length() - 1
-    singles = qcore._marginal_entropies(qcore._qubit_marginals(amps))
+    singles = qcore._marginal_entropies(qubit_marginals)
     pairs = qcore._marginal_entropies(qcore._marginals(amps, qcore._subset_table(n, 2)))
-    i, j = np.array(qcore._subsets(n, 2)).T
+    i, j = qcore._subset_indices(n, 2)
     return np.min(np.abs(pairs - singles[:, i] - singles[:, j]), axis=1)
 
 
@@ -372,7 +417,8 @@ def entropy_criterion(psi: PureState) -> float:
     qcore._require_pure(psi, "entropy criterion")
     if psi.n < 3:
         raise ArgumentError(f"entropy criterion needs at least 3 qubits, got n={psi.n}")
-    return float(_entropy_criteria(psi.amps[None, :])[0])
+    amps = psi.amps[None, :]
+    return float(_entropy_criteria(amps, qcore._qubit_marginals(amps))[0])
 
 
 def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]) -> List[SweepRow]:
@@ -392,6 +438,8 @@ def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]
     chain, whatever the chunk size. A value that gives an invalid chain
     raises after the rows before it are solved, as a row-by-row loop would.
     """
+    if not isinstance(spec, SpinChainSpec):
+        raise ArgumentError(f"chain sweep needs a SpinChainSpec, got {type(spec).__name__}")
     if parameter not in ("J", "h", "coefficient"):
         raise ArgumentError(f'parameter must be "J", "h", or "coefficient", got {parameter!r}')
     if spec.N < 3:
@@ -399,9 +447,14 @@ def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]
     if parameter == "coefficient" and not spec.extra_terms:
         raise ArgumentError('parameter "coefficient" scales the extra terms, and the chain has none')
     scaled = parameter == "coefficient"  # scales every extra term rather than setting one field
+    try:
+        values = iter(values)
+    except TypeError:
+        raise ArgumentError(f"sweep values must be an iterable of numbers, got {type(values).__name__}") from None
     swept: List[Tuple[float, SpinChainSpec]] = []
     invalid = None
-    for x in map(float, values):
+    for value in values:
+        x = qcore._number(value, "sweep value")
         change = {"extra_terms": tuple((c * x, s) for c, s in spec.extra_terms)} if scaled else {parameter: x}
         try:
             swept.append((x, replace(spec, **change)))
@@ -414,8 +467,9 @@ def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]
         chunk = swept[start:start + step]
         states = _ground_states([s for _, s in chunk])
         amps = np.stack([gs.state.amps for gs in states])
-        etas = worst_slacks(_pure_emps(amps)).tolist()
-        criteria = _entropy_criteria(amps).tolist()
+        marginals = qcore._qubit_marginals(amps)  # one pass for eta and the entropy criterion
+        etas = worst_slacks(_min_eigenvalues_2x2(marginals, range(1, spec.N + 1))).tolist()
+        criteria = _entropy_criteria(amps, marginals).tolist()
         rows += (
             SweepRow(x, gs.energy, gs.degeneracy_gap, eta, criterion, gs.degenerate)
             for (x, _), gs, eta, criterion in zip(chunk, states, etas, criteria)

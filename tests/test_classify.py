@@ -35,7 +35,7 @@ from empskit.qcore import (
     state_to_dict,
     von_neumann_entropy,
 )
-from empskit.spinchain import entropy_criterion
+from empskit.spinchain import entropy_criterion, indicator_sweep, long_range_chain
 
 from oracles import min_marginal_eigenvalues_oracle, orbit_factors_oracle, orbit_row_kron_oracle
 
@@ -680,6 +680,7 @@ _KINDS = {
     "ndarray": lambda: build_w([0.5, 0.25, 0.25]).amps,
     "EmpsVector": lambda: emps_vector(build_w([0.5, 0.25, 0.25])),
     "list": lambda: [0.5, 0.5],
+    "dict": lambda: {"family": "w"},
     "NoneType": lambda: None,
 }
 _NOT_A_STATE = ("ndarray", "EmpsVector", "list", "NoneType")
@@ -699,6 +700,11 @@ _WRONG_KINDS = [
     ("eig_hermitian", eig_hermitian, ("PureState", "EmpsVector"), "expected a DensityMatrix or a Hermitian array"),
     ("passive_energy", lambda x: passive_energy(x, np.diag([0.0, 1.0])), ("PureState", "EmpsVector"),
      "expected a DensityMatrix or a Hermitian array"),
+    ("build_state", build_state, ("PureState", "ndarray", "list", "dict", "NoneType"), "needs a StateBuilderSpec"),
+    ("indicator_sweep", lambda x: indicator_sweep(x, "h", [1.0]), ("PureState", "list", "dict", "NoneType"),
+     "needs a SpinChainSpec"),
+    ("indicator_sweep-values", lambda x: indicator_sweep(long_range_chain(), "h", x),
+     ("PureState", "DensityMatrix", "EmpsVector", "NoneType"), "sweep values must be an iterable of numbers"),
 ]
 
 

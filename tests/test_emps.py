@@ -187,6 +187,19 @@ def test_emps_vector_values_are_read_only_on_every_path():
             v.values[0] = 0.25
 
 
+def test_emps_vector_owns_its_values():
+    values = np.array([0.1, 0.2, 0.3])
+    v = EmpsVector(n=3, values=values)
+    values[0] = 9.0  # the caller's array changes after validation
+    assert v.values.tolist() == [0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize("hamiltonian", [[[1, 2], [3]], [["a", "b"], ["c", "d"]]], ids=["ragged", "strings"])
+def test_passive_energy_rejects_a_ragged_or_non_numeric_hamiltonian(hamiltonian):
+    with pytest.raises(ValidationError, match="rectangular array of numbers"):
+        passive_energy(np.eye(2) / 2, hamiltonian)
+
+
 def test_emps_vector_validation():
     with pytest.raises(ValidationError):
         EmpsVector(n=3, values=np.array([0.6, 0.0, 0.0]))

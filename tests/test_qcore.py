@@ -1,6 +1,8 @@
 import itertools
 import math
+import numbers
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from empskit import cli, qcore
 from empskit.classify import build_dicke, build_ghz, build_noisy_ghz, build_noisy_w, build_w
+from empskit.emps import emps_vector
 from empskit.errors import ArgumentError, CapacityError, NumericError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
@@ -66,6 +69,14 @@ def test_pure_state_is_immutable():
         psi.n = 3
     with pytest.raises(ValueError):
         psi.amps[0] = 1.0
+
+
+def test_pure_state_owns_its_amplitudes():
+    a = np.array([1, 0, 0, 0], dtype=complex)
+    psi = PureState(a)
+    a[0], a[3] = 5, 7  # the caller's array changes after validation
+    assert np.array_equal(psi.amps, [1, 0, 0, 0])
+    assert np.array_equal(emps_vector(psi).values, [0.0, 0.0])
 
 
 def test_density_matrix_rejects_non_hermitian():
@@ -426,6 +437,27 @@ def test_eig_of_a_stack_matches_one_at_a_time():
     stack[3, 0, 1] += 1e-3
     with pytest.raises(ValidationError, match="Hermitian"):
         eig_hermitian(stack)
+
+
+@pytest.mark.parametrize(
+    "matrix", [[[1, 0], [0]], [["a", "b"], ["c", "d"]]], ids=["ragged", "strings"]
+)
+def test_eig_hermitian_rejects_a_ragged_or_non_numeric_matrix(matrix):
+    with pytest.raises(ValidationError, match="matrix must be a rectangular array of numbers"):
+        eig_hermitian(matrix)
+
+
+# values a rule may see, from the exact-type fast path's int and float to the ABC path's NumPy scalars
+_RULE_VALUES = [0, -3, 2 ** 70, 1.5, float("nan"), float("inf"), True, False, np.int64(2), np.uint8(1),
+                np.float32(0.5), np.float64(2.0), np.bool_(True), 1j, np.complex128(1), "1", None, [1], Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("value", _RULE_VALUES, ids=repr)
+def test_number_rules_keep_the_abc_truth_table(value):
+    is_bool = isinstance(value, bool)
+    assert qcore._is_integer(value) == (isinstance(value, numbers.Integral) and not is_bool)
+    for kind in (numbers.Real, numbers.Complex):
+        assert qcore._is_number(value, kind) == (isinstance(value, kind) and not is_bool)
 
 
 def test_lapack_failure_is_a_numeric_error(monkeypatch, capsys):

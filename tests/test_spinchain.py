@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -634,6 +635,122 @@ def test_sweep_rows_do_not_depend_on_the_chunk_budget(spec, monkeypatch):
         monkeypatch.setattr(spinchain, "_CHUNK_AMPLITUDES", matrices << 2 * spec.N)
         assert indicator_sweep(spec, "h", values) == whole
     assert whole == _sweep_reference(spec, "h", values)
+
+
+@pytest.mark.parametrize("spec", [long_range_chain(), _odd_y(5)], ids=["longrange", "odd_y5"])
+def test_sweep_rows_do_not_depend_on_the_structure_cache(spec):
+    values = [0.2, 0.9, 1.6]
+    spinchain._pauli_structure.cache_clear()
+    cold = indicator_sweep(spec, "h", values)
+    assert spinchain._pauli_structure.cache_info().misses == 1
+    warm = indicator_sweep(spec, "h", values)
+    assert spinchain._pauli_structure.cache_info().hits == 1
+    assert warm == cold == _sweep_reference(spec, "h", values)
+
+
+def test_pauli_structure_is_read_only_and_bounded():
+    spinchain._pauli_structure.cache_clear()
+    letters = tuple(s for _, s in spinchain._chain_terms(_odd_y(5)))
+    masks, rows, group, signs = spinchain._pauli_structure(5, letters)
+    assert signs.dtype == np.complex128 and len(group) == len(letters)
+    for arr in (masks, rows, signs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    bound = spinchain._pauli_structure.cache_info().maxsize
+    for letters in itertools.islice(itertools.product("XYZ", repeat=3), 2 * bound):
+        pauli_string_matrix("".join(letters))
+    assert spinchain._pauli_structure.cache_info().currsize == bound == 8
+
+
+@pytest.mark.parametrize(
+    "hamiltonian", [long_range_chain(), _odd_y(5), _transverse_field(8), np.diag([0.5, -1.0, 2.0, 0.0])],
+    ids=["dense", "dense_odd_y", "lanczos", "raw_matrix"],
+)
+def test_ground_states_are_read_only_complex_unit_vectors(hamiltonian):
+    psi = ground_state(hamiltonian).state
+    assert psi.amps.dtype == np.complex128 and psi.amps.ndim == 1 and psi.dim == 1 << psi.n
+    assert not psi.amps.flags.writeable
+    assert abs(np.vdot(psi.amps, psi.amps).real - 1.0) <= 1e-12
+
+
+def _residual_in(message):
+    return float(re.search(r"ground-state residual (\S+) exceeds", message).group(1))
+
+
+@pytest.mark.parametrize("row", range(3))
+def test_a_corrupted_dense_row_fails_its_residual_check(row, monkeypatch):
+    # row `row` of a three-row chunk gets the first excited vector: its residual is that row's gap
+    eigh = qcore._eigh
+
+    def corrupted(matrix, vectors=False):
+        w, v = eigh(matrix, vectors)
+        if vectors:
+            v = v.copy()
+            v[row, :, 0] = v[row, :, 1]
+        return w, v
+
+    values = [0.2, 0.9, 1.6]
+    gap = indicator_sweep(long_range_chain(), "h", values)[row].gap
+    monkeypatch.setattr(qcore, "_eigh", corrupted)
+    with pytest.raises(NumericError, match="ground-state residual") as info:
+        indicator_sweep(long_range_chain(), "h", values)
+    assert _residual_in(str(info.value)) == pytest.approx(gap, rel=1e-2)
+
+
+def test_a_corrupted_lanczos_vector_fails_its_residual_check(monkeypatch):
+    lowest = spinchain._lanczos_lowest
+
+    def corrupted(op, start, deflate=None):
+        energy, vec = lowest(op, start, deflate)
+        return energy, vec if deflate is not None else vec + 0.1 * start
+
+    monkeypatch.setattr(spinchain, "_lanczos_lowest", corrupted)
+    with pytest.raises(NumericError, match="ground-state residual"):
+        ground_state(_odd_y(8))
+
+
+def test_a_corrupted_raw_matrix_vector_fails_its_residual_check(monkeypatch):
+    eigh = qcore._eigh
+
+    def corrupted(matrix, vectors=False):
+        w, v = eigh(matrix, vectors)
+        return w, v[:, ::-1]  # the top eigenvector in place of the lowest
+
+    ham = np.diag([0.0, 1.0, 2.0, 3.0])
+    monkeypatch.setattr(qcore, "_eigh", corrupted)
+    with pytest.raises(NumericError, match="ground-state residual") as info:
+        ground_state(ham)
+    assert _residual_in(str(info.value)) == 3.0
+
+
+def test_ground_state_rejects_a_ragged_matrix():
+    with pytest.raises(ValidationError, match="Hamiltonian must be a rectangular array of numbers"):
+        ground_state([[1, 0], [0]])
+
+
+def test_ground_state_rejects_a_matrix_of_strings():
+    with pytest.raises(ValidationError, match="matrix must be a rectangular array of numbers"):
+        ground_state([["a", "b"], ["c", "d"]])
+
+
+@pytest.mark.parametrize("value", ["1.5", True, None], ids=["str", "true", "none"])
+def test_sweep_rejects_values_that_are_not_numbers(value, monkeypatch):
+    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
+    with pytest.raises(ArgumentError, match=f"sweep value must be a number, got {re.escape(repr(value))}"):
+        indicator_sweep(long_range_chain(), "h", [0.5, value])
+
+
+def test_sweep_rejects_an_integer_past_the_float_range(monkeypatch):
+    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
+    with pytest.raises(ArgumentError, match="sweep value must be a finite number, got an integer past the float range"):
+        indicator_sweep(long_range_chain(), "h", [0.5, -(10 ** 400)])
+
+
+def test_sweep_takes_numpy_and_integer_values():
+    rows = indicator_sweep(long_range_chain(), "h", [np.float64(0.5), 1, np.int64(2)])
+    assert rows == indicator_sweep(long_range_chain(), "h", [0.5, 1.0, 2.0])
+    assert all(type(r.parameter) is float for r in rows)
 
 
 def _no_solve(specs):
