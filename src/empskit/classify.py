@@ -159,7 +159,9 @@ def build_biseparable(alpha: complex, beta: complex, position: int) -> PureState
 def _white_noise(psi: PureState, v: float, name: str) -> DensityMatrix:
     """(1 - v) |psi><psi| + v/d * identity, d the dimension of psi, for the weight v named name in [0, 1]."""
     _require(0.0 <= v <= 1.0 and qcore._is_number(v), f"{name} in [0, 1]")
-    return DensityMatrix._trusted((1.0 - v) * psi.density().entries + (v / psi.dim) * np.eye(psi.dim))
+    # the outer product is exactly Hermitian, so _trusted's symmetrized copy keeps its bits
+    projector = np.outer(psi.amps, psi.amps.conj())
+    return DensityMatrix._trusted((1.0 - v) * projector + (v / psi.dim) * np.eye(psi.dim))
 
 
 def build_noisy_w(v1: float) -> DensityMatrix:

@@ -3,9 +3,10 @@
 Subcommands: emps, classify, polytope, orbit, ising, sweep. Results are
 JSON records (CSV for point clouds and sweep tables); all energies are
 reported as dimensionless multiples of E. Exit codes: 0 success, 2 on
-validation/argument errors and on files that cannot be read or written, 3
-on numerical failures. orbit, the one randomized command, seeds with
---seed, else the EMPSKIT_SEED environment variable, else 42.
+validation/argument errors, on files that cannot be read or written and on
+requests too large for memory, 3 on numerical failures. orbit, the one
+randomized command, seeds with --seed, else the EMPSKIT_SEED environment
+variable, else 42.
 """
 
 from __future__ import annotations
@@ -273,6 +274,11 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The full parser and the map from each subcommand's name to its own parser."""
     parser = argparse.ArgumentParser(
         prog="empskit",
         description="Marginal passive-state energies, entanglement polytope facets, "
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(fn=_cmd_sweep)
 
-    return parser
+    return parser, sub.choices
 
 
 def _add_chain_options(parser: argparse.ArgumentParser):
@@ -336,18 +342,25 @@ def _add_chain_options(parser: argparse.ArgumentParser):
 
 
 @functools.lru_cache(maxsize=None)
-def _shared_parser() -> argparse.ArgumentParser:
-    # Building the parser costs more than a light command; parse_args leaves it
-    # unchanged and returns a fresh Namespace, so one parser serves every run.
-    return build_parser()
+def _shared_parsers():
+    # Building the parsers costs more than a light command; parse_args leaves
+    # them unchanged and returns a fresh Namespace, so one set serves every run.
+    return _build_parsers()
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, subparsers = _shared_parsers()
+    # A named subcommand's own parser reads its flags; the full parser would
+    # only pick that subparser first. It still handles every other argv.
+    if argv and argv[0] in subparsers:
+        args = subparsers[argv[0]].parse_args(argv[1:])
+    else:
+        args = parser.parse_args(argv)
     try:
         result = args.fn(args)
         _emit(result if isinstance(result, str) else json.dumps(result, indent=2), args.output)
-    except (ValidationError, ArgumentError, CapacityError, OSError) as exc:
+    except (ValidationError, ArgumentError, CapacityError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

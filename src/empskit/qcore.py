@@ -243,7 +243,7 @@ def random_pure_state(n: int, rng: Optional[np.random.Generator] = None) -> Pure
         raise ArgumentError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
     rng = np.random.default_rng() if rng is None else rng
     z = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-    return PureState(z / np.linalg.norm(z))
+    return PureState._trusted(z / np.linalg.norm(z))
 
 
 def tensor_product(a: State, b: State) -> State:
@@ -253,7 +253,7 @@ def tensor_product(a: State, b: State) -> State:
         raise ArgumentError("tensor_product operands must both be PureState or both DensityMatrix")
     _qubit_count_for_dim(a.dim * b.dim, "tensor product")
     if pure:
-        return PureState(np.kron(a.amps, b.amps))
+        return PureState._trusted(np.kron(a.amps, b.amps))
     return DensityMatrix._trusted(np.kron(a.entries, b.entries))
 
 

@@ -440,6 +440,52 @@ def test_build_parser_returns_a_fresh_parser():
 @pytest.mark.parametrize(
     "argv",
     [
+        ["emps", "--state", "s.json", "-o", "out.json", "--save-state", "saved.json"],
+        ["classify", "--builder", "w", "--coeffs", "0.5,0.25,0.25"],
+        ["polytope", "--point", "0.4,0.3,0.2", "--which", "w"],
+        ["orbit", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--samples", "4", "--seed", "7", "--format", "csv"],
+        ["ising", "--model", "longrange", "--J", "0.5"],
+        ["sweep", "--spec", "c.json", "--param", "J", "--range", "0:1:3", "--format", "json"],
+    ],
+)
+def test_subcommand_parser_reads_what_the_full_parser_reads(argv):
+    # run hands a named subcommand's flags straight to its own parser
+    full = vars(cli.build_parser().parse_args(argv))
+    assert full.pop("command") == argv[0]
+    _, subparsers = cli._shared_parsers()
+    assert vars(subparsers[argv[0]].parse_args(argv[1:])) == full
+
+
+@pytest.mark.parametrize("argv, code", [(["emps", "-h"], 0), (["-h"], 0), ([], 2)])
+def test_help_and_missing_command_match_the_full_parser(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == code
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--samples", str(10**15)],
+        ["sweep", "--model", "ising", "--range", f"0:1:{10**15}"],
+    ],
+)
+def test_request_too_large_for_memory_exits_2(capsys, argv):
+    # 10^15 float64 rows need petabytes, more than any address space, so the allocation fails at once
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["ising", "--model", "ising", "--sites", "3"],
         ["sweep", "--model", "ising", "--sites", "3", "--values", "1"],
         ["emps", "--builder", "ghz", "--n", "3", "--theta", "0.5"],
@@ -453,7 +499,9 @@ def test_seed_is_rejected_outside_orbit(capsys, argv, seed):
     with pytest.raises(SystemExit) as exc:
         cli.run(argv + ["--seed", seed])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed" in err
+    assert err.startswith(f"usage: empskit {argv[0]} ")
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,20 @@ def test_tensor_product_bell_times_zero():
     assert np.allclose(out.amps, expected)
 
 
+def test_fresh_unit_vectors_keep_their_bits_read_only():
+    # random_pure_state and tensor_product own their new arrays, so they skip PureState's copy and norm check
+    rng, replay = np.random.default_rng(31), np.random.default_rng(31)
+    for n in (1, 5, 12):
+        psi = random_pure_state(n, rng)
+        z = replay.standard_normal(2 ** n) + 1j * replay.standard_normal(2 ** n)
+        assert psi.n == n and np.array_equal(psi.amps, PureState(z / np.linalg.norm(z)).amps)
+        assert not psi.amps.flags.writeable
+    a, b = random_pure_state(2, rng), random_pure_state(3, rng)
+    out = tensor_product(a, b)
+    assert out.n == 5 and np.array_equal(out.amps, PureState(np.kron(a.amps, b.amps)).amps)
+    assert not out.amps.flags.writeable
+
+
 def test_tensor_product_density_matrices():
     a = basis_state("0").density()
     b = basis_state("1").density()
