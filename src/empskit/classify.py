@@ -391,11 +391,11 @@ def _local_factors(n: int, start: int, count: int) -> np.ndarray:
     Sample k takes one draw of 8n normals from default_rng(start + k), which
     consumes the stream exactly as n _random_local_operator calls do when no
     factor needs a redraw. For seeds below 2^64 that stream comes from one
-    reused PCG64 whose state is set to exactly that of default_rng(start + k);
-    larger seeds build their generator. A sample with any factor below
-    DET_FLOOR is replayed from a fresh generator, factor by factor.
+    reused PCG64 whose state is set to exactly that of default_rng(start + k).
+    Larger seeds, and samples with any factor below DET_FLOOR, are replayed
+    from their own default_rng, factor by factor.
     """
-    z = np.empty((count, n, 2, 2, 2))
+    z = np.zeros((count, n, 2, 2, 2))  # rows past the bound stay zero until replayed
     derived = min(count, max(0, _DERIVED_SEED_BOUND - start))
     if derived:  # a run starting at or past the bound has no derived states
         bit_generator = np.random.PCG64(0)  # its state is replaced before each draw
@@ -403,10 +403,10 @@ def _local_factors(n: int, start: int, count: int) -> np.ndarray:
         for row, state in zip(z[:derived], _pcg64_states(start, derived)):
             bit_generator.state = state
             generator.standard_normal(out=row)
-    for k in range(derived, count):
-        np.random.default_rng(start + k).standard_normal(out=z[k])
     g = z[:, :, 0] + 1j * z[:, :, 1]
-    for k in np.flatnonzero(np.any(np.abs(_det_2x2(g)) < DET_FLOOR, axis=1)):
+    replay = np.any(np.abs(_det_2x2(g)) < DET_FLOOR, axis=1)
+    replay[derived:] = True
+    for k in np.flatnonzero(replay):
         rng = np.random.default_rng(start + int(k))
         g[k] = [_random_local_operator(rng) for _ in range(n)]
     return g

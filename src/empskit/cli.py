@@ -162,7 +162,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_polytope(args) -> dict:
-    if args.point:
+    if args.point is not None:
         values = _parse_float_list(args.point, "--point")
         v = EmpsVector(n=len(values), values=np.array(values))
         point_id = f"point({args.point})"
@@ -236,6 +236,8 @@ def _sweep_values(args) -> List[float]:
             raise ValidationError("--range must look like start:stop:count") from exc
         if count < 1:
             raise ValidationError("--range count must be >= 1")
+        if not np.isfinite([start, stop, stop - start]).all():
+            raise ValidationError(f"--range needs finite start, stop and span, got {start!r}:{stop!r}")
         return [float(x) for x in np.linspace(start, stop, count)]
     raise ValidationError("provide sweep values via --values or --range")
 
@@ -269,10 +271,6 @@ def _add_state_options(parser: argparse.ArgumentParser):
     parser.add_argument("--v2", type=float, help="white-noise weight for noisy_ghz")
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("-o", "--output", help="write the result here instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
@@ -285,41 +283,33 @@ def _build_parsers():
         "and spin-chain indicators for small multi-qubit systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    state, chain, output = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    _add_state_options(state)
+    _add_chain_options(chain)
+    output.add_argument("-o", "--output", help="write the result here instead of stdout")
 
-    p = sub.add_parser("emps", help="per-qubit marginal passive energies of a state")
-    _add_state_options(p)
-    _add_common(p)
+    p = sub.add_parser("emps", parents=[state, output], help="per-qubit marginal passive energies of a state")
     p.add_argument("--save-state", help="also write the resolved state as a JSON file")
     p.set_defaults(fn=_cmd_emps)
 
-    p = sub.add_parser("classify", help="three-qubit SLOCC classification report")
-    _add_state_options(p)
-    _add_common(p)
+    p = sub.add_parser("classify", parents=[state, output], help="three-qubit SLOCC classification report")
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("polytope", help="facet membership of an energy vector (n=3)")
-    _add_state_options(p)
-    _add_common(p)
+    p = sub.add_parser("polytope", parents=[state, output], help="facet membership of an energy vector (n=3)")
     p.add_argument("--point", help="energy vector e1,e2,e3 instead of a state")
     p.add_argument("--which", choices=("w", "ghz"), default="ghz", help="polytope to test")
     p.set_defaults(fn=_cmd_polytope)
 
-    p = sub.add_parser("orbit", help="energy vectors sampled from a SLOCC orbit")
-    _add_state_options(p)
-    _add_common(p)
+    p = sub.add_parser("orbit", parents=[state, output], help="energy vectors sampled from a SLOCC orbit")
     p.add_argument("--samples", type=int, default=1000, help="number of orbit samples (>= 1)")
     p.add_argument("--seed", type=int, help="RNG seed (default EMPSKIT_SEED or 42)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_orbit)
 
-    p = sub.add_parser("ising", help="ground state and indicators of a spin chain")
-    _add_chain_options(p)
-    _add_common(p)
+    p = sub.add_parser("ising", parents=[chain, output], help="ground state and indicators of a spin chain")
     p.set_defaults(fn=_cmd_ising)
 
-    p = sub.add_parser("sweep", help="indicator table along a chain parameter")
-    _add_chain_options(p)
-    _add_common(p)
+    p = sub.add_parser("sweep", parents=[chain, output], help="indicator table along a chain parameter")
     p.add_argument("--param", choices=("J", "h", "coefficient"), default="h")
     p.add_argument("--values", help="comma-separated parameter values")
     p.add_argument("--range", help="start:stop:count, inclusive linear grid")

@@ -459,6 +459,10 @@ def test_local_factors_build_a_generator_only_to_replay_or_past_2_64(monkeypatch
     built.clear()
     classify._local_factors(3, 10, 20)
     assert replayed and built == replayed
+    built.clear()
+    classify._local_factors(3, 2 ** 64 + 3, 20)  # each seed past 2^64 builds one generator, replayed or not
+    assert built == list(range(2 ** 64 + 3, 2 ** 64 + 23))
+    assert any(orbit_factors_oracle(3, s, classify.DET_FLOOR)[1] for s in list(built))
 
 
 def test_twelve_qubit_orbit_without_dense_operator():

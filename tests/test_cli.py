@@ -623,8 +623,13 @@ def test_state_file_with_non_numeric_pairs_exits_2(tmp_path, capsys, field):
         (["sweep", "--model", "ising", "--range", "0:2:1.5"], "--range must look like start:stop:count"),
         (["sweep", "--model", "ising", "--range", "0:2:0"], "--range count must be >= 1"),
         (["sweep", "--model", "ising", "--range", "0:2:-3"], "--range count must be >= 1"),
+        (["sweep", "--model", "ising", "--range", "0:inf:3"], "--range needs finite start, stop and span, got 0.0:inf"),
+        (["sweep", "--model", "ising", "--range", "nan:1:3"], "--range needs finite start, stop and span, got nan:1.0"),
+        (["sweep", "--model", "ising", "--range=-1e308:1e308:3"], "--range needs finite start, stop and span"),
+        (["polytope", "--point", ""], "energy vector needs at least one qubit"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_flag_values_exit_2_with_their_message(capsys, argv, message):
     assert cli.run(argv) == 2
     captured = capsys.readouterr()
