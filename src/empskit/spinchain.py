@@ -6,12 +6,12 @@ optionally extended by extra Pauli-string terms (per-site letters I/X/Y/Z
 with full Pauli matrices). Ground states feed the energy indicator and the
 pairwise entropy criterion for genuine multipartite entanglement.
 
-A chain is one ordered list of (coefficient, Pauli string) terms,
-grouped by x mask into one row of values per group (_PauliSum); chains
-that differ only in their coefficients, such as the rows of a sweep, share
-one operator with a leading row axis, and everything but the coefficients
-is cached per term list (_pauli_structure). The dense fill and the
-matrix-free product both read it:
+A chain is one tuple of Pauli strings and a (K, T) table of their
+coefficients (_chain_terms): one row for a spec, or one row per swept
+value of J, h or the extra-term scale. A table, or a sweep chunk's slice
+of it, is one operator grouped by x mask, one row of values per group and
+chain (_PauliSum); everything but the coefficients is cached per term list
+(_pauli_structure). The dense fill and the matrix-free product both read it:
 
 - N <= 7: the dense matrices, float64 when no term has an odd number of Y
   letters and complex128 otherwise, are filled as one stack and go to one
@@ -28,7 +28,10 @@ On both paths, and for a raw matrix, one rule (_checked_result) fixes the
 phase of every state of a chunk and checks its eigenpair residual against
 EIGENPAIR_RESIDUAL_TOL, and `degenerate` means a gap below
 DEGENERACY_GAP_TOL. A sweep takes eta and the entropy criterion of all its
-ground states from one stack of single-qubit marginals.
+ground states from one stack of single-qubit marginals. The first table
+row whose sum of |c_t| is not finite (SpinChainSpec._first_unbounded, the
+spec's own size rule) ends a sweep: the rows before it are solved, then
+that row's spec raises its own message.
 """
 
 from __future__ import annotations
@@ -93,6 +96,16 @@ class SpinChainSpec:
             if not math.isfinite(c):
                 raise ValidationError(f"extra_terms coefficient of {s!r} must be finite, got {c!r}")
         object.__setattr__(self, "extra_terms", terms)
+        if self._first_unbounded(_chain_terms(self)[1]) == 0:
+            raise ValidationError(
+                "J, h and extra_terms are too large: the sum of the chain's |coefficients| is not finite"
+            )
+
+    @staticmethod
+    def _first_unbounded(table: np.ndarray) -> int:
+        """Index of the first row of a (K, T) coefficient table whose sum of |c_t| is not finite, else K."""
+        # Python float sums: an overflow is inf without a warning
+        return next((k for k, row in enumerate(table.tolist()) if not math.isfinite(sum(map(abs, row)))), len(table))
 
 
 @dataclass(frozen=True)
@@ -168,7 +181,7 @@ def _pauli_structure(n: int, letters: Tuple[str, ...]) -> Tuple[np.ndarray, np.n
 
 
 class _PauliSum:
-    """K operators sum_t coeffs[k, t] * letters[t] over n sites, grouped by x mask.
+    """K operators sum_t coeffs[k, t] * letters[t] over n sites (coeffs a float64 table), grouped by x mask.
 
     All K rows share one list of term strings. A string with x mask x, z
     mask z and Y count nY sends basis state i to i ^ x with the phase
@@ -182,9 +195,8 @@ class _PauliSum:
     per operator; the rest comes from _pauli_structure.
     """
 
-    def __init__(self, n: int, letters: Sequence[str], coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        self.masks, self.rows, group, signs = _pauli_structure(n, tuple(letters))
+    def __init__(self, letters: Sequence[str], coeffs: np.ndarray):
+        self.masks, self.rows, group, signs = _pauli_structure(len(letters[0]), tuple(letters))
         self.vals = np.zeros((len(coeffs), *self.rows.shape), dtype=signs.dtype)
         for g, term in zip(group, coeffs.T[:, :, None] * signs[:, None]):
             self.vals[:, g] += term
@@ -204,19 +216,20 @@ class _PauliSum:
         return (self.vals[0] * v[self.rows]).sum(axis=0)
 
 
-def _chain_terms(spec: SpinChainSpec) -> List[Tuple[float, str]]:
-    """The chain's (coefficient, Pauli string) terms in order: ZZ bonds, then Z fields, then extra_terms."""
+def _chain_terms(spec: SpinChainSpec, parameter=None, values=()) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """The chain's Pauli strings (ZZ bonds, Z fields, extra_terms) and its (K, T) coefficient table.
+
+    One row for spec, or one per value of parameter ("coefficient" scales every extra
+    term), in Python floats: a row has its own spec's bits, and an overflow is a silent inf.
+    """
+    n, extra = spec.N, spec.extra_terms
+    letters = tuple("I" * i + "Z" * w + "I" * (n - w - i) for w in (2, 1) for i in range(n + 1 - w))  # ZZ, then Z
+    letters += tuple(s for _, s in extra)
+    fields = {"J": spec.J, "h": spec.h, "coefficient": 1.0}
+    rows = [fields.values()] if parameter is None else [{**fields, parameter: x}.values() for x in values]
     # s^z s^z = sigma_z sigma_z / 4 and s^z = sigma_z / 2
-    n = spec.N
-    bonds = [(-0.25 * spec.J, "I" * i + "ZZ" + "I" * (n - 2 - i)) for i in range(n - 1)]
-    fields = [(-0.5 * spec.h, "I" * i + "Z" + "I" * (n - 1 - i)) for i in range(n)]
-    return bonds + fields + list(spec.extra_terms)
-
-
-def _chain_operator(specs: Sequence[SpinChainSpec]) -> _PauliSum:
-    """One row per spec; the specs differ only in their coefficients."""
-    terms = [_chain_terms(s) for s in specs]
-    return _PauliSum(specs[0].N, [s for _, s in terms[0]], [[c for c, _ in row] for row in terms])
+    table = [[-0.25 * J] * (n - 1) + [-0.5 * h] * n + [c * x for c, _ in extra] for J, h, x in rows]
+    return letters, np.array(table, dtype=np.float64).reshape(len(rows), len(letters))
 
 
 def pauli_string_matrix(letters: str) -> np.ndarray:
@@ -224,7 +237,7 @@ def pauli_string_matrix(letters: str) -> np.ndarray:
 
     float64 when the string has an even number of Y letters, complex128 otherwise.
     """
-    return _PauliSum(len(letters), [letters.upper()], [[1.0]]).dense()[0]
+    return _PauliSum([letters.upper()], np.ones((1, 1))).dense()[0]
 
 
 def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
@@ -233,7 +246,7 @@ def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
     float64 (real symmetric) when no extra string has an odd number of Y
     letters, complex128 otherwise.
     """
-    return _chain_operator([spec]).dense()[0]
+    return _PauliSum(*_chain_terms(spec)).dense()[0]
 
 
 def nearest_neighbor_chain(N: int = 5, J: float = 1.0, h: float = 1.0) -> SpinChainSpec:
@@ -268,7 +281,7 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
     DEGENERACY_GAP_TOL, in which case indicator values from it are not well defined.
     """
     if isinstance(hamiltonian, SpinChainSpec):
-        return _ground_states([hamiltonian])[0]
+        return _ground_states(*_chain_terms(hamiltonian))[0]
     try:
         ham = np.asarray(hamiltonian)
     except ValueError as exc:  # ragged rows
@@ -283,17 +296,17 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
     return _checked_result(w[:1], v[None, :, 0], w[1:2] - w[:1], _product(ham))[0]
 
 
-def _ground_states(specs: Sequence[SpinChainSpec]) -> List[GroundStateResult]:
-    """ground_state of each spec; the specs differ only in their coefficients.
+def _ground_states(letters: Sequence[str], table: np.ndarray) -> List[GroundStateResult]:
+    """ground_state of the chain of each row of a (K, T) coefficient table over one term list.
 
     Up to _DENSE_MAX_SITES sites the chains are filled as one stack and
     solved by one stacked LAPACK eigh, which runs the same routine on each
     matrix, so every row has the bits of its own solve. Longer chains take
     one Lanczos solve each.
     """
-    if specs[0].N > _DENSE_MAX_SITES:
-        return [_lanczos_ground_state(spec) for spec in specs]
-    ham = _chain_operator(specs).dense()
+    if len(letters[0]) > _DENSE_MAX_SITES:
+        return [_lanczos_ground_state(_PauliSum(letters, row[None])) for row in table]
+    ham = _PauliSum(letters, table).dense()
     w, v = qcore._eigh(ham, vectors=True)  # Hermitian by construction
     return _checked_result(w[:, 0], v[:, :, 0], w[:, 1] - w[:, 0], _product(ham))
 
@@ -336,8 +349,8 @@ def _checked_result(energies: np.ndarray, vecs: np.ndarray, gaps: np.ndarray, ap
     ]
 
 
-def _lanczos_ground_state(spec: SpinChainSpec) -> GroundStateResult:
-    """Ground state and gap of a chain by two Lanczos solves on the grouped operator.
+def _lanczos_ground_state(op: _PauliSum) -> GroundStateResult:
+    """Ground state and gap of a one-row chain operator by two Lanczos solves.
 
     The first solve gives the ground pair. The second starts from a fresh
     vector and is kept orthogonal to the ground vector, so its lowest value
@@ -345,11 +358,10 @@ def _lanczos_ground_state(spec: SpinChainSpec) -> GroundStateResult:
     shows up as a zero gap, which a single Krylov space cannot see. Both
     start vectors come from a fixed seed, so results are reproducible.
     """
-    op = _chain_operator([spec])
     rng = np.random.default_rng(_LANCZOS_SEED)
-    energy, vec = _lanczos_lowest(op, rng.standard_normal(1 << spec.N))
+    energy, vec = _lanczos_lowest(op, rng.standard_normal(op.rows.shape[1]))
     vec /= np.linalg.norm(vec)
-    second, _ = _lanczos_lowest(op, rng.standard_normal(1 << spec.N), deflate=vec)
+    second, _ = _lanczos_lowest(op, rng.standard_normal(op.rows.shape[1]), deflate=vec)
     # Both values are within their residuals of eigenvalues; a difference
     # below zero is a degenerate level seen through rounding.
     gap = max(second - energy, 0.0)
@@ -430,13 +442,16 @@ def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]
     level are flagged rather than silently resolved, since the indicators are
     not well defined on an arbitrary vector of the ground space.
 
+    The values make one coefficient table, a row each, and no SpinChainSpec.
     Rows are solved in chunks of at most _CHUNK_AMPLITUDES matrix entries,
-    which bounds the working set: one stacked fill and eigh per chunk (one
-    Lanczos solve per row from 8 sites on), then eta and the entropy
-    criterion of the whole chunk from one marginal pass. Every row has the
-    bits of ground_state, eta_indicator and entropy_criterion on its own
-    chain, whatever the chunk size. A value that gives an invalid chain
-    raises after the rows before it are solved, as a row-by-row loop would.
+    which bounds the working set: one table slice, stacked fill and eigh per
+    chunk (one Lanczos solve per row from 8 sites on), then eta and the
+    entropy criterion of the whole chunk from one marginal pass. Every row
+    has the bits of ground_state, eta_indicator and entropy_criterion on its
+    own chain, whatever the chunk size. The first row that breaks the spec's
+    rules raises, with that row's spec's message, after the rows before it
+    are solved, as a row-by-row loop would; a value that is not a number
+    raises before any solve, unless such a row comes first.
     """
     if not isinstance(spec, SpinChainSpec):
         raise ArgumentError(f"chain sweep needs a SpinChainSpec, got {type(spec).__name__}")
@@ -446,36 +461,36 @@ def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]
         raise ArgumentError(f"energy indicator needs at least 3 qubits, got n={spec.N}")
     if parameter == "coefficient" and not spec.extra_terms:
         raise ArgumentError('parameter "coefficient" scales the extra terms, and the chain has none')
-    scaled = parameter == "coefficient"  # scales every extra term rather than setting one field
     try:
         values = iter(values)
     except TypeError:
         raise ArgumentError(f"sweep values must be an iterable of numbers, got {type(values).__name__}") from None
-    swept: List[Tuple[float, SpinChainSpec]] = []
-    invalid = None
-    for value in values:
-        x = qcore._number(value, "sweep value")
-        change = {"extra_terms": tuple((c * x, s) for c, s in spec.extra_terms)} if scaled else {parameter: x}
-        try:
-            swept.append((x, replace(spec, **change)))
-        except ValidationError as exc:
-            invalid = exc
-            break
+    xs, unread = [], None
+    try:
+        for value in values:
+            xs.append(qcore._number(value, "sweep value"))
+    except ArgumentError as exc:  # not a number: raised before any solve, unless an invalid row precedes it
+        unread = exc
+    letters, table = _chain_terms(spec, parameter, xs)
+    invalid = SpinChainSpec._first_unbounded(table)
+    if invalid == len(xs) and unread is not None:
+        raise unread
     rows: List[SweepRow] = []
     step = max(1, _CHUNK_AMPLITUDES >> 2 * spec.N)
-    for start in range(0, len(swept), step):
-        chunk = swept[start:start + step]
-        states = _ground_states([s for _, s in chunk])
+    for start in range(0, invalid, step):
+        states = _ground_states(letters, table[start:min(start + step, invalid)])
         amps = np.stack([gs.state.amps for gs in states])
         marginals = qcore._qubit_marginals(amps)  # one pass for eta and the entropy criterion
         etas = worst_slacks(_min_eigenvalues_2x2(marginals, range(1, spec.N + 1))).tolist()
         criteria = _entropy_criteria(amps, marginals).tolist()
         rows += (
             SweepRow(x, gs.energy, gs.degeneracy_gap, eta, criterion, gs.degenerate)
-            for (x, _), gs, eta, criterion in zip(chunk, states, etas, criteria)
+            for x, gs, eta, criterion in zip(xs[start:], states, etas, criteria)
         )
-    if invalid is not None:
-        raise invalid
+    if invalid < len(xs):  # that row's spec raises its own message
+        x = xs[invalid]
+        scaled = {"extra_terms": tuple((c * x, s) for c, s in spec.extra_terms)}
+        replace(spec, **(scaled if parameter == "coefficient" else {parameter: x}))
     return rows
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,7 +373,7 @@ def test_generalized_dicke_builder(capsys):
     assert abs(record["total"] - 1.0) <= 1e-9
 
 
-def _no_solve(specs):
+def _no_solve(letters, table):
     raise AssertionError("a rejected sweep must not reach the eigensolver")
 
 
@@ -394,6 +395,37 @@ LONGRANGE_SWEEP_CSV = (
     b"1.5,-10.507109611613737,0.279159394423953,0.6723298825061292,0.0129364114415631,0\r\n"
     b"2.0,-10.866603282237904,0.45591417106508914,0.5818427294834285,0.023092131674142702,0\r\n"
 )
+
+
+def _readme_chain_table():
+    # {N: [ground energy, gap, eta, entropy criterion] cells} of the README's 4-12-site table
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text[text.index("| N | ground energy | gap | eta (E) | entropy criterion (bits) |"):].splitlines()[2:]
+    cells = [[c.strip() for c in line.strip("|").split("|")] for line in lines[:lines.index("")]]
+    return {int(n): rest for n, *rest in cells}
+
+
+def _as_shown(value, cell):
+    # value printed at the digits of a README cell; a "< bound" cell stands when value is below the bound
+    if cell.startswith("< "):
+        return cell if abs(value) < float(cell[2:]) else repr(value)
+    mantissa, exponent, _ = cell.partition("e")
+    return f"{value:.{len(mantissa.partition('.')[2])}{'e' if exponent else 'f'}}"
+
+
+def test_readme_chain_table_is_what_ising_prints(tmp_path, capsys):
+    table = _readme_chain_table()
+    assert sorted(table) == list(range(4, 13))
+    shown = {}
+    for n, cells in table.items():
+        spec = tmp_path / f"tf{n}.json"
+        spec.write_text(json.dumps({"N": n, "J": 1.0, "h": 0.5,
+                                    "extra_terms": [[0.6, "I" * i + "X" + "I" * (n - 1 - i)] for i in range(n)]}))
+        record = run_json(capsys, ["ising", "--spec", str(spec)])
+        assert record["degenerate"] is False
+        values = [record[k] for k in ("ground_energy", "gap", "eta", "entropy_criterion")]
+        shown[n] = [_as_shown(v, c) for v, c in zip(values, cells)]
+    assert shown == table
 
 
 def test_sweep_longrange_csv_bytes(tmp_path):
@@ -635,6 +667,33 @@ def test_bad_flag_values_exit_2_with_their_message(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, solved",
+    [
+        (["ising", "--model", "ising", "--sites", "4", "--h", "1e308"], []),
+        (["sweep", "--model", "ising", "--sites", "4", "--values", "0.5,1e308"], [1]),
+    ],
+    ids=["ising", "sweep"],
+)
+@pytest.mark.filterwarnings("error")
+def test_chain_whose_coefficients_overflow_exits_2(capsys, monkeypatch, argv, solved):
+    # the sweep solves its first row, then the second row's spec rejects h = 1e308
+    rows = []
+    solve = cli.sc._ground_states
+
+    def counted(letters, table):
+        rows.append(len(table))
+        return solve(letters, table)
+
+    monkeypatch.setattr(cli.sc, "_ground_states", counted)
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "J, h and extra_terms are too large: the sum of the chain's |coefficients| is not finite"
+    assert captured.err == f"error: {message}\n"
+    assert rows == solved
 
 
 def test_orbit_of_a_density_matrix_file_exits_2_from_the_library_rule(tmp_path, capsys):

@@ -288,7 +288,7 @@ def test_hamiltonian_dtype_follows_the_y_parity():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_matvec_is_the_dense_product(n):
     spec = SpinChainSpec(N=n, J=0.9, h=-0.4, extra_terms=_mixed_terms(n))
-    op = spinchain._chain_operator([spec])
+    op = _operator(spec)
     v = np.random.default_rng(n).standard_normal(2 ** n) + 1j * np.random.default_rng(50 + n).standard_normal(2 ** n)
     assert np.max(np.abs(op.matvec(v) - build_hamiltonian(spec) @ v)) <= 1e-12
 
@@ -313,6 +313,10 @@ def test_spec_rejects_non_finite_coefficients(letters, coeff):
         indicator_sweep(nearest_neighbor_chain(N=3), "h", [1.0, coeff])
 
 
+def _operator(spec):
+    return spinchain._PauliSum(*spinchain._chain_terms(spec))
+
+
 def _transverse_field(n, J=1.0, h=0.5, g=0.6, extra=()):
     return SpinChainSpec(N=n, J=J, h=h, extra_terms=tuple((g, "I" * i + "X" + "I" * (n - 1 - i)) for i in range(n)) + extra)
 
@@ -333,7 +337,7 @@ def _odd_y(n):
 )
 def test_lanczos_matches_dense(spec):
     dense = ground_state(build_hamiltonian(spec))
-    lanczos = spinchain._lanczos_ground_state(spec)
+    lanczos = spinchain._lanczos_ground_state(_operator(spec))
     assert not dense.degenerate and not lanczos.degenerate
     assert abs(lanczos.energy - dense.energy) <= 1e-10
     assert abs(lanczos.degeneracy_gap - dense.degeneracy_gap) <= 1e-8
@@ -345,20 +349,25 @@ def test_lanczos_matches_dense(spec):
 def test_ground_state_switches_to_lanczos_above_seven_sites(n, monkeypatch):
     calls = []
     lanczos = spinchain._lanczos_ground_state
-    monkeypatch.setattr(spinchain, "_lanczos_ground_state", lambda spec: calls.append(spec.N) or lanczos(spec))
+
+    def counted(op):
+        calls.append(op.rows.shape[1].bit_length() - 1)  # the site count
+        return lanczos(op)
+
+    monkeypatch.setattr(spinchain, "_lanczos_ground_state", counted)
     ground_state(_transverse_field(n))
     assert calls == ([n] if n >= 8 else [])
 
 
 def test_lanczos_odd_y_chain_is_complex():
-    assert spinchain._chain_operator([_odd_y(6)]).vals.dtype == np.complex128
+    assert _operator(_odd_y(6)).vals.dtype == np.complex128
 
 
 @pytest.mark.parametrize("n", [4, 10])
 def test_lanczos_flags_a_degenerate_ground_level(n):
     # zero field: all-up and all-down share the ground level; one Krylov space
     # holds only their sum, so the deflated second solve must find the other
-    result = spinchain._lanczos_ground_state(nearest_neighbor_chain(N=n, J=1.0, h=0.0))
+    result = spinchain._lanczos_ground_state(_operator(nearest_neighbor_chain(N=n, J=1.0, h=0.0)))
     assert result.degenerate
     assert result.degeneracy_gap <= 1e-12
     assert abs(result.energy + 0.25 * (n - 1)) <= 1e-10
@@ -383,7 +392,7 @@ def test_complex_ground_state_top_amplitude_is_exactly_real(n):
 def test_lanczos_that_does_not_converge_is_a_numeric_error(monkeypatch):
     monkeypatch.setattr(spinchain, "_LANCZOS_TOL", 0.0)
     with pytest.raises(NumericError, match="Lanczos did not converge within Krylov dimension 16"):
-        spinchain._lanczos_ground_state(_transverse_field(4))
+        spinchain._lanczos_ground_state(_operator(_transverse_field(4)))
 
 
 @pytest.mark.parametrize("spec", [_transverse_field(12), _odd_y(12)], ids=["tf12", "odd_y12"])
@@ -395,8 +404,8 @@ def test_twelve_site_ground_state(spec):
     k = int(np.argmax(np.abs(psi)))
     assert psi[k].imag == 0.0 and psi[k].real > 0.0
     # residual from the terms applied site by site, not from the grouped operator
-    terms = spinchain._chain_terms(spec)
-    h_psi = sum(c * _apply_term(letters, psi, 12) for c, letters in terms)
+    letters, table = spinchain._chain_terms(spec)
+    h_psi = sum(c * _apply_term(term, psi, 12) for c, term in zip(table[0].tolist(), letters))
     assert np.linalg.norm(h_psi - result.energy * psi) <= 1e-8
     assert not result.degenerate and result.degeneracy_gap > 0.1
 
@@ -650,7 +659,7 @@ def test_sweep_rows_do_not_depend_on_the_structure_cache(spec):
 
 def test_pauli_structure_is_read_only_and_bounded():
     spinchain._pauli_structure.cache_clear()
-    letters = tuple(s for _, s in spinchain._chain_terms(_odd_y(5)))
+    letters, _ = spinchain._chain_terms(_odd_y(5))
     masks, rows, group, signs = spinchain._pauli_structure(5, letters)
     assert signs.dtype == np.complex128 and len(group) == len(letters)
     for arr in (masks, rows, signs):
@@ -753,7 +762,7 @@ def test_sweep_takes_numpy_and_integer_values():
     assert all(type(r.parameter) is float for r in rows)
 
 
-def _no_solve(specs):
+def _no_solve(letters, table):
     raise AssertionError("a rejected sweep must not reach the eigensolver")
 
 
@@ -770,6 +779,7 @@ def test_sweep_rejects_two_site_chains_before_solving(values, monkeypatch):
         indicator_sweep(nearest_neighbor_chain(N=2), "h", values)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_raises_in_row_order():
     # the first row fails its residual gate before the second row's value is rejected
     for parameter, message in (("J", "J must be a finite number"), ("coefficient", "coefficient of 'IXXXI' must be finite")):
@@ -777,6 +787,52 @@ def test_sweep_raises_in_row_order():
             indicator_sweep(long_range_chain(), parameter, [1e9, float("nan")])
         with pytest.raises(ValidationError, match=message):
             indicator_sweep(long_range_chain(), parameter, [1.0, float("nan"), 1e9])
+    # 4 * 1e308 overflows to inf in the row's table, and the row's spec names the term
+    with pytest.raises(ValidationError, match="extra_terms coefficient of 'IXXXI' must be finite, got inf"):
+        indicator_sweep(long_range_chain(), "coefficient", [1.0, 1e308, 2.0])
+
+
+def _counting_post_init(monkeypatch):
+    calls = []
+    post_init = SpinChainSpec.__post_init__
+    monkeypatch.setattr(SpinChainSpec, "__post_init__", lambda self: calls.append(self) or post_init(self))
+    return calls
+
+
+@pytest.mark.parametrize("parameter", ["h", "coefficient"])
+def test_a_valid_sweep_builds_no_spec_per_row(parameter, monkeypatch):
+    spec = long_range_chain()
+    values = [0.25 * k - 0.5 for k in range(8)]
+    expected = _sweep_reference(spec, parameter, values)
+    calls = _counting_post_init(monkeypatch)
+    assert indicator_sweep(spec, parameter, values) == expected
+    assert calls == []
+
+
+def test_an_invalid_sweep_row_builds_one_spec(monkeypatch):
+    spec = long_range_chain()
+    calls = _counting_post_init(monkeypatch)
+    with pytest.raises(ValidationError, match="h must be a finite number"):
+        indicator_sweep(spec, "h", [0.5, 1.0, float("inf"), float("nan")])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"h": 1e308}, {"J": -1e308, "h": 1e308}, {"extra_terms": ((1e308, "XXXX"), (-1e308, "ZIIZ"))}],
+    ids=["h", "J_and_h", "extra_terms"],
+)
+@pytest.mark.filterwarnings("error")
+def test_spec_rejects_coefficients_whose_absolute_sum_overflows(fields):
+    with pytest.raises(ValidationError, match=r"J, h and extra_terms are too large: .* \|coefficients\| is not finite"):
+        SpinChainSpec(N=4, **fields)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spec_takes_large_coefficients_whose_absolute_sum_is_finite():
+    # 3 bonds at 0.25e308 and 4 fields at 0.25e307 sum to 0.85e308
+    spec = SpinChainSpec(N=4, J=1e308, h=5e306, extra_terms=((1e300, "XXXX"),))
+    assert np.isfinite(build_hamiltonian(spec)).all()
 
 
 @pytest.mark.parametrize("name", ["J", "h"])
