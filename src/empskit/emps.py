@@ -34,17 +34,19 @@ class EmpsVector:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
+        n = qcore._integer(self.n, "declared qubit count n", ValidationError)
+        if n < 1:
             raise ValidationError("energy vector needs at least one qubit")
         arr = np.array(self.values, dtype=np.float64).reshape(-1)  # a copy: the caller's array may change later
-        if self.n != arr.size:
-            raise ValidationError(f"declared n={self.n} but got {arr.size} values")
+        if n != arr.size:
+            raise ValidationError(f"declared n={n} but got {arr.size} values")
         floor = qcore.EIGENVALUE_FLOOR
         if not (arr.min() >= floor and arr.max() <= 0.5 - floor):
             raise ValidationError(
                 f"marginal passive energies must lie in [0, 1/2], got {arr.tolist()}"
             )
         arr.flags.writeable = False
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", arr)
 
     @classmethod
@@ -186,13 +188,15 @@ _CHUNK_AMPLITUDES = 1 << 16
 def emps_vectors(amps) -> np.ndarray:
     """Marginal passive energies of every row of a (B, 2^n) stack of pure-state amplitudes, as (B, n).
 
-    Row k is bit-identical to emps_vector(PureState(amps[k])).values. Each
-    row is checked as PureState checks one vector: the width must be a
-    power of two for 1 to 12 qubits (CapacityError beyond 12) and every row
-    must have unit norm within qcore.NORMALIZATION_ATOL (ValidationError
-    naming the first bad row). Rows are processed in batches of at most
-    2^16 amplitudes, which bounds the working set and does not change the
-    result.
+    Row k is bit-identical to emps_vector(PureState(amps[k])).values. The
+    width must be a power of two for 1 to 12 qubits (CapacityError beyond
+    12) and every row must have unit norm within qcore.NORMALIZATION_ATOL
+    (ValidationError naming the first bad row). That is PureState's
+    tolerance but not its sum: qcore._require_normalized_rows sums
+    |amps|^2 per row where PureState takes np.vdot, so a row within
+    rounding of the bound can get the opposite verdict. Rows are processed
+    in batches of at most 2^16 amplitudes, which bounds the working set and
+    does not change the result.
     """
     arr = np.asarray(amps, dtype=np.complex128)
     if arr.ndim != 2:

@@ -125,7 +125,7 @@ class PureState:
     def __init__(self, amps, n: Optional[int] = None):
         arr = np.array(amps, dtype=np.complex128).reshape(-1)  # a copy: the caller's array may change later
         inferred = _qubit_count_for_dim(arr.size, "state vector")
-        if n is not None and n != inferred:
+        if n is not None and _integer(n, "declared qubit count n", ValidationError) != inferred:
             raise ValidationError(f"declared n={n} but amplitude vector has 2^{inferred} entries")
         norm_sq = float(np.vdot(arr, arr).real)
         if not abs(norm_sq - 1.0) <= NORMALIZATION_ATOL:
@@ -173,7 +173,7 @@ class DensityMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {arr.shape}")
         d = arr.shape[0]
-        if dim is not None and dim != d:
+        if dim is not None and _integer(dim, "declared dimension dim", ValidationError) != d:
             raise ValidationError(f"declared dim={dim} but entries are {d}x{d}")
         self._store(arr)
         lam_min = _eigh(self.entries)[0][0]
@@ -319,12 +319,6 @@ def _state_marginals(state: State, groups: Optional[Sequence[Sequence[int]]] = N
     return state.entries[table[:, :, None, :], table[:, None, :, :]].sum(axis=-1)
 
 
-@lru_cache(maxsize=2 * MAX_QUBITS)
-def _subsets(n: int, k: int) -> tuple:
-    """Every k-subset of the 0-based qubits 0..n-1, in itertools.combinations order."""
-    return tuple(combinations(range(n), k))
-
-
 # One take gathers at most this many amplitudes (B * 2^n per group for a
 # stack of B states, 128 KiB of complex128), and always at least one group:
 # larger fresh gather buffers cost more than the extra takes they save
@@ -338,7 +332,7 @@ _GATHER_MAX_ENTRIES = 1 << 13
 _DOT_MARGINALS = 10
 
 
-def _gather_table(n: int, groups: tuple) -> np.ndarray:
+def _gather_table(n: int, groups: Sequence[Sequence[int]]) -> np.ndarray:
     """(G, 2^k, 2^(n-k)) basis-state indices for G groups of k distinct 0-based qubits.
 
     Row r of group g lists the basis states whose bits on g's qubits, read
@@ -356,20 +350,20 @@ def _gather_table(n: int, groups: tuple) -> np.ndarray:
 
 @lru_cache(maxsize=2 * MAX_QUBITS)
 def _subset_table(n: int, k: int) -> np.ndarray:
-    """Read-only _gather_table of every k-subset of n qubits, in _subsets order.
+    """Read-only _gather_table of every k-subset of n qubits, in _subset_indices order.
 
     Cached per (n, k) for the single-qubit and pair marginals; a kept
     subset's table is built per call and not cached.
     """
-    table = _gather_table(n, _subsets(n, k))
+    table = _gather_table(n, _subset_indices(n, k).T)
     table.flags.writeable = False
     return table
 
 
 @lru_cache(maxsize=2 * MAX_QUBITS)
 def _subset_indices(n: int, k: int) -> np.ndarray:
-    """Read-only (k, C) array of _subsets(n, k): row r holds the r-th qubit of every subset."""
-    indices = np.array(_subsets(n, k)).T
+    """Read-only (k, C) array of the k-subsets of qubits 0..n-1 in combinations order: row r holds their r-th qubits."""
+    indices = np.array(list(combinations(range(n), k))).T
     indices.flags.writeable = False
     return indices
 

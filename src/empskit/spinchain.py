@@ -92,7 +92,7 @@ class SpinChainSpec:
         for c, s in terms:
             if len(s) != self.N:
                 raise ValidationError(f"Pauli string {s!r} has length {len(s)}, expected N={self.N}")
-            _pauli_masks(s)
+            _require_pauli(s)
             if not math.isfinite(c):
                 raise ValidationError(f"extra_terms coefficient of {s!r} must be finite, got {c!r}")
         object.__setattr__(self, "extra_terms", terms)
@@ -131,28 +131,11 @@ _X_BITS = str.maketrans("IXYZ", "0110")  # X and Y flip the site
 _Z_BITS = str.maketrans("IXYZ", "0011")  # Z and Y sign the site
 
 
-@functools.lru_cache(maxsize=4096)
-def _pauli_masks(letters: str) -> Tuple[int, int, int]:
-    """(x mask, z mask, Y count) of a Pauli string, site 1 the most significant bit.
-
-    Cached, so a string is parsed once per process however many specs and
-    sweep rows use it.
-    """
+def _require_pauli(letters: str) -> None:
+    """ValidationError unless every letter of a Pauli string is one of I, X, Y, Z."""
     bad = set(letters) - set("IXYZ")
     if bad:
         raise ValidationError(f"Pauli string {letters!r} has invalid letters {sorted(bad)}")
-    x = int("0" + letters.translate(_X_BITS), 2)
-    z = int("0" + letters.translate(_Z_BITS), 2)
-    return x, z, letters.count("Y")
-
-
-@functools.lru_cache(maxsize=None)
-def _parity(n: int) -> np.ndarray:
-    """Signed (-1)^popcount(i) for every n-bit index i, as int64."""
-    idx = np.arange(1 << n)
-    table = np.prod(1 - 2 * ((idx[:, None] >> np.arange(n)) & 1), axis=1)
-    table.flags.writeable = False
-    return table
 
 
 # a sweep and the chains of a session reuse a few term lists; the bound caps
@@ -165,16 +148,22 @@ def _pauli_structure(n: int, letters: Tuple[str, ...]) -> Tuple[np.ndarray, np.n
     matvec's summation order; rows[g, j] = j ^ masks[g]; group[t] is term
     t's group; signs[t, j] is term t's phase times the parity of its entry
     in row j. Cached per (n, term strings), so the rows of a sweep and every
-    call on one chain share it; the arrays are read-only.
+    call on one chain share it; the arrays are read-only. The one place
+    that parses a term list: its letters are checked by _require_pauli.
     """
-    x, z, ny = np.array([_pauli_masks(s) for s in letters]).T
+    for s in letters:
+        _require_pauli(s)
+    x, z = (np.array([int("0" + s.translate(bits), 2) for s in letters]) for bits in (_X_BITS, _Z_BITS))
+    ny = np.array([s.count("Y") for s in letters])
     first = {}
     group = tuple(first.setdefault(m, len(first)) for m in x.tolist())
     masks = np.array(list(first), dtype=np.int64)
-    rows = np.arange(1 << n) ^ masks[:, None]
+    idx = np.arange(1 << n)
+    rows = idx ^ masks[:, None]
     # the term's entry in row j sits in column j ^ x, whose phase it takes
     phases = np.array([1, 1j, -1, -1j])[ny % 4] if np.any(ny % 2) else 1.0 - ny % 4
-    signs = phases[:, None] * _parity(n)[rows[list(group)] & z[:, None]]
+    parity = np.prod(1 - 2 * ((idx[:, None] >> np.arange(n)) & 1), axis=1)  # (-1)^popcount(i)
+    signs = phases[:, None] * parity[rows[list(group)] & z[:, None]]
     for arr in (masks, rows, signs):
         arr.flags.writeable = False
     return masks, rows, group, signs

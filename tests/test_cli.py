@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -397,9 +398,12 @@ LONGRANGE_SWEEP_CSV = (
 )
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_chain_table():
     # {N: [ground energy, gap, eta, entropy criterion] cells} of the README's 4-12-site table
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     lines = text[text.index("| N | ground energy | gap | eta (E) | entropy criterion (bits) |"):].splitlines()[2:]
     cells = [[c.strip() for c in line.strip("|").split("|")] for line in lines[:lines.index("")]]
     return {int(n): rest for n, *rest in cells}
@@ -426,6 +430,23 @@ def test_readme_chain_table_is_what_ising_prints(tmp_path, capsys):
         values = [record[k] for k in ("ground_energy", "gap", "eta", "entropy_criterion")]
         shown[n] = [_as_shown(v, c) for v, c in zip(values, cells)]
     assert shown == table
+
+
+def test_readme_longrange_and_classify_numbers_are_what_the_cli_prints(capsys):
+    text = " ".join(README.read_text().split())  # sentences wrap across lines
+    j_h, eta, criterion = re.search(
+        r"at `J = h = ([\d.]+)` the energy indicator is about `([\d.]+) E` and the entropy criterion about `([\d.]+)` bits",
+        text,
+    ).groups()
+    record = run_json(capsys, ["ising", "--model", "longrange"])
+    assert record["spec"]["J"] == record["spec"]["h"] == float(j_h)
+    assert [_as_shown(record["eta"], eta), _as_shown(record["entropy_criterion"], criterion)] == [eta, criterion]
+    one, two, command = re.search(
+        r"\(eta = (\d+) - (\d+)\*max a_i for W coefficients\) empskit (classify [^#]*) #", text
+    ).groups()
+    argv = command.split()
+    coeffs = [float(c) for c in argv[argv.index("--coeffs") + 1].split(",")]
+    assert abs(run_json(capsys, argv)["eta"] - (int(one) - int(two) * max(coeffs))) <= 1e-12
 
 
 def test_sweep_longrange_csv_bytes(tmp_path):

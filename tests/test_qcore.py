@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from empskit import cli, qcore
 from empskit.classify import build_dicke, build_ghz, build_noisy_ghz, build_noisy_w, build_w
-from empskit.emps import emps_vector
+from empskit.emps import EmpsVector, emps_vector
 from empskit.errors import ArgumentError, CapacityError, NumericError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
@@ -258,6 +258,28 @@ def test_numpy_integer_qubit_labels_and_counts_are_accepted():
     order = (np.int32(2), np.int64(3), np.uint16(1))
     assert np.array_equal(permute_qubits(psi, order).amps, permute_qubits(psi, (2, 3, 1)).amps)
     assert random_pure_state(np.int64(2), np.random.default_rng(0)).n == 2
+
+
+# each declared size's constructor, with the size its data has
+_DECLARED_SIZES = {
+    "EmpsVector": (lambda size: EmpsVector(n=size, values=[0.1]), "n", 1),
+    "PureState": (lambda size: PureState([1, 0], n=size), "n", 1),
+    "DensityMatrix": (lambda size: DensityMatrix(np.eye(2) / 2, dim=size), "dim", 2),
+}
+
+
+@pytest.mark.parametrize("size", ["bool", "float", "str", "None"])
+@pytest.mark.parametrize("kind", list(_DECLARED_SIZES))
+def test_declared_sizes_must_be_integers(kind, size):
+    make, field, good = _DECLARED_SIZES[kind]
+    bad = {"bool": True, "float": float(good), "str": str(good), "None": None}[size]
+    if bad is None and kind != "EmpsVector":  # a state's size is optional: None means infer it
+        assert getattr(make(None), field) == good
+    else:
+        with pytest.raises(ValidationError, match=f"must be an integer, got {bad!r}"):
+            make(bad)
+    made = getattr(make(np.int64(good)), field)
+    assert type(made) is int and made == good
 
 
 def _density_inputs(n, rng):
@@ -560,7 +582,7 @@ def _einsum_marginal(amps, group):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
 def test_pair_marginals_match_reduced_density_matrix(n):
     psi = random_pure_state(n, np.random.default_rng(700 + n))
-    pairs = qcore._subsets(n, 2)
+    pairs = tuple(map(tuple, qcore._subset_indices(n, 2).T.tolist()))
     stack = qcore._marginals(psi.amps[None, :], qcore._subset_table(n, 2))[0]
     assert pairs == tuple(itertools.combinations(range(n), 2))
     assert stack.shape == (len(pairs), 4, 4)
@@ -581,9 +603,9 @@ def test_qubit_marginals_gather_and_loop_layouts_agree(monkeypatch, b):
     rng = np.random.default_rng(800 + b)
     for n in range(1, 13):
         amps = rng.standard_normal((b, 2 ** n)) + 1j * rng.standard_normal((b, 2 ** n))
-        families = [qcore._subsets(n, 1)]
+        families = [tuple(itertools.combinations(range(n), 1))]
         if 2 <= n and (b < 50 or n <= 10):  # 50 states' pairs at 11-12 qubits take > 100 MB
-            families.append(qcore._subsets(n, 2))
+            families.append(tuple(itertools.combinations(range(n), 2)))
         if 3 <= n:
             families.append(((2, 0, 1),))
         for groups in families:
