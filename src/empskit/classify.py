@@ -110,7 +110,7 @@ def build_ghz(n: int, theta: float) -> PureState:
 
 def build_w(coeffs: Sequence[float]) -> PureState:
     """sum_i sqrt(a_i) |0..1_i..0> with a_i >= 0 summing to 1."""
-    a = np.asarray(coeffs, dtype=np.float64)
+    a = qcore._numbers(coeffs, "coeffs", np.float64, TypeError)
     n = a.size
     _require(2 <= n <= qcore.MAX_QUBITS, f"2 <= n <= {qcore.MAX_QUBITS}")
     _require(bool(np.all(a >= 0.0)), "all coefficients a_i >= 0")
@@ -136,7 +136,7 @@ def build_generalized_dicke(n: int, l: int, coeffs: Sequence[complex]) -> PureSt
     exactly l ones.
     """
     idx = _indices_with_excitations(n, l)
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+    c = qcore._numbers(coeffs, "coeffs", error=TypeError).reshape(-1)
     _require(c.size == len(idx), f"coefficient count equals C({n},{l}) = {len(idx)}")
     _require(abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= qcore.NORMALIZATION_ATOL, "coefficients have unit norm")
     amps = np.zeros(2 ** n, dtype=np.complex128)

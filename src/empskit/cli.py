@@ -86,6 +86,8 @@ _STATE_FILE_FORMS = (("builder", "params"), *qcore._STATE_FORMS)
 def _load_state(args):
     """Resolve --state / --builder into (state, state_id)."""
     if getattr(args, "state", None):
+        if args.builder:
+            raise ValidationError("--state and --builder each name a state; give one of them")
         payload = _read_json(args.state, "state")
         if qcore._json_fields(payload, "state description", _STATE_FILE_FORMS) == "builder":
             spec = cls.StateBuilderSpec(family=str(payload["builder"]), params=payload.get("params", {}))
@@ -196,6 +198,8 @@ def _cmd_orbit(args) -> Union[dict, str]:
 
 def _chain_spec(args) -> sc.SpinChainSpec:
     if getattr(args, "spec", None):
+        if args.model:
+            raise ValidationError("--spec and --model each name a chain; give one of them")
         return sc.spec_from_dict(_read_json(args.spec, "spec"))
     if args.model == "ising":
         return sc.nearest_neighbor_chain(N=args.sites, J=args.J, h=args.h)

@@ -37,7 +37,7 @@ class EmpsVector:
         n = qcore._integer(self.n, "declared qubit count n", ValidationError)
         if n < 1:
             raise ValidationError("energy vector needs at least one qubit")
-        arr = np.array(self.values, dtype=np.float64).reshape(-1)  # a copy: the caller's array may change later
+        arr = qcore._numbers(self.values, "values", np.float64).reshape(-1).copy()  # the caller's array may change later
         if n != arr.size:
             raise ValidationError(f"declared n={n} but got {arr.size} values")
         floor = qcore.EIGENVALUE_FLOOR
@@ -198,7 +198,7 @@ def emps_vectors(amps) -> np.ndarray:
     in batches of at most 2^16 amplitudes, which bounds the working set and
     does not change the result.
     """
-    arr = np.asarray(amps, dtype=np.complex128)
+    arr = qcore._numbers(amps, "amps")
     if arr.ndim != 2:
         raise ValidationError(f"amplitude stack must have shape (B, 2^n), got {arr.shape}")
     n = qcore._qubit_count_for_dim(arr.shape[1], "state vector")
@@ -251,7 +251,7 @@ def worst_slacks(energies) -> np.ndarray:
     Entry k is bit-identical to polygon_check's worst_slack for row k, and
     so to eta_indicator of that state when n >= 3.
     """
-    arr = np.asarray(energies, dtype=np.float64)
+    arr = qcore._numbers(energies, "energies", np.float64)
     if arr.ndim < 1 or arr.shape[-1] < 1:
         raise ValidationError(f"energy stack needs a nonempty last axis, got shape {arr.shape}")
     return (arr.sum(axis=-1, keepdims=True) - 2.0 * arr).min(axis=-1)

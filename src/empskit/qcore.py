@@ -68,6 +68,23 @@ def _number(value, what: str, error: type = ArgumentError) -> float:
         raise error(f"{what} must be a finite number, got an integer past the float range") from None
 
 
+def _numbers(values, what: str, dtype: type = np.complex128, error: type = ValidationError) -> np.ndarray:
+    """values as an array of dtype (complex128 or float64), not copied if it is one already.
+
+    error, naming what, for ragged rows and for entries numpy does not store
+    as numbers: strings, objects (None, a dict, an integer past 64 bits) and,
+    where float64 is asked for, complex numbers. Bools read as 1 and 0.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.dtype.kind not in ("biuf" if dtype is np.float64 else "biufc"):
+        found = "ragged rows" if arr is None else f"dtype {arr.dtype}"
+        raise error(f"{what} must be a rectangular array of numbers, got {found}")
+    return arr.astype(dtype, copy=False)
+
+
 def _require_pure(state, what: str) -> None:
     """ArgumentError unless state is a PureState: the rule of every entry point that reads a caller's amplitudes."""
     if not isinstance(state, PureState):
@@ -123,7 +140,7 @@ class PureState:
     __slots__ = ("n", "amps")
 
     def __init__(self, amps, n: Optional[int] = None):
-        arr = np.array(amps, dtype=np.complex128).reshape(-1)  # a copy: the caller's array may change later
+        arr = _numbers(amps, "amps").reshape(-1).copy()  # the caller's array may change later
         inferred = _qubit_count_for_dim(arr.size, "state vector")
         if n is not None and _integer(n, "declared qubit count n", ValidationError) != inferred:
             raise ValidationError(f"declared n={n} but amplitude vector has 2^{inferred} entries")
@@ -138,18 +155,6 @@ class PureState:
 
     def __setattr__(self, *_):
         raise AttributeError("PureState is immutable")
-
-    @classmethod
-    def _trusted(cls, amps: np.ndarray) -> "PureState":
-        # Internal constructor for a fresh 1-D unit vector the caller owns,
-        # such as an eigenvector divided by its norm; skips the copy and the
-        # norm check. A real vector is converted, which copies it.
-        arr = np.asarray(amps, dtype=np.complex128)
-        arr.flags.writeable = False
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "n", arr.size.bit_length() - 1)
-        object.__setattr__(obj, "amps", arr)
-        return obj
 
     @property
     def dim(self) -> int:
@@ -169,7 +174,7 @@ class DensityMatrix:
     __slots__ = ("dim", "n", "entries")
 
     def __init__(self, entries, dim: Optional[int] = None):
-        arr = np.asarray(entries, dtype=np.complex128)
+        arr = _numbers(entries, "entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {arr.shape}")
         d = arr.shape[0]
@@ -243,7 +248,7 @@ def random_pure_state(n: int, rng: Optional[np.random.Generator] = None) -> Pure
         raise ArgumentError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
     rng = np.random.default_rng() if rng is None else rng
     z = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-    return PureState._trusted(z / np.linalg.norm(z))
+    return PureState(z / np.linalg.norm(z))
 
 
 def tensor_product(a: State, b: State) -> State:
@@ -253,7 +258,7 @@ def tensor_product(a: State, b: State) -> State:
         raise ArgumentError("tensor_product operands must both be PureState or both DensityMatrix")
     _qubit_count_for_dim(a.dim * b.dim, "tensor product")
     if pure:
-        return PureState._trusted(np.kron(a.amps, b.amps))
+        return PureState(np.kron(a.amps, b.amps))
     return DensityMatrix._trusted(np.kron(a.entries, b.entries))
 
 
@@ -474,18 +479,15 @@ def eig_hermitian(matrix: Union[DensityMatrix, np.ndarray], vectors: bool = Fals
     Accepts a DensityMatrix, a raw Hermitian ndarray, or a stack of them of
     shape (..., d, d), which is solved in one call with spectra along the last
     axis. Non-Hermitian, non-square, ragged, non-numeric or empty input
-    raises ValidationError, an object that is not numbers (a PureState, an
-    EmpsVector) ArgumentError, and failure of LAPACK to converge NumericError.
+    raises ValidationError, anything but a DensityMatrix, ndarray, list or
+    tuple ArgumentError, and failure of LAPACK to converge NumericError.
     """
     if isinstance(matrix, DensityMatrix):
         arr = matrix.entries
+    elif not isinstance(matrix, (np.ndarray, list, tuple)):
+        raise ArgumentError(f"expected a DensityMatrix or a Hermitian array, got {type(matrix).__name__}")
     else:
-        try:
-            arr = np.asarray(matrix, dtype=np.complex128)
-        except TypeError:
-            raise ArgumentError(f"expected a DensityMatrix or a Hermitian array, got {type(matrix).__name__}") from None
-        except ValueError as exc:  # ragged rows or entries that are not numbers
-            raise ValidationError(f"matrix must be a rectangular array of numbers: {exc}") from None
+        arr = _numbers(matrix, "matrix")
         if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
             raise ValidationError(f"expected a nonempty square matrix, got shape {arr.shape}")
         scale = max(1.0, float(np.max(np.abs(arr))))
@@ -570,10 +572,7 @@ def state_from_dict(payload: dict) -> State:
 
 
 def _pairs_to_complex(values, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be a list of [re, im] pairs") from exc
+    arr = _numbers(values, f"{what} must be a list of [re, im] pairs: the pairs", np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValidationError(f"{what} must be a list of [re, im] pairs, got shape {arr.shape}")
     return arr[:, 0] + 1j * arr[:, 1]

@@ -330,7 +330,7 @@ def _checked_result(energies: np.ndarray, vecs: np.ndarray, gaps: np.ndarray, ap
     return [
         GroundStateResult(
             energy=energy,
-            state=PureState._trusted(vec / np.linalg.norm(vec)),
+            state=PureState(vec / np.linalg.norm(vec)),
             degeneracy_gap=gap,
             degenerate=gap < DEGENERACY_GAP_TOL,
         )

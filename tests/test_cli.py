@@ -298,6 +298,7 @@ def test_non_utf8_spec_file_exits_2(tmp_path, capsys):
         {"builder": "ghz", "params": [1, 2]},
         {"builder": "ghz", "params": {"n": 3, "theta": "x"}},
         {"builder": "w", "params": {"coeffs": "abc"}},
+        {"builder": "w", "params": {"coeffs": ["0.5", "0.5", "0"]}},
     ],
 )
 def test_builder_file_with_bad_params_exits_2(tmp_path, capsys, payload):
@@ -659,8 +660,11 @@ def test_state_file_without_dim_infers_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("field", ["amps", "entries"])
 def test_state_file_with_non_numeric_pairs_exits_2(tmp_path, capsys, field):
-    payload = {field: [["x", 0], [0, 0]]}
-    _exits_2(tmp_path, capsys, ["emps", "--state"], payload, f"{field} must be a list of [re, im] pairs")
+    # in place of the 0.6 of a valid state: a string, a 401-digit integer, a numeric string and null
+    rest = {"amps": [[0.8, 0]], "entries": [[0, 0], [0, 0], [0.4, 0]]}[field]
+    for part in ["x", 10 ** 400, "0.6", None]:
+        payload = {field: [[part, 0], *rest]}
+        _exits_2(tmp_path, capsys, ["emps", "--state"], payload, f"{field} must be a list of [re, im] pairs")
 
 
 @pytest.mark.parametrize(
@@ -680,6 +684,10 @@ def test_state_file_with_non_numeric_pairs_exits_2(tmp_path, capsys, field):
         (["sweep", "--model", "ising", "--range", "nan:1:3"], "--range needs finite start, stop and span, got nan:1.0"),
         (["sweep", "--model", "ising", "--range=-1e308:1e308:3"], "--range needs finite start, stop and span"),
         (["polytope", "--point", ""], "energy vector needs at least one qubit"),
+        # a file and a preset for one input; the clash is found before the file is read
+        (["emps", "--state", "w.json", "--builder", "ghz", "--n", "3", "--theta", "0.5"],
+         "--state and --builder each name a state; give one of them"),
+        (["ising", "--spec", "chain.json", "--model", "longrange"], "--spec and --model each name a chain; give one of them"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

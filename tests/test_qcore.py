@@ -137,7 +137,7 @@ def test_tensor_product_bell_times_zero():
 
 
 def test_fresh_unit_vectors_keep_their_bits_read_only():
-    # random_pure_state and tensor_product own their new arrays, so they skip PureState's copy and norm check
+    # random_pure_state and tensor_product build their states through PureState, which owns a read-only copy
     rng, replay = np.random.default_rng(31), np.random.default_rng(31)
     for n in (1, 5, 12):
         psi = random_pure_state(n, rng)
