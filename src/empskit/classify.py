@@ -27,7 +27,7 @@ from .emps import (
     emps_vector,
     eta_indicator,
 )
-from .errors import ArgumentError, EmpskitError, ValidationError
+from .errors import ArgumentError, ValidationError
 from .qcore import DensityMatrix, PureState, State
 
 DET_FLOOR = 1e-6  # resample a local operator when |det| falls below this
@@ -74,7 +74,7 @@ class PolytopeReport:
     facet_slacks: Dict[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyReport:
     """Total-energy discrimination record for a white-noise W or GHZ mixture."""
 
@@ -100,6 +100,8 @@ def _indices_with_excitations(n: int, l: int) -> List[int]:
 def build_ghz(n: int, theta: float) -> PureState:
     """cos(theta)|0...0> + sin(theta)|1...1> with theta in (0, pi/4]."""
     _require(qcore._is_integer(n) and 2 <= n <= qcore.MAX_QUBITS, f"2 <= n <= {qcore.MAX_QUBITS}")
+    if not isinstance(theta, numbers.Real):  # a bool is Real, and the range rule rejects it
+        raise ArgumentError(f"theta must be a number, got {theta!r}")
     # slack admits pi/4 rounded to fewer digits than a double carries
     _require(0.0 < theta <= math.pi / 4 + 1e-9, "theta in (0, pi/4]")
     amps = np.zeros(2 ** n, dtype=np.complex128)
@@ -110,7 +112,7 @@ def build_ghz(n: int, theta: float) -> PureState:
 
 def build_w(coeffs: Sequence[float]) -> PureState:
     """sum_i sqrt(a_i) |0..1_i..0> with a_i >= 0 summing to 1."""
-    a = qcore._numbers(coeffs, "coeffs", np.float64, TypeError)
+    a = qcore._numbers(coeffs, "coeffs", np.float64, ArgumentError)
     n = a.size
     _require(2 <= n <= qcore.MAX_QUBITS, f"2 <= n <= {qcore.MAX_QUBITS}")
     _require(bool(np.all(a >= 0.0)), "all coefficients a_i >= 0")
@@ -136,7 +138,7 @@ def build_generalized_dicke(n: int, l: int, coeffs: Sequence[complex]) -> PureSt
     exactly l ones.
     """
     idx = _indices_with_excitations(n, l)
-    c = qcore._numbers(coeffs, "coeffs", error=TypeError).reshape(-1)
+    c = qcore._numbers(coeffs, "coeffs", error=ArgumentError).reshape(-1)
     _require(c.size == len(idx), f"coefficient count equals C({n},{l}) = {len(idx)}")
     _require(abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= qcore.NORMALIZATION_ATOL, "coefficients have unit norm")
     amps = np.zeros(2 ** n, dtype=np.complex128)
@@ -147,7 +149,12 @@ def build_generalized_dicke(n: int, l: int, coeffs: Sequence[complex]) -> PureSt
 def build_biseparable(alpha: complex, beta: complex, position: int) -> PureState:
     """Three-qubit state |0> at `position` times alpha|00> + beta|11> on the other two."""
     _require(qcore._is_integer(position) and position in (1, 2, 3), "position in {1, 2, 3}")
-    unit = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= qcore.NORMALIZATION_ATOL  # a string fails here: wrong type
+    if not all(isinstance(a, numbers.Complex) for a in (alpha, beta)):  # a bool passes, for the unit rule to reject
+        raise ArgumentError(f"alpha and beta must be numbers, got {alpha!r} and {beta!r}")
+    try:
+        unit = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= qcore.NORMALIZATION_ATOL
+    except OverflowError:  # a square past the float range is far from 1
+        unit = False
     _require(unit and all(qcore._is_number(a, numbers.Complex) for a in (alpha, beta)), "|alpha|^2 + |beta|^2 = 1")
     pair = [q for q in (1, 2, 3) if q != position]
     amps = np.zeros(8, dtype=np.complex128)
@@ -158,6 +165,8 @@ def build_biseparable(alpha: complex, beta: complex, position: int) -> PureState
 
 def _white_noise(psi: PureState, v: float, name: str) -> DensityMatrix:
     """(1 - v) |psi><psi| + v/d * identity, d the dimension of psi, for the weight v named name in [0, 1]."""
+    if not isinstance(v, numbers.Real):  # a bool is Real, and the range rule rejects it
+        raise ArgumentError(f"{name} must be a number, got {v!r}")
     _require(0.0 <= v <= 1.0 and qcore._is_number(v), f"{name} in [0, 1]")
     # the outer product is exactly Hermitian, so _trusted's symmetrized copy keeps its bits
     projector = np.outer(psi.amps, psi.amps.conj())
@@ -215,9 +224,7 @@ def build_state(spec: StateBuilderSpec) -> State:
         raise ValidationError(f"family {spec.family!r} got unknown parameters {extra}")
     try:
         return fn(**params)
-    except EmpskitError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except ArgumentError as exc:
         raise ValidationError(f"family {spec.family!r} got a parameter of the wrong type: {exc}") from exc
 
 

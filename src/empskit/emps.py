@@ -26,7 +26,7 @@ SLACK_TOL = 1e-9
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpsVector:
     """Per-qubit marginal passive energies (E_1, ..., E_n), each in [0, 1/2]."""
 

@@ -217,7 +217,7 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues sorted ascending; eigenvectors (unitary columns) when requested.
 

@@ -28,10 +28,10 @@ On both paths, and for a raw matrix, one rule (_checked_result) fixes the
 phase of every state of a chunk and checks its eigenpair residual against
 EIGENPAIR_RESIDUAL_TOL, and `degenerate` means a gap below
 DEGENERACY_GAP_TOL. A sweep takes eta and the entropy criterion of all its
-ground states from one stack of single-qubit marginals. The first table
-row whose sum of |c_t| is not finite (SpinChainSpec._first_unbounded, the
-spec's own size rule) ends a sweep: the rows before it are solved, then
-that row's spec raises its own message.
+ground states from one stack of single-qubit marginals. A sweep solves no
+row until the whole table passes: the first row whose sum of |c_t| is not
+finite (SpinChainSpec._first_unbounded, the spec's own size rule) raises
+its spec's own message.
 """
 
 from __future__ import annotations
@@ -437,10 +437,9 @@ def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]
     chunk (one Lanczos solve per row from 8 sites on), then eta and the
     entropy criterion of the whole chunk from one marginal pass. Every row
     has the bits of ground_state, eta_indicator and entropy_criterion on its
-    own chain, whatever the chunk size. The first row that breaks the spec's
-    rules raises, with that row's spec's message, after the rows before it
-    are solved, as a row-by-row loop would; a value that is not a number
-    raises before any solve, unless such a row comes first.
+    own chain, whatever the chunk size. Every value is checked before any
+    row is solved: a value that is not a number raises ArgumentError, and
+    then the first row that breaks the spec's rules raises its spec's message.
     """
     if not isinstance(spec, SpinChainSpec):
         raise ArgumentError(f"chain sweep needs a SpinChainSpec, got {type(spec).__name__}")
@@ -454,20 +453,17 @@ def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]
         values = iter(values)
     except TypeError:
         raise ArgumentError(f"sweep values must be an iterable of numbers, got {type(values).__name__}") from None
-    xs, unread = [], None
-    try:
-        for value in values:
-            xs.append(qcore._number(value, "sweep value"))
-    except ArgumentError as exc:  # not a number: raised before any solve, unless an invalid row precedes it
-        unread = exc
+    xs = [qcore._number(value, "sweep value") for value in values]
     letters, table = _chain_terms(spec, parameter, xs)
     invalid = SpinChainSpec._first_unbounded(table)
-    if invalid == len(xs) and unread is not None:
-        raise unread
+    if invalid < len(xs):  # that row's spec raises its own message
+        x = xs[invalid]
+        scaled = {"extra_terms": tuple((c * x, s) for c, s in spec.extra_terms)}
+        replace(spec, **(scaled if parameter == "coefficient" else {parameter: x}))
     rows: List[SweepRow] = []
     step = max(1, _CHUNK_AMPLITUDES >> 2 * spec.N)
-    for start in range(0, invalid, step):
-        states = _ground_states(letters, table[start:min(start + step, invalid)])
+    for start in range(0, len(xs), step):
+        states = _ground_states(letters, table[start:start + step])
         amps = np.stack([gs.state.amps for gs in states])
         marginals = qcore._qubit_marginals(amps)  # one pass for eta and the entropy criterion
         etas = worst_slacks(_min_eigenvalues_2x2(marginals, range(1, spec.N + 1))).tolist()
@@ -476,10 +472,6 @@ def indicator_sweep(spec: SpinChainSpec, parameter: str, values: Sequence[float]
             SweepRow(x, gs.energy, gs.degeneracy_gap, eta, criterion, gs.degenerate)
             for x, gs, eta, criterion in zip(xs[start:], states, etas, criteria)
         )
-    if invalid < len(xs):  # that row's spec raises its own message
-        x = xs[invalid]
-        scaled = {"extra_terms": tuple((c * x, s) for c, s in spec.extra_terms)}
-        replace(spec, **(scaled if parameter == "coefficient" else {parameter: x}))
     return rows
 
 

@@ -633,6 +633,33 @@ def test_uncomparable_noise_weight_is_a_wrong_type(family, params):
         build_state(StateBuilderSpec(family=family, params=params))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_ghz(3, "x"),
+        lambda: build_w(["0.5", "0.5"]),
+        lambda: build_generalized_dicke(3, 1, ["a", "b", "c"]),
+        lambda: build_biseparable("x", 1.0, 1),
+        lambda: build_biseparable(10 ** 400, 0.0, 1),
+        lambda: build_noisy_w("0.5"),
+        lambda: build_noisy_ghz([0.1]),
+    ],
+    ids=["ghz-theta", "w-coeffs", "generalized_dicke-coeffs", "biseparable-alpha", "biseparable-huge", "noisy_w", "noisy_ghz"],
+)
+def test_builders_called_directly_raise_only_typed_errors(call):
+    with pytest.raises(EmpskitError):
+        call()
+
+
+def test_build_state_does_not_read_a_builder_bug_as_a_wrong_type(monkeypatch):
+    def broken(n, theta):
+        raise TypeError("a bug inside the builder")
+
+    monkeypatch.setitem(classify._BUILDERS, "ghz", (broken, ("n", "theta")))
+    with pytest.raises(TypeError, match="a bug inside the builder"):
+        build_state(StateBuilderSpec(family="ghz", params={"n": 3, "theta": 0.5}))
+
+
 def test_string_qubit_count_violates_the_range():
     with pytest.raises(ValidationError, match="builder parameters violate: 2 <= n <= 12"):
         build_state(StateBuilderSpec(family="ghz", params={"n": "3", "theta": 0.5}))

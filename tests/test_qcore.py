@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empskit import cli, qcore
-from empskit.classify import build_dicke, build_ghz, build_noisy_ghz, build_noisy_w, build_w
+from empskit.classify import build_dicke, build_ghz, build_noisy_ghz, build_noisy_w, build_w, discriminate_noisy
 from empskit.emps import EmpsVector, emps_vector
 from empskit.errors import ArgumentError, CapacityError, NumericError, ValidationError
 from empskit.qcore import (
@@ -280,6 +280,21 @@ def test_declared_sizes_must_be_integers(kind, size):
             make(bad)
     made = getattr(make(np.int64(good)), field)
     assert type(made) is int and made == good
+
+
+# each record that holds an array, as the library returns it
+_ARRAY_RECORDS = {
+    "EmpsVector": lambda: emps_vector(build_w([0.5, 0.25, 0.25])),
+    "Spectrum": lambda: eig_hermitian(np.diag([0.0, 1.0]), vectors=True),
+    "NoisyReport": lambda: discriminate_noisy(build_noisy_w(0.2), "w"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ARRAY_RECORDS))
+def test_records_holding_arrays_compare_and_hash_by_identity(kind):
+    first, second = _ARRAY_RECORDS[kind](), _ARRAY_RECORDS[kind]()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
 
 
 def _density_inputs(n, rng):

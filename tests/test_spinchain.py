@@ -780,16 +780,48 @@ def test_sweep_rejects_two_site_chains_before_solving(values, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_sweep_raises_in_row_order():
-    # the first row fails its residual gate before the second row's value is rejected
+def test_sweep_raises_in_row_order(monkeypatch):
+    # every row is checked before any is solved, so the nan row is rejected
+    # although the 1e9 row before it would fail its residual gate
+    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
     for parameter, message in (("J", "J must be a finite number"), ("coefficient", "coefficient of 'IXXXI' must be finite")):
-        with pytest.raises(NumericError, match="residual"):
+        with pytest.raises(ValidationError, match=message):
             indicator_sweep(long_range_chain(), parameter, [1e9, float("nan")])
         with pytest.raises(ValidationError, match=message):
             indicator_sweep(long_range_chain(), parameter, [1.0, float("nan"), 1e9])
     # 4 * 1e308 overflows to inf in the row's table, and the row's spec names the term
     with pytest.raises(ValidationError, match="extra_terms coefficient of 'IXXXI' must be finite, got inf"):
         indicator_sweep(long_range_chain(), "coefficient", [1.0, 1e308, 2.0])
+
+
+_TOO_LARGE = "J, h and extra_terms are too large: the sum of the chain's |coefficients| is not finite"
+
+
+# |J| alone cannot overflow this chain: its four bonds at -J/4 sum to |J|
+@pytest.mark.parametrize(
+    "parameter, bad, message",
+    [
+        ("J", float("nan"), "J must be a finite number, got nan"),
+        ("J", float("inf"), "J must be a finite number, got inf"),
+        ("J", -float("inf"), "J must be a finite number, got -inf"),
+        ("h", float("nan"), "h must be a finite number, got nan"),
+        ("h", float("inf"), "h must be a finite number, got inf"),
+        ("h", 1e308, _TOO_LARGE),  # five fields at -h/2
+        ("coefficient", float("nan"), "extra_terms coefficient of 'IXXXI' must be finite, got nan"),
+        ("coefficient", float("inf"), "extra_terms coefficient of 'IXXXI' must be finite, got inf"),
+        ("coefficient", 2e307, _TOO_LARGE),  # 4x + 3x + 3x
+    ],
+    ids=["J-nan", "J-inf", "J-minus-inf", "h-nan", "h-inf", "h-1e308", "coefficient-nan", "coefficient-inf", "coefficient-2e307"],
+)
+@pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_sweep_rejects_its_first_invalid_row_before_any_solve(parameter, bad, message, position, monkeypatch):
+    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
+    values = [0.5, 1.0, 1.5, 2.0]
+    values.insert(position, bad)
+    with pytest.raises(ValidationError) as info:
+        indicator_sweep(long_range_chain(), parameter, values)
+    assert str(info.value) == message
 
 
 def _counting_post_init(monkeypatch):
