@@ -22,6 +22,7 @@ from .emps import (
     DEFAULT_SEED,
     SLACK_TOL,
     EmpsVector,
+    _polygon_slacks,
     _pure_emps,
     _require_vector,
     emps_vector,
@@ -112,11 +113,12 @@ def build_ghz(n: int, theta: float) -> PureState:
 
 def build_w(coeffs: Sequence[float]) -> PureState:
     """sum_i sqrt(a_i) |0..1_i..0> with a_i >= 0 summing to 1."""
-    a = qcore._numbers(coeffs, "coeffs", np.float64, ArgumentError)
+    a = qcore._numbers(coeffs, "coeffs", np.float64, ArgumentError).reshape(-1)
     n = a.size
     _require(2 <= n <= qcore.MAX_QUBITS, f"2 <= n <= {qcore.MAX_QUBITS}")
     _require(bool(np.all(a >= 0.0)), "all coefficients a_i >= 0")
-    _require(abs(float(a.sum()) - 1.0) <= qcore.NORMALIZATION_ATOL, "sum of coefficients equals 1")
+    # einsum, unlike a.sum(), does not warn when the sum passes the float range
+    _require(abs(float(np.einsum("i->", a)) - 1.0) <= qcore.NORMALIZATION_ATOL, "sum of coefficients equals 1")
     amps = np.zeros(2 ** n, dtype=np.complex128)
     for i in range(n):
         amps[1 << (n - 1 - i)] = math.sqrt(a[i])  # qubit i+1 excited
@@ -140,7 +142,7 @@ def build_generalized_dicke(n: int, l: int, coeffs: Sequence[complex]) -> PureSt
     idx = _indices_with_excitations(n, l)
     c = qcore._numbers(coeffs, "coeffs", error=ArgumentError).reshape(-1)
     _require(c.size == len(idx), f"coefficient count equals C({n},{l}) = {len(idx)}")
-    _require(abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= qcore.NORMALIZATION_ATOL, "coefficients have unit norm")
+    _require(abs(float(qcore._squared_norms(c)) - 1.0) <= qcore.NORMALIZATION_ATOL, "coefficients have unit norm")
     amps = np.zeros(2 ** n, dtype=np.complex128)
     amps[idx] = c
     return PureState(amps)
@@ -245,15 +247,15 @@ def polytope_membership_3q(v: EmpsVector, polytope: Union[str, ClassVerdict]) ->
     if which not in ("w", "w_class", "ghz", "ghz_class"):
         raise ArgumentError(f"polytope must be 'w' or 'ghz', got {polytope!r}")
     want_w = which in ("w", "w_class")
-    e = v.values
-    total = v.total()
+    e = v.values.tolist()
+    total, polygon = _polygon_slacks(v.values)
     slacks: Dict[str, float] = {}
     for i in range(3):
-        slacks[f"nonneg_e{i + 1}"] = float(e[i])
-        slacks[f"cap_e{i + 1}"] = float(0.5 - e[i])
-        slacks[f"polygon_e{i + 1}"] = float(total - 2.0 * e[i])
+        slacks[f"nonneg_e{i + 1}"] = e[i]
+        slacks[f"cap_e{i + 1}"] = 0.5 - e[i]
+        slacks[f"polygon_e{i + 1}"] = polygon[i]
     if want_w:
-        slacks[W_TOTAL_FACET] = float(1.0 - total)
+        slacks[W_TOTAL_FACET] = 1.0 - total
     member = all(s >= -SLACK_TOL for s in slacks.values())
     return PolytopeReport(member=member, facet_slacks=slacks)
 
@@ -271,56 +273,34 @@ def classify_three_qubit(psi: PureState) -> ClassLabel:
     if psi.n != 3:
         raise ArgumentError("classification needs a 3-qubit pure state")
     v = emps_vector(psi)
-    e = v.values
+    e = v.values.tolist()
     total = v.total()
     eta = eta_indicator(v)
     evidence = [
         FacetEvidence("w_facet_total", total, 1.0, 1.0 - total),
         FacetEvidence("eta_indicator", eta, 0.0, eta),
     ]
+    cut = None
     if total > 1.0 + SLACK_TOL:
-        return ClassLabel(
-            verdict=ClassVerdict.GHZ_CLASS,
-            description="GHZ class (total energy exceeds the W facet)",
-            genuinely_entangled=True,
-            evidence=evidence,
-        )
-    if eta > SLACK_TOL:
-        return ClassLabel(
-            verdict=ClassVerdict.UNDETERMINED,
-            description="W-or-GHZ region, genuinely entangled",
-            genuinely_entangled=True,
-            evidence=evidence,
-        )
-    if float(e.max()) <= SLACK_TOL:
-        evidence.append(FacetEvidence("max_emps", float(e.max()), 0.0, SLACK_TOL - float(e.max())))
-        return ClassLabel(
-            verdict=ClassVerdict.FULLY_SEPARABLE,
-            description="fully separable",
-            genuinely_entangled=False,
-            evidence=evidence,
-        )
-    zeros = [i for i in range(3) if e[i] <= SLACK_TOL]
-    if len(zeros) == 1:
-        cut = zeros[0]
-        j, k = [i for i in range(3) if i != cut]
-        gap = abs(float(e[j] - e[k]))
-        if gap <= SLACK_TOL:
-            evidence.append(FacetEvidence(f"zero_marginal_q{cut + 1}", float(e[cut]), 0.0, SLACK_TOL - float(e[cut])))
-            evidence.append(FacetEvidence("offcut_pair_gap", gap, 0.0, SLACK_TOL - gap))
-            return ClassLabel(
-                verdict=ClassVerdict.BISEPARABLE,
-                description=f"biseparable (qubit {cut + 1} factored)",
-                cut=cut + 1,
-                genuinely_entangled=False,
-                evidence=evidence,
-            )
-    return ClassLabel(
-        verdict=ClassVerdict.UNDETERMINED,
-        description="undetermined (zero indicator, no separable pattern)",
-        genuinely_entangled=None,
-        evidence=evidence,
-    )
+        verdict, description, genuine = ClassVerdict.GHZ_CLASS, "GHZ class (total energy exceeds the W facet)", True
+    elif eta > SLACK_TOL:
+        verdict, description, genuine = ClassVerdict.UNDETERMINED, "W-or-GHZ region, genuinely entangled", True
+    elif max(e) <= SLACK_TOL:
+        evidence.append(FacetEvidence("max_emps", max(e), 0.0, SLACK_TOL - max(e)))
+        verdict, description, genuine = ClassVerdict.FULLY_SEPARABLE, "fully separable", False
+    else:
+        verdict, genuine = ClassVerdict.UNDETERMINED, None
+        description = "undetermined (zero indicator, no separable pattern)"
+        zeros = [i for i in range(3) if e[i] <= SLACK_TOL]
+        if len(zeros) == 1:
+            ej, ek = [e[i] for i in range(3) if i != zeros[0]]
+            gap = abs(ej - ek)
+            if gap <= SLACK_TOL:
+                cut = zeros[0] + 1
+                evidence.append(FacetEvidence(f"zero_marginal_q{cut}", e[cut - 1], 0.0, SLACK_TOL - e[cut - 1]))
+                evidence.append(FacetEvidence("offcut_pair_gap", gap, 0.0, SLACK_TOL - gap))
+                verdict, description, genuine = ClassVerdict.BISEPARABLE, f"biseparable (qubit {cut} factored)", False
+    return ClassLabel(verdict=verdict, description=description, cut=cut, genuinely_entangled=genuine, evidence=evidence)
 
 
 def _det_2x2(g: np.ndarray) -> np.ndarray:
@@ -493,11 +473,11 @@ def discriminate_noisy(rho: DensityMatrix, which: str) -> NoisyReport:
     v = emps_vector(rho)
     total = v.total()
     if which == "w":
-        noise = 2.0 * total - 2.0
-        evidence = FacetEvidence("w_total_below_43_34", total, W_TOTAL_BOUND, W_TOTAL_BOUND - total)
-        return NoisyReport(family="w", emps=v.values, total=total, noise_estimate=noise, evidence=evidence)
-    evidence = FacetEvidence("ghz_total_equals_3_2", total, GHZ_TOTAL, GHZ_TOTAL - total)
-    return NoisyReport(family="ghz", emps=v.values, total=total, noise_estimate=None, evidence=evidence)
+        noise, name, bound = 2.0 * total - 2.0, "w_total_below_43_34", W_TOTAL_BOUND
+    else:
+        noise, name, bound = None, "ghz_total_equals_3_2", GHZ_TOTAL
+    evidence = FacetEvidence(name, total, bound, bound - total)
+    return NoisyReport(family=which, emps=v.values, total=total, noise_estimate=noise, evidence=evidence)
 
 
 def random_biseparable_three_qubit(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -232,15 +232,19 @@ def polygon_check(v: EmpsVector) -> PolygonReport:
     )
 
 
-def _worst_slack(energies: np.ndarray) -> Tuple[int, float]:
-    """(i, slack) of the smallest slack sum_{j != i} E_j - E_i of one energy vector.
+def _polygon_slacks(energies: np.ndarray) -> Tuple[float, List[float]]:
+    """(total, slacks) of one energy vector: sum_i E_i, and sum_{j != i} E_j - E_i for every qubit i in order.
 
     worst_slacks' arithmetic on Python floats: one numpy sum, then
-    total - 2 E_i, so the slack has its bits; i is the first minimum, as
-    np.argmin gives it.
+    total - 2 E_i, so every slack has its bits.
     """
     total = float(energies.sum())
-    slacks = [total - 2.0 * e for e in energies.tolist()]
+    return total, [total - 2.0 * e for e in energies.tolist()]
+
+
+def _worst_slack(energies: np.ndarray) -> Tuple[int, float]:
+    """(i, slack) of the smallest polygon slack of one energy vector; i is the first minimum, as np.argmin gives it."""
+    slacks = _polygon_slacks(energies)[1]
     worst = min(slacks)
     return slacks.index(worst), worst
 

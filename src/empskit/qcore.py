@@ -121,11 +121,21 @@ def _require_hermitian(arr: np.ndarray, what: str, atol: float):
         raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e}")
 
 
+def _squared_norms(amps: np.ndarray) -> np.ndarray:
+    """sum |a|^2 along the last axis of a complex128 array: the squares of the real and imaginary parts.
+
+    einsum, unlike a ufunc, does not warn when a square or the sum passes
+    the float range: the entry is inf, for the caller's tolerance to reject.
+    """
+    f = np.ascontiguousarray(amps).view(np.float64)  # a view of each entry's two parts needs a contiguous last axis
+    return np.einsum("...i,...i->...", f, f)
+
+
 def _require_normalized_rows(amps: np.ndarray, what: str, first: int = 0):
     """Reject a (B, 2^n) amplitude stack with a row whose sum |amps|^2 is off 1 by more than
     NORMALIZATION_ATOL. The message names the first such row, numbered from `first`.
     """
-    norm_sq = np.sum(np.abs(amps) ** 2, axis=1)
+    norm_sq = _squared_norms(amps)
     bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= NORMALIZATION_ATOL))
     if bad.size:
         raise ValidationError(

@@ -7,7 +7,8 @@ multiplicities), passive energy is an enumeration over all
 eigenvalue pairings, spin-chain Hamiltonians are sums of dense
 Kronecker products of 2x2 Pauli matrices, and an orbit sample is replayed
 from its own default_rng one factor at a time and applied as a dense
-Kronecker product.
+Kronecker product. The 3-tangle reads a three-qubit state's SLOCC class off
+its amplitudes, with no marginal energy in sight.
 """
 
 from itertools import permutations
@@ -205,3 +206,18 @@ def orbit_row_kron_oracle(amps: np.ndarray, seed: int, det_floor: float):
         g = np.kron(g, f)
     phi = g @ amps
     return min_marginal_eigenvalues_oracle(phi / np.linalg.norm(phi)), redrawn
+
+
+def three_tangle(amps: np.ndarray) -> float:
+    """tau = 4 |Cayley hyperdeterminant| of a three-qubit pure state (Coffman-Kundu-Wootters, quant-ph/9907047).
+
+    A genuinely entangled state is in the GHZ class exactly when tau > 0 and
+    in the W class when tau = 0 (Dur-Vidal-Cirac, quant-ph/0005115);
+    biseparable and product states have tau = 0 too. p holds the products
+    a_x a_(7-x) of the four complementary basis pairs.
+    """
+    a = np.asarray(amps, dtype=complex).reshape(8)
+    p = [a[x] * a[7 - x] for x in (0, 1, 2, 4)]
+    hdet = sum(q * q for q in p) - 2 * sum(p[k] * p[m] for k in range(4) for m in range(k + 1, 4))
+    hdet += 4 * (a[0] * a[6] * a[5] * a[3] + a[7] * a[1] * a[2] * a[4])
+    return 4 * abs(hdet)

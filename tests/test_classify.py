@@ -26,6 +26,7 @@ from empskit.emps import EmpsVector, emps, emps_vector, eta_indicator, passive_e
 from empskit.errors import ArgumentError, EmpskitError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
+    PureState,
     basis_state,
     eig_hermitian,
     partial_trace,
@@ -33,11 +34,12 @@ from empskit.qcore import (
     random_pure_state,
     reduced_density_matrix,
     state_to_dict,
+    tensor_product,
     von_neumann_entropy,
 )
 from empskit.spinchain import entropy_criterion, indicator_sweep, long_range_chain
 
-from oracles import min_marginal_eigenvalues_oracle, orbit_factors_oracle, orbit_row_kron_oracle
+from oracles import min_marginal_eigenvalues_oracle, orbit_factors_oracle, orbit_row_kron_oracle, three_tangle
 
 
 # ---------------------------------------------------------------- builders
@@ -754,3 +756,90 @@ def test_an_argument_of_the_wrong_kind_raises_argument_error(call, kind, message
 def test_classification_rejects_a_four_qubit_pure_state():
     with pytest.raises(ArgumentError, match="classification needs a 3-qubit pure state"):
         classify_three_qubit(build_ghz(4, 0.5))
+
+
+# ---------------------------------------------------------------- builders past the float range
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("generalized_dicke", {"n": 3, "l": 1, "coeffs": [1e200, 0, 0]}, "coefficients have unit norm"),
+        ("generalized_dicke", {"n": 3, "l": 1, "coeffs": [1e200j, 1e200, 0]}, "coefficients have unit norm"),
+        ("w", {"coeffs": [1e308, 1e308]}, "sum of coefficients equals 1"),
+        ("w", {"coeffs": [1e308, 1e308, 1e308]}, "sum of coefficients equals 1"),
+    ],
+)
+def test_builders_reject_coefficients_past_the_float_range_without_a_warning(family, params, message):
+    pattern = f"builder parameters violate: {message}"
+    with pytest.raises(ValidationError, match=pattern):
+        classify._BUILDERS[family][0](**params)
+    with pytest.raises(ValidationError, match=pattern):
+        build_state(StateBuilderSpec(family=family, params=params))
+
+
+def test_w_coefficients_are_read_flat_like_generalized_dicke_ones():
+    assert np.array_equal(build_w([[0.5, 0.5]]).amps, build_w([0.5, 0.5]).amps)
+    built = build_state(StateBuilderSpec(family="w", params={"coeffs": [[0.5], [0.25], [0.25]]}))
+    assert np.array_equal(built.amps, build_w([0.5, 0.25, 0.25]).amps)
+
+
+# ---------------------------------------------------------------- 3-tangle ground truth
+
+# The 3-tangle of a tau = 0 state computes to rounding noise, about 1e-16.
+TAU_ZERO = 1e-12
+
+
+def _orbit_states(amps, count, rng):
+    """count states G amps / |G amps|, G a Kronecker product of three complex-Gaussian 2x2 factors."""
+    states = []
+    for _ in range(count):
+        g = np.array([[1.0 + 0j]])
+        for _ in range(3):
+            g = np.kron(g, rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        phi = g @ amps
+        states.append(PureState(phi / np.linalg.norm(phi)))
+    return states
+
+
+def test_three_tangle_oracle_on_the_class_representatives():
+    assert three_tangle(build_ghz(3, math.pi / 4).amps) == pytest.approx(1.0, abs=1e-15)
+    assert three_tangle(build_dicke(3, 1).amps) == 0.0
+    assert three_tangle(basis_state("000").amps) == 0.0
+
+
+def test_no_zero_tangle_state_is_labelled_ghz_class():
+    rng = np.random.default_rng(11)
+    w = build_dicke(3, 1)
+    assert emps_vector(w).total() == pytest.approx(1.0, abs=1e-15)  # W sits on the facet itself
+    states = [w] + _orbit_states(w.amps, 300, rng)
+    states += [build_w(rng.dirichlet(np.ones(3))) for _ in range(100)]  # total 1 where every a_i <= 1/2
+    states += [random_biseparable_three_qubit(rng) for _ in range(200)]
+    for _ in range(100):
+        qubits = [random_pure_state(1, rng) for _ in range(3)]
+        states.append(tensor_product(tensor_product(qubits[0], qubits[1]), qubits[2]))
+    for psi in states:
+        assert three_tangle(psi.amps) <= TAU_ZERO
+        assert classify_three_qubit(psi).verdict is not ClassVerdict.GHZ_CLASS
+
+
+def test_every_ghz_class_verdict_has_positive_tangle():
+    rng = np.random.default_rng(7)
+    haar = [random_pure_state(3, rng) for _ in range(2000)]
+    ghz_orbit = _orbit_states(build_ghz(3, math.pi / 4).amps, 300, rng)
+    assert all(three_tangle(psi.amps) > TAU_ZERO for psi in ghz_orbit)
+    labelled = 0
+    for psi in haar + ghz_orbit:
+        if classify_three_qubit(psi).verdict is ClassVerdict.GHZ_CLASS:
+            labelled += 1
+            assert three_tangle(psi.amps) > TAU_ZERO
+    assert labelled > 0
+    # sqrt(1 - eps) W + sqrt(eps) |111>: tau = 16 sqrt(eps) ((1 - eps)/3)^(3/2), total 1 + 2 eps
+    for eps in (0.1, 1e-2, 1e-4):
+        amps = math.sqrt(1.0 - eps) * build_dicke(3, 1).amps
+        amps[7] = math.sqrt(eps)
+        psi = PureState(amps)
+        assert three_tangle(psi.amps) == pytest.approx(16 * math.sqrt(eps) * ((1 - eps) / 3) ** 1.5, rel=1e-12)
+        assert emps_vector(psi).total() == pytest.approx(1.0 + 2.0 * eps, rel=1e-9)
+        assert classify_three_qubit(psi).verdict is ClassVerdict.GHZ_CLASS

@@ -224,6 +224,26 @@ def test_emps_vectors_rejects_malformed_stacks():
         worst_slacks(np.zeros((3, 0)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row", [[1e200, 0], [0, 1e200j], [1e308, 1e308], [np.inf, 0], [np.nan, 0]])
+def test_emps_vectors_rejects_a_row_past_the_float_range_without_a_warning(row):
+    with pytest.raises(ValidationError, match="amplitude row 0 is not normalized"):
+        emps_vectors([row])
+    with pytest.raises(ValidationError, match="amplitude row 1 is not normalized"):
+        emps_vectors([[1, 0], row])
+
+
+def test_emps_vectors_reads_a_stack_with_a_strided_last_axis():
+    rng = np.random.default_rng(5)
+    big = np.zeros((6, 16), dtype=complex)
+    big[:, ::2] = [random_pure_state(3, rng).amps for _ in range(6)]
+    assert np.array_equal(emps_vectors(big[:, ::2]), emps_vectors(big[:, ::2].copy()))
+    assert np.array_equal(emps_vectors(big[::2, ::2]), emps_vectors(big[::2, ::2].copy()))
+    with pytest.raises(ValidationError, match="amplitude row 0 is not normalized"):
+        emps_vectors(big[:, 1::2])
+    assert np.array_equal(emps_vectors(big[:, -2::-2]), emps_vectors(big[:, -2::-2].copy()))
+
+
 # ---------------------------------------------------------------- closed-form marginal kernel
 
 

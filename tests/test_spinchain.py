@@ -923,18 +923,18 @@ def test_spec_takes_numpy_and_integer_extra_term_coefficients():
     assert all(type(c) is float for c, _ in spec.extra_terms)
 
 
-def _no_solve(*args, **kwargs):
+def _no_eigensolve(*args, **kwargs):
     raise AssertionError("the Hamiltonian reached the eigensolver")
 
 
 def test_ground_state_rejects_a_one_by_one_matrix_before_any_solve(monkeypatch):
-    monkeypatch.setattr(qcore, "eig_hermitian", _no_solve)
+    monkeypatch.setattr(qcore, "eig_hermitian", _no_eigensolve)
     with pytest.raises(ValidationError, match="Hamiltonian needs at least one qubit"):
         ground_state(np.array([[1.0]]))
 
 
 def test_ground_state_rejects_thirteen_qubits_before_any_solve(monkeypatch):
-    monkeypatch.setattr(qcore, "eig_hermitian", _no_solve)
+    monkeypatch.setattr(qcore, "eig_hermitian", _no_eigensolve)
     ham = np.broadcast_to(0.0, (1 << 13, 1 << 13))  # zero-stride view: no 2^26 entries are allocated
     with pytest.raises(CapacityError, match="Hamiltonian needs 13 qubits, limit is 12"):
         ground_state(ham)
