@@ -212,16 +212,9 @@ def _chain_spec(args) -> sc.SpinChainSpec:
 
 def _cmd_ising(args) -> dict:
     spec = _chain_spec(args)
-    gs = sc.ground_state(spec)
-    return {
-        "spec": vars(spec),
-        "units": "E",
-        "ground_energy": gs.energy,
-        "gap": gs.degeneracy_gap,
-        "degenerate": gs.degenerate,
-        "eta": eta_indicator(gs.state),
-        "entropy_criterion": sc.entropy_criterion(gs.state),
-    }
+    row = sc.indicator_sweep(spec, "h", [spec.h])[0]  # the chain's own sweep row
+    keys = ("ground_energy", "gap", "degenerate", "eta", "entropy_criterion")
+    return {"spec": vars(spec), "units": "E", **{k: getattr(row, k) for k in keys}}
 
 
 def _sweep_values(args) -> List[float]:

@@ -115,10 +115,17 @@ def _json_fields(payload, what: str, forms: Sequence[tuple]) -> Optional[str]:
     raise ValidationError(f"{what} needs " + " or ".join(f'"{form[0]}"' for form in forms))
 
 
-def _require_hermitian(arr: np.ndarray, what: str, atol: float):
-    defect = float(np.max(np.abs(arr - arr.conj().swapaxes(-1, -2))))
+def _require_hermitian(arr: np.ndarray, what: str, atol: float) -> np.ndarray:
+    """half = 0.5 * arr, after a ValidationError naming what if max |M - M^dag| > atol.
+
+    The check subtracts the halves, and a caller forms the Hermitian part as
+    half + half^dag, so an entry near the float range gives no numpy warning.
+    """
+    half = 0.5 * arr
+    defect = 2.0 * float(np.max(np.abs(half - half.conj().swapaxes(-1, -2))))  # a Python float: inf past the range
     if not defect <= atol:
         raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e}")
+    return half
 
 
 def _squared_norms(amps: np.ndarray) -> np.ndarray:
@@ -213,15 +220,16 @@ class DensityMatrix:
         # Checks shared by both constructors: qubit dimension, Hermiticity and
         # unit trace. Stores the exactly Hermitian part, read-only.
         n = _qubit_count_for_dim(arr.shape[0], "density matrix")
-        _require_hermitian(arr, "density matrix", HERMITICITY_ATOL)
-        tr = complex(np.trace(arr))
+        half = _require_hermitian(arr, "density matrix", HERMITICITY_ATOL)
+        with np.errstate(all="ignore"):  # a diagonal past the float range sums to inf or nan, which fails below
+            tr = complex(np.trace(arr))
         if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
-        arr = 0.5 * (arr + arr.conj().T)
-        arr.flags.writeable = False
-        object.__setattr__(self, "dim", arr.shape[0])
+        hermitian = half + half.conj().T
+        hermitian.flags.writeable = False
+        object.__setattr__(self, "dim", hermitian.shape[0])
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", hermitian)
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"

@@ -24,9 +24,10 @@ chain (_PauliSum); everything but the coefficients is cached per term list
   Either solve not converged by the Krylov dimension 2^N raises
   NumericError. A 12-site transverse-field chain takes about 0.1 s.
 
-On both paths, and for a raw matrix, one rule (_checked_result) fixes the
-phase of every state of a chunk and checks its eigenpair residual against
-EIGENPAIR_RESIDUAL_TOL, and `degenerate` means a gap below
+On both paths, and for a raw matrix, one rule (_checked_result) checks
+the eigenpair residual of every solver vector of a chunk against
+EIGENPAIR_RESIDUAL_TOL, from the products H v that the caller passes, and
+fixes each state's phase; `degenerate` means a gap below
 DEGENERACY_GAP_TOL. A sweep takes eta and the entropy criterion of all its
 ground states from one stack of single-qubit marginals. A sweep solves no
 row until the whole table passes: the first row whose sum of |c_t| is not
@@ -282,7 +283,7 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
     qcore._qubit_count_for_dim(ham.shape[0], "Hamiltonian")  # 1 to 12 qubits, before any solve
     spec = qcore.eig_hermitian(ham, vectors=True)
     w, v = spec.eigenvalues, spec.eigenvectors
-    return _checked_result(w[:1], v[None, :, 0], w[1:2] - w[:1], _product(ham))[0]
+    return _checked_result(w[:1], v[None, :, 0], w[1:2] - w[:1], (ham @ v[:, 0])[None])[0]
 
 
 def _ground_states(letters: Sequence[str], table: np.ndarray) -> List[GroundStateResult]:
@@ -297,45 +298,35 @@ def _ground_states(letters: Sequence[str], table: np.ndarray) -> List[GroundStat
         return [_lanczos_ground_state(_PauliSum(letters, row[None])) for row in table]
     ham = _PauliSum(letters, table).dense()
     w, v = qcore._eigh(ham, vectors=True)  # Hermitian by construction
-    return _checked_result(w[:, 0], v[:, :, 0], w[:, 1] - w[:, 0], _product(ham))
+    return _checked_result(w[:, 0], v[:, :, 0], w[:, 1] - w[:, 0], (ham @ v[:, :, :1])[:, :, 0])
 
 
-def _product(ham: np.ndarray):
-    """The map from a (K, 2^n) stack of vectors to their products with a matrix or a K-stack of matrices."""
-    return lambda vecs: (ham @ vecs[:, :, None])[:, :, 0]
-
-
-def _checked_result(energies: np.ndarray, vecs: np.ndarray, gaps: np.ndarray, apply) -> List[GroundStateResult]:
+def _checked_result(
+    energies: np.ndarray, vecs: np.ndarray, gaps: np.ndarray, products: np.ndarray
+) -> List[GroundStateResult]:
     """Phase-fixed ground states of K eigenpairs, after checking each |H vec - energy vec| <= EIGENPAIR_RESIDUAL_TOL.
 
-    energies and gaps have shape (K,) and vecs (K, 2^n); apply maps such a
-    stack to its rows' products with their operators. The one rule for a
-    dense chunk, a Lanczos solve (K = 1) and a raw matrix: each row's phase
-    makes its first largest-magnitude entry real and positive. A row's top
-    entry, its factor and its norm come from that row alone, and |top| from a
-    NumPy scalar (NumPy's array abs of a complex entry can differ from the
-    scalar's in the last bit), so each state has the bits of a K = 1 call.
+    energies and gaps have shape (K,); vecs holds the solver's vectors and
+    products their products with their operators, both (K, 2^n). The one
+    rule for a dense chunk, a Lanczos solve (K = 1) and a raw matrix: each
+    row's phase makes its first largest-magnitude entry real and positive.
+    A row's top entry, its factor and its norm come from that row alone, and
+    |top| from a NumPy scalar (NumPy's array abs of a complex entry can
+    differ from the scalar's in the last bit), so each state has the bits of
+    a K = 1 call.
     """
-    top = [np.abs(vec).argmax() for vec in vecs]
-    scale = np.empty(len(vecs), dtype=vecs.dtype)
-    for r, k in enumerate(top):
-        scale[r] = np.conj(vecs[r, k]) / abs(vecs[r, k])
-    vecs = vecs * scale[:, None]
-    for r, k in enumerate(top):
-        vecs[r, k] = abs(vecs[r, k])  # the product leaves a rounding-level imaginary part on complex vectors
-    residuals = np.linalg.norm(apply(vecs) - energies[:, None] * vecs, axis=1)
+    residuals = np.linalg.norm(products - energies[:, None] * vecs, axis=1)
     if not residuals.max() <= EIGENPAIR_RESIDUAL_TOL:  # NaN fails too
         residual = residuals[~(residuals <= EIGENPAIR_RESIDUAL_TOL)][0]  # the first row that fails
         raise NumericError(f"ground-state residual {residual:.3e} exceeds {EIGENPAIR_RESIDUAL_TOL}")
-    return [
-        GroundStateResult(
-            energy=energy,
-            state=PureState(vec / np.linalg.norm(vec)),
-            degeneracy_gap=gap,
-            degenerate=gap < DEGENERACY_GAP_TOL,
-        )
-        for energy, vec, gap in zip(energies.tolist(), vecs, gaps.tolist())
-    ]
+    results = []
+    for energy, vec, gap in zip(energies.tolist(), vecs, gaps.tolist()):
+        k = np.abs(vec).argmax()
+        vec = vec * (np.conj(vec[k]) / abs(vec[k]))
+        vec[k] = abs(vec[k])  # the product leaves a rounding-level imaginary part on complex vectors
+        state = PureState(vec / np.linalg.norm(vec))
+        results.append(GroundStateResult(energy, state, gap, gap < DEGENERACY_GAP_TOL))
+    return results
 
 
 def _lanczos_ground_state(op: _PauliSum) -> GroundStateResult:
@@ -354,7 +345,7 @@ def _lanczos_ground_state(op: _PauliSum) -> GroundStateResult:
     # Both values are within their residuals of eigenvalues; a difference
     # below zero is a degenerate level seen through rounding.
     gap = max(second - energy, 0.0)
-    return _checked_result(np.array([energy]), vec[None], np.array([gap]), lambda vecs: op.matvec(vecs[0])[None])[0]
+    return _checked_result(np.array([energy]), vec[None], np.array([gap]), op.matvec(vec)[None])[0]
 
 
 def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[float, np.ndarray]:

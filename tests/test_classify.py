@@ -1,5 +1,6 @@
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from empskit.classify import (
     slocc_orbit_sample,
 )
 from empskit.emps import EmpsVector, emps, emps_vector, eta_indicator, passive_energy, polygon_check
+from empskit.emps import SLACK_TOL, emps_vectors
 from empskit.errors import ArgumentError, EmpskitError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
@@ -843,3 +845,33 @@ def test_every_ghz_class_verdict_has_positive_tangle():
         assert three_tangle(psi.amps) == pytest.approx(16 * math.sqrt(eps) * ((1 - eps) / 3) ** 1.5, rel=1e-12)
         assert emps_vector(psi).total() == pytest.approx(1.0 + 2.0 * eps, rel=1e-9)
         assert classify_three_qubit(psi).verdict is ClassVerdict.GHZ_CLASS
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_tangle_table():
+    # [[tau bin, states, share]] rows of the README's "How much the total certifies" table
+    text = README.read_text()
+    lines = text[text.index("| tau | states | labelled `ghz_class` |"):].splitlines()[2:]
+    return [[c.strip() for c in line.strip("|").split("|")] for line in lines[:lines.index("")]]
+
+
+def test_readme_tangle_table_is_what_the_haar_draw_gives():
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((20_000, 8)) + 1j * rng.standard_normal((20_000, 8))
+    amps = z / np.linalg.norm(z, axis=1)[:, None]
+    tau = np.array([three_tangle(a) for a in amps])
+    totals = emps_vectors(amps).sum(axis=1)
+    labelled = totals > 1.0 + SLACK_TOL
+    # the counting rule is the classifier's: on every counted state and the 1,000 uncounted ones nearest the facet
+    near = np.flatnonzero(~labelled)[np.argsort(totals[~labelled])[-1000:]]
+    for k in np.concatenate([np.flatnonzero(labelled), near]):
+        verdict = classify_three_qubit(PureState(amps[k])).verdict
+        assert (verdict is ClassVerdict.GHZ_CLASS) == labelled[k]
+    bins = [("[0, 0.2)", tau < 0.2), ("[0.2, 0.4)", (0.2 <= tau) & (tau < 0.4)),
+            ("[0.4, 0.6)", (0.4 <= tau) & (tau < 0.6)), ("[0.6, 0.8)", (0.6 <= tau) & (tau < 0.8)),
+            ("[0.8, 1]", 0.8 <= tau), ("all", np.ones_like(labelled))]
+    rows = [[name, str(int(mask.sum())), f"{100 * labelled[mask].mean():.1f}%"] for name, mask in bins]
+    assert rows == _readme_tangle_table()
+    assert int(labelled.sum()) == 1182 and "1,182 of the 20,000 states" in " ".join(README.read_text().split())

@@ -157,6 +157,27 @@ def test_csv_text_is_what_csv_writer_writes():
     assert cli._csv(header, []) == "parameter,e1,degenerate\r\n"
 
 
+def test_readme_orbit_example_is_the_seed_contract(tmp_path):
+    text = README.read_text()
+    command = re.search(r"empskit (orbit [^\n]*\\\n[^\n]*)", text).group(1).replace("\\\n", " ")
+    argv = command.split()
+    out, prefix = tmp_path / "orbit.csv", tmp_path / "prefix.csv"
+    argv[argv.index("-o") + 1] = str(out)
+    assert cli.run(argv) == 0
+    lines = out.read_bytes().split(b"\r\n")
+    assert lines[0] == b"e1,e2,e3" and lines[-1] == b"" and len(lines) == 10_002
+    seed, coeffs = int(argv[argv.index("--seed") + 1]), argv[argv.index("--coeffs") + 1]
+    amps = build_w([float(c) for c in coeffs.split(",")]).amps
+    for k in (0, 1, 9999):
+        want, _ = orbit_row_kron_oracle(amps, seed + k, DET_FLOOR)
+        assert np.max(np.abs(np.array(lines[1 + k].split(b","), dtype=float) - want)) <= 1e-12
+    argv[argv.index("--samples") + 1], argv[argv.index("-o") + 1] = "100", str(prefix)
+    assert cli.run(argv) == 0
+    assert prefix.read_bytes() == b"\r\n".join(lines[:101]) + b"\r\n"
+    contract = "Sample `k` draws its factors from its own generator, `numpy.random.default_rng(seed + k)`"
+    assert contract in " ".join(text.split())
+
+
 def test_orbit_csv_and_json_are_the_library_values(tmp_path, capsys):
     want = [v.values.tolist() for v in slocc_orbit_sample(build_dicke(5, 2), 20, seed=99)]
     argv = ["orbit", "--builder", "dicke", "--n", "5", "--l", "2", "--samples", "20", "--seed", "99"]
@@ -385,6 +406,23 @@ def test_sweep_on_two_site_chain_exits_2(monkeypatch, capsys):
     code = cli.run(["sweep", "--model", "ising", "--sites", "2", "--param", "h", "--values", "1.0"])
     assert code == 2
     assert "3 qubits" in capsys.readouterr().err
+
+
+def test_ising_on_two_site_chain_exits_2_before_solving(monkeypatch, capsys):
+    # ising prints its chain's sweep row, so it rejects a chain under three sites as sweep does
+    monkeypatch.setattr(cli.sc, "_ground_states", _no_solve)
+    assert cli.run(["ising", "--model", "ising", "--sites", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "energy indicator needs at least 3 qubits, got n=2" in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_emps_on_a_density_matrix_past_the_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 2, "entries": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}))
+    assert cli.run(["emps", "--state", str(path)]) == 2
+    assert capsys.readouterr().err == "error: density matrix trace is (inf+0j), expected 1\n"
 
 
 # `sweep --model longrange --range 0:2:5`, recorded from the row-by-row sweep

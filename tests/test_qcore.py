@@ -90,6 +90,27 @@ def test_density_matrix_rejects_bad_trace():
         DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_matrix_checks_near_the_float_range_raise_their_own_errors():
+    for diagonal in ([1e308] * 2, [1e308] * 4):  # the halves of four entries still sum past the range
+        with pytest.raises(ValidationError, match=r"density matrix trace is \(inf\+0j\), expected 1"):
+            DensityMatrix(np.diag(diagonal))
+    skew = [[0.5, 1e308], [-1e308, 0.5]]
+    with pytest.raises(ValidationError, match="density matrix is not Hermitian"):
+        DensityMatrix(skew)
+    with pytest.raises(ValidationError, match="matrix is not Hermitian"):
+        eig_hermitian(skew)
+    with pytest.raises(ValidationError, match=r"negative eigenvalue -1\.000e\+308"):
+        DensityMatrix([[0.5, 1e308], [1e308, 0.5]])
+
+
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_density_matrix_stores_the_symmetrized_entries(d):
+    rng = np.random.default_rng(d)
+    m = random_density(d, rng) + 1e-13 * random_hermitian(d, rng) * 1j  # Hermitian to within the tolerance only
+    assert DensityMatrix(m).entries.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
+
+
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(ValidationError, match="negative eigenvalue"):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
