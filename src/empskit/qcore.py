@@ -115,15 +115,16 @@ def _json_fields(payload, what: str, forms: Sequence[tuple]) -> Optional[str]:
     raise ValidationError(f"{what} needs " + " or ".join(f'"{form[0]}"' for form in forms))
 
 
-def _require_hermitian(arr: np.ndarray, what: str, atol: float) -> np.ndarray:
-    """half = 0.5 * arr, after a ValidationError naming what if max |M - M^dag| > atol.
+def _require_hermitian(arr: np.ndarray, what: str) -> np.ndarray:
+    """half = 0.5 * arr, after a ValidationError naming what if max |M - M^dag| > HERMITICITY_ATOL * max(1, max |M|).
 
     The check subtracts the halves, and a caller forms the Hermitian part as
     half + half^dag, so an entry near the float range gives no numpy warning.
     """
     half = 0.5 * arr
     defect = 2.0 * float(np.max(np.abs(half - half.conj().swapaxes(-1, -2))))  # a Python float: inf past the range
-    if not defect <= atol:
+    # max |M| = 2 max |half| is taken only for a defect past the absolute tolerance, and stays finite
+    if not (defect <= HERMITICITY_ATOL or defect <= 2.0 * HERMITICITY_ATOL * float(np.max(np.abs(half)))):
         raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e}")
     return half
 
@@ -220,7 +221,7 @@ class DensityMatrix:
         # Checks shared by both constructors: qubit dimension, Hermiticity and
         # unit trace. Stores the exactly Hermitian part, read-only.
         n = _qubit_count_for_dim(arr.shape[0], "density matrix")
-        half = _require_hermitian(arr, "density matrix", HERMITICITY_ATOL)
+        half = _require_hermitian(arr, "density matrix")
         with np.errstate(all="ignore"):  # a diagonal past the float range sums to inf or nan, which fails below
             tr = complex(np.trace(arr))
         if not abs(tr - 1.0) <= TRACE_ATOL:
@@ -508,8 +509,7 @@ def eig_hermitian(matrix: Union[DensityMatrix, np.ndarray], vectors: bool = Fals
         arr = _numbers(matrix, "matrix")
         if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
             raise ValidationError(f"expected a nonempty square matrix, got shape {arr.shape}")
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        _require_hermitian(arr, "matrix", HERMITICITY_ATOL * scale)
+        _require_hermitian(arr, "matrix")
     w, v = _eigh(arr, vectors)
     return Spectrum(eigenvalues=w, eigenvectors=v)
 

@@ -28,7 +28,10 @@ On both paths, and for a raw matrix, one rule (_checked_result) checks
 the eigenpair residual of every solver vector of a chunk against
 EIGENPAIR_RESIDUAL_TOL, from the products H v that the caller passes, and
 fixes each state's phase; `degenerate` means a gap below
-DEGENERACY_GAP_TOL. A sweep takes eta and the entropy criterion of all its
+DEGENERACY_GAP_TOL. Both tolerances, and the Lanczos breakdown test, are
+relative to each row's bound on |H|: its sum of |c_t| (_bounds), or a raw
+matrix's largest absolute row sum, so H and lambda H get the same ground
+state and flags. A sweep takes eta and the entropy criterion of all its
 ground states from one stack of single-qubit marginals. A sweep solves no
 row until the whole table passes: the first row whose sum of |c_t| is not
 finite (SpinChainSpec._first_unbounded, the spec's own size rule) raises
@@ -52,6 +55,9 @@ from .qcore import PureState
 MIN_SITES = 2
 MAX_SITES = qcore.MAX_QUBITS
 
+# Both relative to the operator's bound B >= |H| (see _checked_result): a
+# ground pair passes when |H v - E v| <= EIGENPAIR_RESIDUAL_TOL * B, and is
+# degenerate when its gap is below DEGENERACY_GAP_TOL * B.
 DEGENERACY_GAP_TOL = 1e-8
 EIGENPAIR_RESIDUAL_TOL = 1e-8
 
@@ -59,7 +65,8 @@ EIGENPAIR_RESIDUAL_TOL = 1e-8
 # where the two solvers' times cross on transverse-field and odd-Y chains.
 _DENSE_MAX_SITES = 7
 # A Lanczos Ritz pair is accepted once its residual is below this times the
-# largest |Ritz value| (at least 1).
+# largest |Ritz value|; the Krylov space breaks down at a next beta below
+# this times the operator's bound.
 _LANCZOS_TOL = 1e-10
 _LANCZOS_SEED = 0
 
@@ -105,8 +112,15 @@ class SpinChainSpec:
     @staticmethod
     def _first_unbounded(table: np.ndarray) -> int:
         """Index of the first row of a (K, T) coefficient table whose sum of |c_t| is not finite, else K."""
-        # Python float sums: an overflow is inf without a warning
-        return next((k for k, row in enumerate(table.tolist()) if not math.isfinite(sum(map(abs, row)))), len(table))
+        return next((k for k, bound in enumerate(_bounds(table)) if not math.isfinite(bound)), len(table))
+
+
+def _bounds(table: np.ndarray) -> List[float]:
+    """Each row's sum of |c_t| of a (K, T) coefficient table, which bounds the norm of its operator.
+
+    Python float sums: an overflow is inf without a warning.
+    """
+    return [sum(map(abs, row)) for row in table.tolist()]
 
 
 @dataclass(frozen=True)
@@ -187,6 +201,7 @@ class _PauliSum:
 
     def __init__(self, letters: Sequence[str], coeffs: np.ndarray):
         self.masks, self.rows, group, signs = _pauli_structure(len(letters[0]), tuple(letters))
+        self.bound = np.array(_bounds(coeffs))  # (K,): each row's sum of |c_t|
         self.vals = np.zeros((len(coeffs), *self.rows.shape), dtype=signs.dtype)
         for g, term in zip(group, coeffs.T[:, :, None] * signs[:, None]):
             self.vals[:, g] += term
@@ -265,10 +280,13 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
     A chain spec of up to 7 sites is filled densely in the operator's dtype
     and solved by LAPACK; from 8 sites on it is solved matrix-free by
     Lanczos (see _lanczos_ground_state). A raw ndarray must be Hermitian
-    on 1 to 12 qubits and is solved densely. The state's global phase is
+    on 1 to 12 qubits, with finite absolute row sums, and is solved
+    densely. The state's global phase is
     fixed so its largest-magnitude amplitude is real and positive. The
     result is flagged degenerate when the gap to the next level is below
-    DEGENERACY_GAP_TOL, in which case indicator values from it are not well defined.
+    DEGENERACY_GAP_TOL times the operator's bound (the chain's sum of
+    |c_t|, or a raw matrix's largest absolute row sum), in which case
+    indicator values from it are not well defined.
     """
     if isinstance(hamiltonian, SpinChainSpec):
         return _ground_states(*_chain_terms(hamiltonian))[0]
@@ -283,7 +301,11 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
     qcore._qubit_count_for_dim(ham.shape[0], "Hamiltonian")  # 1 to 12 qubits, before any solve
     spec = qcore.eig_hermitian(ham, vectors=True)
     w, v = spec.eigenvalues, spec.eigenvectors
-    return _checked_result(w[:1], v[None, :, 0], w[1:2] - w[:1], (ham @ v[:, 0])[None])[0]
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, and rejected as a chain's is
+        bound = np.abs(ham).sum(axis=1).max(keepdims=True)  # the largest absolute row sum bounds the norm
+    if not np.isfinite(bound[0]):
+        raise ValidationError("Hamiltonian is too large: its largest absolute row sum is not finite")
+    return _checked_result(w[:1], v[None, :, 0], w[1:2] - w[:1], (ham @ v[:, 0])[None], bound)[0]
 
 
 def _ground_states(letters: Sequence[str], table: np.ndarray) -> List[GroundStateResult]:
@@ -296,36 +318,44 @@ def _ground_states(letters: Sequence[str], table: np.ndarray) -> List[GroundStat
     """
     if len(letters[0]) > _DENSE_MAX_SITES:
         return [_lanczos_ground_state(_PauliSum(letters, row[None])) for row in table]
-    ham = _PauliSum(letters, table).dense()
+    op = _PauliSum(letters, table)
+    ham = op.dense()
     w, v = qcore._eigh(ham, vectors=True)  # Hermitian by construction
-    return _checked_result(w[:, 0], v[:, :, 0], w[:, 1] - w[:, 0], (ham @ v[:, :, :1])[:, :, 0])
+    return _checked_result(w[:, 0], v[:, :, 0], w[:, 1] - w[:, 0], (ham @ v[:, :, :1])[:, :, 0], op.bound)
 
 
 def _checked_result(
-    energies: np.ndarray, vecs: np.ndarray, gaps: np.ndarray, products: np.ndarray
+    energies: np.ndarray, vecs: np.ndarray, gaps: np.ndarray, products: np.ndarray, bounds: np.ndarray
 ) -> List[GroundStateResult]:
-    """Phase-fixed ground states of K eigenpairs, after checking each |H vec - energy vec| <= EIGENPAIR_RESIDUAL_TOL.
+    """Phase-fixed ground states of K eigenpairs, after checking each |H vec - energy vec| <= EIGENPAIR_RESIDUAL_TOL * bound.
 
-    energies and gaps have shape (K,); vecs holds the solver's vectors and
-    products their products with their operators, both (K, 2^n). The one
-    rule for a dense chunk, a Lanczos solve (K = 1) and a raw matrix: each
-    row's phase makes its first largest-magnitude entry real and positive.
-    A row's top entry, its factor and its norm come from that row alone, and
-    |top| from a NumPy scalar (NumPy's array abs of a complex entry can
-    differ from the scalar's in the last bit), so each state has the bits of
-    a K = 1 call.
+    energies, gaps and bounds (each at least its operator's norm) have
+    shape (K,); vecs holds the solver's vectors and products their products
+    with their operators, both (K, 2^n). A row is divided by its bound
+    before the subtraction, so no residual overflows; the message reports
+    it unscaled. A gap below DEGENERACY_GAP_TOL * bound is degenerate. The
+    one rule for a dense chunk, a Lanczos solve (K = 1) and a raw matrix:
+    each row's phase makes its first largest-magnitude entry real and
+    positive. A row's top entry, its factor and its norm come from that row
+    alone, and |top| from a NumPy scalar (NumPy's array abs of a complex
+    entry can differ from the scalar's in the last bit), so each state has
+    the bits of a K = 1 call.
     """
-    residuals = np.linalg.norm(products - energies[:, None] * vecs, axis=1)
+    bounds = np.maximum(bounds, np.finfo(float).tiny)  # a zero operator divides by no zero, and its zero gap is degenerate
+    residuals = np.linalg.norm(products / bounds[:, None] - (energies / bounds)[:, None] * vecs, axis=1)
     if not residuals.max() <= EIGENPAIR_RESIDUAL_TOL:  # NaN fails too
-        residual = residuals[~(residuals <= EIGENPAIR_RESIDUAL_TOL)][0]  # the first row that fails
-        raise NumericError(f"ground-state residual {residual:.3e} exceeds {EIGENPAIR_RESIDUAL_TOL}")
+        k = np.flatnonzero(~(residuals <= EIGENPAIR_RESIDUAL_TOL))[0]  # the first row that fails
+        raise NumericError(
+            f"ground-state residual {residuals[k] * bounds[k]:.3e} exceeds {EIGENPAIR_RESIDUAL_TOL}"
+            f" times the operator's bound {bounds[k]:.3e}"
+        )
     results = []
-    for energy, vec, gap in zip(energies.tolist(), vecs, gaps.tolist()):
+    for energy, vec, gap, bound in zip(energies.tolist(), vecs, gaps.tolist(), bounds.tolist()):
         k = np.abs(vec).argmax()
         vec = vec * (np.conj(vec[k]) / abs(vec[k]))
         vec[k] = abs(vec[k])  # the product leaves a rounding-level imaginary part on complex vectors
         state = PureState(vec / np.linalg.norm(vec))
-        results.append(GroundStateResult(energy, state, gap, gap < DEGENERACY_GAP_TOL))
+        results.append(GroundStateResult(energy, state, gap, gap < DEGENERACY_GAP_TOL * bound))
     return results
 
 
@@ -345,7 +375,7 @@ def _lanczos_ground_state(op: _PauliSum) -> GroundStateResult:
     # Both values are within their residuals of eigenvalues; a difference
     # below zero is a degenerate level seen through rounding.
     gap = max(second - energy, 0.0)
-    return _checked_result(np.array([energy]), vec[None], np.array([gap]), op.matvec(vec)[None])[0]
+    return _checked_result(np.array([energy]), vec[None], np.array([gap]), op.matvec(vec)[None], op.bound)[0]
 
 
 def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[float, np.ndarray]:
@@ -354,8 +384,8 @@ def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[flo
     Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice per
     step, against every basis vector and deflate). The pair is accepted once
     its residual beta_k |s_k| is at most _LANCZOS_TOL times the largest
-    |Ritz value| (at least 1); the tridiagonal matrix is solved every 8 steps,
-    when the next beta vanishes, and at the end. NumericError if the pair has
+    |Ritz value|; the tridiagonal matrix is solved every 8 steps, when the
+    next beta falls to _LANCZOS_TOL times op's bound, and at the end. NumericError if the pair has
     not been accepted by the dimension of the space.
     """
     dim = start.size
@@ -368,6 +398,7 @@ def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[flo
     v /= np.linalg.norm(v)
     alpha: List[float] = []
     beta: List[float] = []
+    breakdown = _LANCZOS_TOL * float(op.bound[0])
     for k in range(1, dim - fixed + 1):
         m = fixed + k
         basis[m - 1] = v
@@ -376,9 +407,9 @@ def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[flo
         for _ in range(2):
             w -= basis[:m].T @ np.conj(basis[:m] @ w.conj())
         b = float(np.linalg.norm(w))
-        if b <= _LANCZOS_TOL or k % 8 == 0 or k == dim - fixed:
+        if b <= breakdown or k % 8 == 0 or k == dim - fixed:
             theta, s = qcore._eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1), vectors=True)
-            if b * abs(s[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta[0]), abs(theta[-1])):
+            if b * abs(s[-1, 0]) <= _LANCZOS_TOL * max(abs(theta[0]), abs(theta[-1])):
                 return float(theta[0]), basis[fixed:m].T @ s[:, 0]
         beta.append(b)
         v = w / b

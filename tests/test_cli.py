@@ -375,11 +375,29 @@ def test_classify_rejects_mixed_state(tmp_path, capsys):
     assert cli.run(["classify", "--state", str(path)]) == 2
 
 
-def test_numeric_failure_exits_3(capsys):
-    # absurd coupling scale: the absolute eigenpair-residual contract cannot hold
-    code = cli.run(["ising", "--model", "longrange", "--J", "1e9"])
+def test_numeric_failure_exits_3(capsys, monkeypatch):
+    # the solver hands back its top eigenvector as the lowest: the eigenpair check fails
+    eigh = cli.sc.qcore._eigh
+
+    def corrupted(matrix, vectors=False):
+        w, v = eigh(matrix, vectors)
+        return w, v if v is None else v[..., ::-1]
+
+    monkeypatch.setattr(cli.sc.qcore, "_eigh", corrupted)
+    code = cli.run(["ising", "--model", "longrange"])
     assert code == 3
     assert "residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, energy",
+    [(["--model", "longrange", "--J", "1e9"], -1e9 - 2.5), (["--model", "ising", "--sites", "4", "--h", "1e307"], -2e307)],
+    ids=["J=1e9", "h=1e307"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_chain_at_a_large_coupling_scale_passes_its_relative_checks(capsys, argv, energy):
+    # the eigenpair residual is read relative to the chain's sum of |coefficients|, and does not overflow
+    assert run_json(capsys, ["ising", *argv])["ground_energy"] == pytest.approx(energy, rel=1e-12)
 
 
 def test_orbit_rejects_zero_samples(capsys):

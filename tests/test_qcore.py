@@ -471,6 +471,33 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eig_rejects_a_skew_matrix_whose_moduli_pass_the_float_range():
+    # |1.3e308 (1 + i)| is past the float range, and so is the defect; the tolerance is taken from the halves
+    with pytest.raises(ValidationError, match=r"matrix is not Hermitian: max \|M - M\^dag\| = inf"):
+        eig_hermitian([[0.5, 1.3e308 + 1.3e308j], [-1.3e308 + 1.3e308j, 0.5]])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eig_tolerance_is_relative_to_the_largest_entry_past_one(scale):
+    # one skew defect at 0.5-2x the tolerance 1e-12 max(1, max |M|): the verdict is that rule's, at every scale
+    rng = np.random.default_rng(29)
+    verdicts = set()
+    for _ in range(40):
+        m = scale * random_hermitian(4, rng)
+        m[0, 2] += rng.uniform(0.5, 2.0) * 1e-12 * max(1.0, np.max(np.abs(m))) * np.exp(2j * np.pi * rng.uniform())
+        hermitian = np.max(np.abs(m - m.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
+        try:
+            eig_hermitian(m)
+        except ValidationError as exc:
+            assert "matrix is not Hermitian" in str(exc) and not hermitian
+        else:
+            assert hermitian
+        verdicts.add(hermitian)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])
 def test_eig_rejects_empty_input(shape):
     with pytest.raises(ValidationError, match="nonempty square matrix"):

@@ -410,6 +410,33 @@ def test_twelve_site_ground_state(spec):
     assert not result.degenerate and result.degeneracy_gap > 0.1
 
 
+def _scaled(spec, lam):
+    return SpinChainSpec(N=spec.N, J=spec.J * lam, h=spec.h * lam, extra_terms=tuple((c * lam, s) for c, s in spec.extra_terms))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [_transverse_field(5), long_range_chain(), _transverse_field(8), _transverse_field(12), _odd_y(9)],
+    ids=["tf5", "longrange", "tf8", "tf12", "odd_y9"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ground_state_is_covariant_under_scaling_every_coupling(spec):
+    # lambda H has H's ground state, energy and gap times lambda: every check is relative to the chain's sum of |c_t|
+    unit = ground_state(spec)
+    for lam in (1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12):
+        result = ground_state(_scaled(spec, lam))
+        assert result.energy / lam == pytest.approx(unit.energy, rel=1e-10, abs=0)
+        assert result.degeneracy_gap / lam == pytest.approx(unit.degeneracy_gap, rel=1e-10, abs=0)
+        assert 1 - abs(np.vdot(result.state.amps, unit.state.amps)) <= 1e-12
+        assert result.degenerate == unit.degenerate
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_a_zero_chain_is_degenerate(n):
+    result = ground_state(nearest_neighbor_chain(N=n, J=0.0, h=0.0))
+    assert result.energy == 0.0 and result.degeneracy_gap == 0.0 and result.degenerate
+
+
 # ---------------------------------------------------------------- entropy criterion
 
 
@@ -733,6 +760,13 @@ def test_a_corrupted_raw_matrix_vector_fails_its_residual_check(monkeypatch):
     assert _residual_in(str(info.value)) == 3.0
 
 
+@pytest.mark.parametrize("ham", [[[1e308, 1e308], [1e308, 1e308]], [[1e308, 9e307], [9e307, 5e307]]])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ground_state_rejects_a_raw_matrix_whose_row_sums_pass_the_float_range(ham):
+    with pytest.raises(ValidationError, match="Hamiltonian is too large: its largest absolute row sum is not finite"):
+        ground_state(np.array(ham))
+
+
 def test_ground_state_rejects_a_ragged_matrix():
     with pytest.raises(ValidationError, match="Hamiltonian must be a rectangular array of numbers"):
         ground_state([[1, 0], [0]])
@@ -782,7 +816,7 @@ def test_sweep_rejects_two_site_chains_before_solving(values, monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_raises_in_row_order(monkeypatch):
     # every row is checked before any is solved, so the nan row is rejected
-    # although the 1e9 row before it would fail its residual gate
+    # before the 1e9 row ahead of it reaches the solver
     monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
     for parameter, message in (("J", "J must be a finite number"), ("coefficient", "coefficient of 'IXXXI' must be finite")):
         with pytest.raises(ValidationError, match=message):
