@@ -449,9 +449,8 @@ def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> 
     return [EmpsVector._trusted(row) for row in energies]
 
 
-# W-family mixtures stay genuinely multipartite entangled below this noise
-# level, with total energy strictly under 43/34; GHZ mixtures sit at 3/2.
-W_NOISE_GME_MAX = 9.0 / 17.0
+# The total energy of a W-family mixture stays under 43/34 on its genuinely
+# entangled range; GHZ mixtures sit at 3/2.
 W_TOTAL_BOUND = 43.0 / 34.0
 GHZ_TOTAL = 1.5
 

@@ -16,8 +16,6 @@ chain (_PauliSum); everything but the coefficients is cached per term list
 - N <= 7: the dense matrices, float64 when no term has an odd number of Y
   letters and complex128 otherwise, are filled as one stack and go to one
   stacked LAPACK eigh, which gives each matrix the bits of its own solve.
-  The gap is the difference of the two lowest eigenvalues with
-  multiplicity.
 - N = 8..12: Lanczos with full reorthogonalisation from a seeded start
   vector, once for the ground pair and once more orthogonal to the ground
   vector for the next level, so a degenerate ground level gives a zero gap.
@@ -26,9 +24,10 @@ chain (_PauliSum); everything but the coefficients is cached per term list
 
 On both paths, and for a raw matrix, one rule (_checked_result) checks
 the eigenpair residual of every solver vector of a chunk against
-EIGENPAIR_RESIDUAL_TOL, from the products H v that the caller passes, and
-fixes each state's phase; `degenerate` means a gap below
-DEGENERACY_GAP_TOL. Both tolerances, and the Lanczos breakdown test, are
+EIGENPAIR_RESIDUAL_TOL, from the products H v that the caller passes,
+fixes each state's phase, and forms each gap from the two lowest levels
+with multiplicity; `degenerate` means a gap below DEGENERACY_GAP_TOL.
+Both tolerances, the Lanczos breakdown test and its beta scale are
 relative to each row's bound on |H|: its sum of |c_t| (_bounds), or a raw
 matrix's largest absolute row sum, so H and lambda H get the same ground
 state and flags. A sweep takes eta and the entropy criterion of all its
@@ -280,10 +279,10 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
     A chain spec of up to 7 sites is filled densely in the operator's dtype
     and solved by LAPACK; from 8 sites on it is solved matrix-free by
     Lanczos (see _lanczos_ground_state). A raw ndarray must be Hermitian
-    on 1 to 12 qubits, with finite absolute row sums, and is solved
-    densely. The state's global phase is
-    fixed so its largest-magnitude amplitude is real and positive. The
-    result is flagged degenerate when the gap to the next level is below
+    on 1 to 12 qubits, with finite absolute row sums, checked before it is
+    solved densely. The state's global phase is fixed so its
+    largest-magnitude amplitude is real and positive. The result is
+    flagged degenerate when the gap to the next level is below
     DEGENERACY_GAP_TOL times the operator's bound (the chain's sum of
     |c_t|, or a raw matrix's largest absolute row sum), in which case
     indicator values from it are not well defined.
@@ -294,18 +293,17 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
         ham = np.asarray(hamiltonian)
     except ValueError as exc:  # ragged rows
         raise ValidationError(f"Hamiltonian must be a rectangular array of numbers: {exc}") from None
+    ham = qcore._numbers(ham, "matrix")  # complex128, as eig_hermitian reads it, before any sum
     if ham.ndim != 2 or ham.shape[0] != ham.shape[1] or ham.shape[0] & (ham.shape[0] - 1):
-        raise ValidationError(
-            f"Hamiltonian must be square with power-of-two dimension, got shape {ham.shape}"
-        )
+        raise ValidationError(f"Hamiltonian must be square with power-of-two dimension, got shape {ham.shape}")
     qcore._qubit_count_for_dim(ham.shape[0], "Hamiltonian")  # 1 to 12 qubits, before any solve
-    spec = qcore.eig_hermitian(ham, vectors=True)
-    w, v = spec.eigenvalues, spec.eigenvectors
     with np.errstate(over="ignore"):  # a sum past the float range is inf, and rejected as a chain's is
         bound = np.abs(ham).sum(axis=1).max(keepdims=True)  # the largest absolute row sum bounds the norm
     if not np.isfinite(bound[0]):
         raise ValidationError("Hamiltonian is too large: its largest absolute row sum is not finite")
-    return _checked_result(w[:1], v[None, :, 0], w[1:2] - w[:1], (ham @ v[:, 0])[None], bound)[0]
+    spec = qcore.eig_hermitian(ham, vectors=True)
+    w, v = spec.eigenvalues, spec.eigenvectors
+    return _checked_result(w[:1], v[None, :, 0], w[1:2], (ham @ v[:, 0])[None], bound)[0]
 
 
 def _ground_states(letters: Sequence[str], table: np.ndarray) -> List[GroundStateResult]:
@@ -321,25 +319,27 @@ def _ground_states(letters: Sequence[str], table: np.ndarray) -> List[GroundStat
     op = _PauliSum(letters, table)
     ham = op.dense()
     w, v = qcore._eigh(ham, vectors=True)  # Hermitian by construction
-    return _checked_result(w[:, 0], v[:, :, 0], w[:, 1] - w[:, 0], (ham @ v[:, :, :1])[:, :, 0], op.bound)
+    return _checked_result(w[:, 0], v[:, :, 0], w[:, 1], (ham @ v[:, :, :1])[:, :, 0], op.bound)
 
 
 def _checked_result(
-    energies: np.ndarray, vecs: np.ndarray, gaps: np.ndarray, products: np.ndarray, bounds: np.ndarray
+    energies: np.ndarray, vecs: np.ndarray, seconds: np.ndarray, products: np.ndarray, bounds: np.ndarray
 ) -> List[GroundStateResult]:
     """Phase-fixed ground states of K eigenpairs, after checking each |H vec - energy vec| <= EIGENPAIR_RESIDUAL_TOL * bound.
 
-    energies, gaps and bounds (each at least its operator's norm) have
-    shape (K,); vecs holds the solver's vectors and products their products
-    with their operators, both (K, 2^n). A row is divided by its bound
-    before the subtraction, so no residual overflows; the message reports
-    it unscaled. A gap below DEGENERACY_GAP_TOL * bound is degenerate. The
-    one rule for a dense chunk, a Lanczos solve (K = 1) and a raw matrix:
-    each row's phase makes its first largest-magnitude entry real and
-    positive. A row's top entry, its factor and its norm come from that row
-    alone, and |top| from a NumPy scalar (NumPy's array abs of a complex
-    entry can differ from the scalar's in the last bit), so each state has
-    the bits of a K = 1 call.
+    energies, seconds (the next levels with multiplicity) and bounds (each
+    at least its operator's norm) have shape (K,); vecs and products (the
+    solver's vectors and their products with their operators) (K, 2^n). A
+    row is divided by its bound before the subtraction, so no residual
+    overflows; the message reports it unscaled. The one place a gap is
+    formed: second - energy on Python floats, inf past the float range with
+    no warning, 0 if rounding makes it negative, degenerate below
+    DEGENERACY_GAP_TOL * bound. The one rule for a dense chunk, a Lanczos
+    solve (K = 1) and a raw matrix: each row's phase makes its first
+    largest-magnitude entry real and positive. A row's top entry, its
+    factor and its norm come from that row alone, and |top| from a NumPy
+    scalar (NumPy's array abs of a complex entry can differ from the
+    scalar's in the last bit), so each state has the bits of a K = 1 call.
     """
     bounds = np.maximum(bounds, np.finfo(float).tiny)  # a zero operator divides by no zero, and its zero gap is degenerate
     residuals = np.linalg.norm(products / bounds[:, None] - (energies / bounds)[:, None] * vecs, axis=1)
@@ -350,7 +350,8 @@ def _checked_result(
             f" times the operator's bound {bounds[k]:.3e}"
         )
     results = []
-    for energy, vec, gap, bound in zip(energies.tolist(), vecs, gaps.tolist(), bounds.tolist()):
+    for energy, vec, second, bound in zip(energies.tolist(), vecs, seconds.tolist(), bounds.tolist()):
+        gap = max(second - energy, 0.0)
         k = np.abs(vec).argmax()
         vec = vec * (np.conj(vec[k]) / abs(vec[k]))
         vec[k] = abs(vec[k])  # the product leaves a rounding-level imaginary part on complex vectors
@@ -372,10 +373,7 @@ def _lanczos_ground_state(op: _PauliSum) -> GroundStateResult:
     energy, vec = _lanczos_lowest(op, rng.standard_normal(op.rows.shape[1]))
     vec /= np.linalg.norm(vec)
     second, _ = _lanczos_lowest(op, rng.standard_normal(op.rows.shape[1]), deflate=vec)
-    # Both values are within their residuals of eigenvalues; a difference
-    # below zero is a degenerate level seen through rounding.
-    gap = max(second - energy, 0.0)
-    return _checked_result(np.array([energy]), vec[None], np.array([gap]), op.matvec(vec)[None], op.bound)[0]
+    return _checked_result(np.array([energy]), vec[None], np.array([second]), op.matvec(vec)[None], op.bound)[0]
 
 
 def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[float, np.ndarray]:
@@ -385,8 +383,9 @@ def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[flo
     step, against every basis vector and deflate). The pair is accepted once
     its residual beta_k |s_k| is at most _LANCZOS_TOL times the largest
     |Ritz value|; the tridiagonal matrix is solved every 8 steps, when the
-    next beta falls to _LANCZOS_TOL times op's bound, and at the end. NumericError if the pair has
-    not been accepted by the dimension of the space.
+    next beta falls to _LANCZOS_TOL times op's bound B, and at the end.
+    Beta is |w s| / s for a power of two s near 1/B (exact), so no square
+    leaves the float range. NumericError if not accepted within its dimension.
     """
     dim = start.size
     fixed = 0 if deflate is None else 1
@@ -398,7 +397,8 @@ def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[flo
     v /= np.linalg.norm(v)
     alpha: List[float] = []
     beta: List[float] = []
-    breakdown = _LANCZOS_TOL * float(op.bound[0])
+    bound = float(op.bound[0])
+    scale = math.ldexp(1.0, -max(math.frexp(bound)[1], -1023))  # finite for a zero or subnormal B too
     for k in range(1, dim - fixed + 1):
         m = fixed + k
         basis[m - 1] = v
@@ -406,8 +406,8 @@ def _lanczos_lowest(op: _PauliSum, start: np.ndarray, deflate=None) -> Tuple[flo
         alpha.append(float(np.vdot(v, w).real))
         for _ in range(2):
             w -= basis[:m].T @ np.conj(basis[:m] @ w.conj())
-        b = float(np.linalg.norm(w))
-        if b <= breakdown or k % 8 == 0 or k == dim - fixed:
+        b = float(np.linalg.norm(w * scale)) / scale
+        if b <= _LANCZOS_TOL * bound or k % 8 == 0 or k == dim - fixed:
             theta, s = qcore._eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1), vectors=True)
             if b * abs(s[-1, 0]) <= _LANCZOS_TOL * max(abs(theta[0]), abs(theta[-1])):
                 return float(theta[0]), basis[fixed:m].T @ s[:, 0]

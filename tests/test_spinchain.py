@@ -10,7 +10,7 @@ import pytest
 from empskit import qcore, spinchain
 from empskit.classify import build_dicke, build_ghz, build_w
 from empskit.emps import eta_indicator
-from empskit.errors import ArgumentError, CapacityError, NumericError, ValidationError
+from empskit.errors import ArgumentError, CapacityError, EmpskitError, NumericError, ValidationError
 from empskit.qcore import (
     basis_state,
     random_pure_state,
@@ -423,12 +423,29 @@ def _scaled(spec, lam):
 def test_ground_state_is_covariant_under_scaling_every_coupling(spec):
     # lambda H has H's ground state, energy and gap times lambda: every check is relative to the chain's sum of |c_t|
     unit = ground_state(spec)
-    for lam in (1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12):
+    for lam in (1e-300, 1e-160, 1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12, 1e155, 1e300):
         result = ground_state(_scaled(spec, lam))
         assert result.energy / lam == pytest.approx(unit.energy, rel=1e-10, abs=0)
         assert result.degeneracy_gap / lam == pytest.approx(unit.degeneracy_gap, rel=1e-10, abs=0)
         assert 1 - abs(np.vdot(result.state.amps, unit.state.amps)) <= 1e-12
         assert result.degenerate == unit.degenerate
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_spectrum_wider_than_the_float_range_has_an_infinite_gap():
+    # the levels -1.3e308 and 1.3e308 are finite, their difference is not
+    result = ground_state(np.array([[0, 1.3e308j], [-1.3e308j, 0]]))
+    assert result.energy == -1.3e308 and result.degeneracy_gap == math.inf and not result.degenerate
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_lanczos_chain_with_a_subnormal_bound_ends_in_a_result_or_a_typed_error():
+    # every coefficient 1e-315 makes the chain's sum of |c_t| subnormal
+    try:
+        result = ground_state(_scaled(_transverse_field(8, J=1.0, h=1.0, g=1.0), 1e-315))
+    except EmpskitError:
+        return
+    assert math.isfinite(result.energy) and result.degeneracy_gap >= 0.0
 
 
 @pytest.mark.parametrize("n", [5, 8])
@@ -760,9 +777,14 @@ def test_a_corrupted_raw_matrix_vector_fails_its_residual_check(monkeypatch):
     assert _residual_in(str(info.value)) == 3.0
 
 
+def _unreached_eigh(matrix, vectors=False):
+    raise AssertionError("the raw matrix reached the eigensolver")
+
+
 @pytest.mark.parametrize("ham", [[[1e308, 1e308], [1e308, 1e308]], [[1e308, 9e307], [9e307, 5e307]]])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ground_state_rejects_a_raw_matrix_whose_row_sums_pass_the_float_range(ham):
+def test_ground_state_rejects_a_raw_matrix_whose_row_sums_pass_the_float_range(ham, monkeypatch):
+    monkeypatch.setattr(qcore, "_eigh", _unreached_eigh)  # rejected before any solve
     with pytest.raises(ValidationError, match="Hamiltonian is too large: its largest absolute row sum is not finite"):
         ground_state(np.array(ham))
 
