@@ -116,17 +116,24 @@ def _json_fields(payload, what: str, forms: Sequence[tuple]) -> Optional[str]:
 
 
 def _require_hermitian(arr: np.ndarray, what: str) -> np.ndarray:
-    """half = 0.5 * arr, after a ValidationError naming what if max |M - M^dag| > HERMITICITY_ATOL * max(1, max |M|).
+    """The exactly Hermitian part half + half^dag (half = 0.5 * arr), the one matrix every solve reads, after
+    a ValidationError naming what if max |M - M^dag| > HERMITICITY_ATOL * max(1, max |M|).
 
-    The check subtracts the halves, and a caller forms the Hermitian part as
-    half + half^dag, so an entry near the float range gives no numpy warning.
+    An entry near the float range gives no numpy warning; an infinite one
+    halves to nan, whose nan defect fails the check as a nan entry does.
     """
-    half = 0.5 * arr
-    defect = 2.0 * float(np.max(np.abs(half - half.conj().swapaxes(-1, -2))))  # a Python float: inf past the range
+    with np.errstate(invalid="ignore"):
+        half = 0.5 * arr
+        defect = 2.0 * float(np.max(np.abs(half - half.conj().swapaxes(-1, -2))))  # a Python float: inf past the range
     # max |M| = 2 max |half| is taken only for a defect past the absolute tolerance, and stays finite
     if not (defect <= HERMITICITY_ATOL or defect <= 2.0 * HERMITICITY_ATOL * float(np.max(np.abs(half)))):
         raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e}")
-    return half
+    return _hermitian_part(half)
+
+
+def _hermitian_part(half: np.ndarray) -> np.ndarray:
+    """half + half^dag over the last two axes: the exactly Hermitian part of 2 * half."""
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def _squared_norms(amps: np.ndarray) -> np.ndarray:
@@ -187,7 +194,7 @@ class PureState:
 
 
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace matrix on a power-of-two dimension."""
+    """Positive-semidefinite, unit-trace matrix on a power-of-two dimension, stored as its exactly Hermitian part."""
 
     __slots__ = ("dim", "n", "entries")
 
@@ -219,14 +226,13 @@ class DensityMatrix:
 
     def _store(self, arr: np.ndarray):
         # Checks shared by both constructors: qubit dimension, Hermiticity and
-        # unit trace. Stores the exactly Hermitian part, read-only.
+        # unit trace. Stores the exactly Hermitian part every solve reads, read-only.
         n = _qubit_count_for_dim(arr.shape[0], "density matrix")
-        half = _require_hermitian(arr, "density matrix")
+        hermitian = _require_hermitian(arr, "density matrix")
         with np.errstate(all="ignore"):  # a diagonal past the float range sums to inf or nan, which fails below
             tr = complex(np.trace(arr))
         if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
-        hermitian = half + half.conj().T
         hermitian.flags.writeable = False
         object.__setattr__(self, "dim", hermitian.shape[0])
         object.__setattr__(self, "n", n)
@@ -496,8 +502,9 @@ def eig_hermitian(matrix: Union[DensityMatrix, np.ndarray], vectors: bool = Fals
     """Full real spectrum (ascending) of a Hermitian matrix, by LAPACK eigh.
 
     Accepts a DensityMatrix, a raw Hermitian ndarray, or a stack of them of
-    shape (..., d, d), which is solved in one call with spectra along the last
-    axis. Non-Hermitian, non-square, ragged, non-numeric or empty input
+    shape (..., d, d), solved in one call with spectra along the last axis;
+    a raw array is solved as the exactly Hermitian part a DensityMatrix of
+    it stores. Non-Hermitian, non-square, ragged, non-numeric or empty input
     raises ValidationError, anything but a DensityMatrix, ndarray, list or
     tuple ArgumentError, and failure of LAPACK to converge NumericError.
     """
@@ -509,7 +516,7 @@ def eig_hermitian(matrix: Union[DensityMatrix, np.ndarray], vectors: bool = Fals
         arr = _numbers(matrix, "matrix")
         if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
             raise ValidationError(f"expected a nonempty square matrix, got shape {arr.shape}")
-        _require_hermitian(arr, "matrix")
+        arr = _require_hermitian(arr, "matrix")
     w, v = _eigh(arr, vectors)
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
@@ -532,11 +539,11 @@ def _entropy_bits(lam: np.ndarray) -> np.ndarray:
 def _marginal_entropies(stack: np.ndarray) -> np.ndarray:
     """Entropies in bits of a (..., d, d) stack of marginals, from one stacked eigensolve.
 
-    Each matrix is first replaced by its exactly Hermitian part, as a
-    DensityMatrix stores it, so every value is the bits of von_neumann_entropy
-    on the same marginal.
+    Each matrix is first replaced by its exactly Hermitian part, by the
+    expression _require_hermitian uses but without its check, so every value
+    is the bits of von_neumann_entropy on a DensityMatrix of the same marginal.
     """
-    return _entropy_bits(_eigh(0.5 * (stack + stack.conj().swapaxes(-1, -2)))[0])
+    return _entropy_bits(_eigh(_hermitian_part(0.5 * stack))[0])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

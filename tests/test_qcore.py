@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from empskit import cli, qcore
 from empskit.classify import build_dicke, build_ghz, build_noisy_ghz, build_noisy_w, build_w, discriminate_noisy
-from empskit.emps import EmpsVector, emps_vector
+from empskit.emps import EmpsVector, emps_vector, passive_energy
 from empskit.errors import ArgumentError, CapacityError, NumericError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
@@ -109,6 +109,38 @@ def test_density_matrix_stores_the_symmetrized_entries(d):
     rng = np.random.default_rng(d)
     m = random_density(d, rng) + 1e-13 * random_hermitian(d, rng) * 1j  # Hermitian to within the tolerance only
     assert DensityMatrix(m).entries.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16, 32])
+def test_a_raw_matrix_and_its_density_matrix_solve_the_same_hermitian_part(d):
+    # a defect inside the tolerance: LAPACK reads one matrix whichever way it is given
+    rng = np.random.default_rng(100 + d)
+    hamiltonian = random_hermitian(d, rng)
+    for _ in range(10):
+        skew = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = random_density(d, rng) + 2e-13 * skew / np.max(np.abs(skew))
+        assert np.max(np.abs(m - m.conj().T)) <= 4e-13
+        rho = DensityMatrix(m)
+        assert eig_hermitian(m).eigenvalues.tobytes() == eig_hermitian(rho).eigenvalues.tobytes()
+        raw, stored = eig_hermitian(m, vectors=True), eig_hermitian(rho, vectors=True)
+        assert raw.eigenvalues.tobytes() == stored.eigenvalues.tobytes()
+        assert raw.eigenvectors.tobytes() == stored.eigenvectors.tobytes()
+        assert passive_energy(m, hamiltonian) == passive_energy(rho, hamiltonian)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_infinite_entry_is_not_hermitian_without_a_numpy_warning(tmp_path, capsys):
+    inf = [[np.inf, 0], [0, 0]]
+    with pytest.raises(ValidationError, match=r"^matrix is not Hermitian: max \|M - M\^dag\| = nan$"):
+        eig_hermitian(inf)
+    with pytest.raises(ValidationError, match=r"^density matrix is not Hermitian: max \|M - M\^dag\| = nan$"):
+        DensityMatrix(inf)
+    with pytest.raises(ValidationError, match=r"^matrix is not Hermitian: max \|M - M\^dag\| = nan$"):
+        passive_energy(np.eye(2) / 2, inf)
+    path = tmp_path / "inf-rho.json"
+    path.write_text('{"dim": 2, "entries": [[Infinity, 0], [0, 0], [0, 0], [0, 0]]}')
+    assert cli.run(["emps", "--state", str(path)]) == 2
+    assert capsys.readouterr().err == "error: density matrix is not Hermitian: max |M - M^dag| = nan\n"
 
 
 def test_density_matrix_rejects_negative_eigenvalue():
