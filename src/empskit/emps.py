@@ -264,8 +264,10 @@ def worst_slacks(energies) -> np.ndarray:
 def eta_indicator(state_or_vector: Union[State, EmpsVector]) -> float:
     """Energy indicator min_j (sum_{k != j} E_k - E_j) for n >= 3 qubits.
 
-    A nonzero value certifies genuine multipartite entanglement of pure
-    states; it equals polygon_check's worst_slack by construction.
+    For pure states a positive value certifies genuine tripartite
+    entanglement at n = 3, where a factored qubit drives a slack to 0. From
+    n = 4 it certifies only entanglement: Bell x Bell has eta = 1. It equals
+    polygon_check's worst_slack by construction.
     """
     if isinstance(state_or_vector, EmpsVector):
         v = state_or_vector

@@ -579,8 +579,8 @@ def state_from_dict(payload: dict) -> State:
     """Parse {"n", "amps": [[re, im], ...]} or {"dim", "entries": row-major [[re, im], ...]}.
 
     n and dim are optional integers; any other field is a ValidationError.
-    Builder-style payloads ({"builder": ..., "params": ...}) are handled one
-    level up, by the classify module's state factory.
+    Builder payloads ({"builder": ..., "params": ...}) are read one level up:
+    cli._load_state builds them through classify.build_state.
     """
     if _json_fields(payload, "state description", _STATE_FORMS) == "amps":
         n = payload.get("n")
@@ -600,4 +600,6 @@ def _pairs_to_complex(values, what: str) -> np.ndarray:
     arr = _numbers(values, f"{what} must be a list of [re, im] pairs: the pairs", np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValidationError(f"{what} must be a list of [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
+    # 1j * inf is nan + inf j: the state's own checks reject it, with no warning here
+    with np.errstate(invalid="ignore"):
+        return arr[:, 0] + 1j * arr[:, 1]

@@ -3,8 +3,10 @@
 The base model is an open chain of N spin-1/2 sites,
 H = -J sum_i s^z_i s^z_{i+1} - h sum_i s^z_i with s^z = sigma_z / 2,
 optionally extended by extra Pauli-string terms (per-site letters I/X/Y/Z
-with full Pauli matrices). Ground states feed the energy indicator and the
-pairwise entropy criterion for genuine multipartite entanglement.
+with full Pauli matrices). Ground states feed two entanglement columns: the
+pairwise entropy criterion, whose positive value witnesses genuine
+multipartite entanglement, and the energy indicator, whose positive value
+certifies it at N = 3 and only entanglement from N = 4.
 
 A chain is one tuple of Pauli strings and a (K, T) table of their
 coefficients (_chain_terms): one row for a spec, or one row per swept

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import re
+import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from empskit import cli
 from empskit.qcore import state_to_dict
-from empskit.classify import DET_FLOOR, build_dicke, build_noisy_w, build_w, slocc_orbit_sample
+from empskit.classify import DET_FLOOR, build_dicke, build_ghz, build_noisy_w, build_w, slocc_orbit_sample
 
 from oracles import orbit_row_kron_oracle
 
@@ -789,3 +791,128 @@ def test_orbit_of_a_density_matrix_file_exits_2_from_the_library_rule(tmp_path, 
 @pytest.mark.parametrize("argv", [["ising", "--spec"], ["sweep", "--values", "1.0", "--spec"]], ids=["ising", "sweep"])
 def test_spec_file_with_a_bool_extra_term_coefficient_exits_2(tmp_path, capsys, argv):
     _exits_2(tmp_path, capsys, argv, {"N": 3, "extra_terms": [[True, "ZZI"]]}, "extra_terms must be")
+
+
+# ---------------------------------------------------------------- main() and sys.argv
+
+
+def _csv_rows(out):
+    return list(csv.reader(io.StringIO(out)))
+
+
+def _transverse_field_8(x):
+    # the README's 8-site transverse-field chain with J = h = every X coefficient = x
+    return {"N": 8, "J": x, "h": x, "extra_terms": [[x, "I" * i + "X" + "I" * (7 - i)] for i in range(8)]}
+
+
+def _energy_per_unit(x, out):
+    # the chain at x is x times the chain at 1, whose ground energy is -9.476100
+    r = json.loads(out)
+    assert r["degenerate"] is False and abs(r["ground_energy"] / x + 9.476100) <= 1e-6
+
+
+def _every_qubit_at_one_half(out):
+    # every qubit of the 12-qubit GHZ state at theta = pi/4 is maximally mixed
+    r = json.loads(out)
+    assert r["n"] == 12 and np.allclose(r["emps"], 0.5, atol=1e-12)
+
+
+def _noisy_w_total(out):
+    assert abs(json.loads(out)["total"] - 1.1) <= 1e-9
+
+
+def _outside_the_w_polytope(out):
+    assert json.loads(out)["member"] is False
+
+
+def _orbit_csv_is_the_library_values(out):
+    rows = _csv_rows(out)
+    assert rows[0] == [f"e{i}" for i in range(1, 11)]
+    want = [v.values.tolist() for v in slocc_orbit_sample(build_ghz(10, 0.6), 3, seed=42)]
+    assert [[float(x) for x in row] for row in rows[1:]] == want
+
+
+def _coefficient_one_is_the_preset(out):
+    # scaling the long-range preset's extra terms by 1 gives the preset's row at h = 1
+    rows = _csv_rows(out)
+    assert [row[0] for row in rows[1:]] == ["0.0", "0.5", "1.0"]
+    assert rows[3][1:] == _csv_rows(LONGRANGE_SWEEP_CSV.decode())[3][1:]
+
+
+def _plain_chain_energies(out):
+    # the diagonal 7-site chain at h = 1: 6 bonds at -J/4 and 7 fields at -1/2
+    rows = json.loads(out)["rows"]
+    assert [row["parameter"] for row in rows] == [0.5, 1.0, 1.5]
+    for row in rows:
+        assert row["ground_energy"] == pytest.approx(-1.5 * row["parameter"] - 3.5, abs=1e-12)
+        assert row["eta"] == row["entropy_criterion"] == 0.0 and row["degenerate"] is False
+
+
+def _odd_y_rows_are_solved(out):
+    rows = _csv_rows(out)
+    assert [row[0] for row in rows[1:]] == ["0.2", "0.9", "1.6"]
+    assert all(row[-1] == "0" for row in rows[1:])
+
+
+def _odd_y_at_coefficient_zero_is_the_plain_chain(out):
+    # without its extra terms the 5-site chain has 4 bonds at -0.8/4 and 5 fields at -0.6/2
+    rows = json.loads(out)["rows"]
+    assert [row["parameter"] for row in rows] == [0.0, 0.5, 1.5]
+    assert rows[0]["ground_energy"] == pytest.approx(-2.3, abs=1e-12)
+    assert not any(row["degenerate"] for row in rows)
+
+
+def _usage(command, out):
+    assert out.startswith(f"usage: empskit {command} ")
+
+
+_ODD_Y5 = {"N": 5, "J": 0.8, "h": 0.6, "extra_terms": [[0.7, "XYIII"], [0.4, "IXXII"]]}
+_INF = float("inf")  # json writes it as Infinity
+
+MAIN_ROWS = [
+    pytest.param(["emps", "--builder", "ghz", "--n", "12", "--theta", "0.7853981633974483"], None, 0,
+                 _every_qubit_at_one_half, id="emps-ghz12"),
+    pytest.param(["orbit", "--builder", "ghz", "--n", "10", "--theta", "0.6", "--samples", "3", "--format", "csv"],
+                 None, 0, _orbit_csv_is_the_library_values, id="orbit-ghz10-csv"),
+    pytest.param(["sweep", "--model", "ising", "--sites", "7", "--param", "J", "--range", "0.5:1.5:3", "--format", "json"],
+                 None, 0, _plain_chain_energies, id="sweep-ising7-J"),
+    pytest.param(["sweep", "--model", "longrange", "--param", "coefficient", "--values", "0,0.5,1"], None, 0,
+                 _coefficient_one_is_the_preset, id="sweep-longrange-coefficient"),
+    pytest.param(["sweep", "--param", "h", "--values", "0.2,0.9,1.6", "--spec"], _ODD_Y5, 0,
+                 _odd_y_rows_are_solved, id="sweep-odd-y-h"),
+    pytest.param(["sweep", "--param", "coefficient", "--values", "0,0.5,1.5", "--format", "json", "--spec"], _ODD_Y5, 0,
+                 _odd_y_at_coefficient_zero_is_the_plain_chain, id="sweep-odd-y-coefficient"),
+    pytest.param(["emps", "--builder", "noisy_w", "--v1", "0.2"], None, 0,
+                 _noisy_w_total, id="emps-noisy-w"),
+    pytest.param(["polytope", "--builder", "noisy_ghz", "--v2", "0.5", "--which", "w"], None, 0,
+                 _outside_the_w_polytope, id="polytope-noisy-ghz"),
+    *(pytest.param(["ising", "--spec"], _transverse_field_8(x), 0, partial(_energy_per_unit, x), id=f"ising-tf8-at-{x}")
+      for x in (1e-12, 1e-200, 1e200)),
+    pytest.param(["emps", "--state"], {"dim": 2, "entries": [[0.5, _INF], [0, 0], [0, 0], [0.5, 0]]}, 2, None,
+                 id="emps-infinite-imaginary-entry"),
+    pytest.param(["emps", "--state"], {"amps": [[1, _INF], [0, 0]]}, 2, None, id="emps-infinite-imaginary-amp"),
+    pytest.param([], None, 2, None, id="no-subcommand"),
+    pytest.param(["frobnicate"], None, 2, None, id="unknown-subcommand"),
+    *(pytest.param([command, "-h"], None, 0, partial(_usage, command), id=f"{command}-help")
+      for command in ("emps", "classify", "polytope", "orbit", "ising", "sweep")),
+]
+
+
+@pytest.mark.parametrize("argv, payload, code, check", MAIN_ROWS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_reads_sys_argv_and_exits_with_the_contract_code(tmp_path, monkeypatch, capsys, argv, payload, code, check):
+    # the console script's path: main() -> run(None) -> sys.argv; a payload's file goes last
+    monkeypatch.delenv("EMPSKIT_SEED", raising=False)
+    if payload is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        argv = [*argv, str(path)]
+    monkeypatch.setattr(sys, "argv", ["empskit", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    captured = capsys.readouterr()
+    assert exc.value.code == code, captured.err
+    if code:
+        assert captured.out == "" and "Traceback" not in captured.err
+    if check is not None:
+        check(captured.out)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from empskit.classify import build_dicke, build_ghz, build_w, slocc_orbit_sample
 from empskit import qcore
 from empskit.emps import (
+    SLACK_TOL,
     EmpsVector,
     _min_eigenvalues_2x2,
     _min_eigenvalues_numpy,
@@ -30,6 +31,7 @@ from empskit.qcore import (
     reduced_density_matrix,
     tensor_product,
 )
+from empskit.spinchain import entropy_criterion
 
 from oracles import (
     eig_oracle,
@@ -497,6 +499,15 @@ def test_eta_biseparable_is_zero():
     bell = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2))
     bs = tensor_product(basis_state("0"), bell)
     assert abs(eta_indicator(bs)) <= 1e-9
+
+
+@pytest.mark.parametrize("first, eta", [(2, 1.0), (3, 1.5)], ids=["bell-bell", "ghz3-bell"])
+def test_eta_is_positive_on_a_product_of_entangled_blocks(first, eta):
+    # from n = 4 a product of entangled blocks has every slack > 0, so eta > 0 certifies
+    # only entanglement; the entropy criterion finds the additive pair across the cut
+    product = tensor_product(build_ghz(first, math.pi / 4), build_ghz(2, math.pi / 4))
+    assert abs(eta_indicator(product) - eta) <= SLACK_TOL
+    assert entropy_criterion(product) <= SLACK_TOL
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
