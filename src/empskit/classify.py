@@ -204,7 +204,7 @@ def build_state(spec: StateBuilderSpec) -> State:
       w(coeffs)                            generalized W, coeffs sum to 1
       dicke(n, l)                          uniform Dicke state, 1 <= l <= n-1
       generalized_dicke(n, l, coeffs)      unit-norm coefficients over C(n,l) terms
-      biseparable(alpha, beta, position)   |0> at position, alpha|00>+beta|11| elsewhere
+      biseparable(alpha, beta, position)   |0> at position, alpha|00>+beta|11> elsewhere
       noisy_w(v1), noisy_ghz(v2)           white-noise mixtures, v in [0, 1]
     """
     if not isinstance(spec, StateBuilderSpec):

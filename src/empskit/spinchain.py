@@ -89,8 +89,8 @@ class SpinChainSpec:
             value = getattr(self, name)
             try:
                 finite = qcore._is_number(value) and math.isfinite(value)
-            except OverflowError:  # an integer past the float range
-                finite = False
+            except OverflowError:
+                raise ValidationError(f"{name} must be a finite number, got an integer past the float range") from None
             if not finite:
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))

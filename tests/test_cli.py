@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import shlex
 import sys
 from functools import partial
 from pathlib import Path
@@ -40,32 +41,6 @@ def test_classify_w_overlap_region(capsys):
     assert {"w_facet_total", "eta_indicator"} <= names
 
 
-def test_emps_rejects_unnormalized_state_file(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n": 1, "amps": [[1.0, 0.0], [1.0, 0.0]]}))
-    code = cli.run(["emps", "--state", str(bad)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "normalized" in err
-
-
-@pytest.mark.parametrize(
-    "payload, message",
-    [
-        ({"dim": "4", "entries": [[0.25, 0.0]] * 16}, '"dim" must be an integer'),
-        ({"dim": 4.0, "entries": [[0.25, 0.0]] * 16}, '"dim" must be an integer'),
-        ({"dim": -2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}, "not dim^2 for dim=-2"),
-        ({"n": 1.0, "amps": [[1.0, 0.0], [0.0, 0.0]]}, '"n" must be an integer'),
-        ({"dim": 1, "entries": [[1, 0]]}, "density matrix needs at least one qubit"),
-    ],
-)
-def test_emps_rejects_bad_state_size_exits_2(tmp_path, capsys, payload, message):
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps(payload))
-    assert cli.run(["emps", "--state", str(path)]) == 2
-    assert message in capsys.readouterr().err
-
-
 def test_emps_round_trip_is_bit_identical(tmp_path, capsys):
     saved = tmp_path / "state.json"
     out1 = tmp_path / "a.json"
@@ -94,23 +69,6 @@ def test_emps_accepts_builder_file(tmp_path, capsys):
     path.write_text(json.dumps({"builder": "w", "params": {"coeffs": [0.4, 0.3, 0.3]}}))
     record = run_json(capsys, ["emps", "--state", str(path)])
     assert abs(record["total"] - 1.0) <= 1e-9
-
-
-def test_missing_state_and_missing_file(capsys):
-    assert cli.run(["emps"]) == 2
-    assert "provide a state" in capsys.readouterr().err
-    assert cli.run(["emps", "--state", "/nonexistent/state.json"]) == 2
-
-
-def test_builder_missing_parameter(capsys):
-    assert cli.run(["emps", "--builder", "ghz", "--n", "3"]) == 2
-    assert "--theta" in capsys.readouterr().err
-
-
-def test_invalid_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["frobnicate"])
-    assert exc.value.code == 2
 
 
 def test_polytope_point(capsys):
@@ -217,27 +175,6 @@ def test_orbit_env_seed_override(tmp_path, monkeypatch, capsys):
     assert explicit["points"] == env_record["points"]
 
 
-def test_orbit_bad_env_seed(monkeypatch, capsys):
-    monkeypatch.setenv("EMPSKIT_SEED", "abc")
-    code = cli.run(["orbit", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--samples", "1"])
-    assert code == 2
-    assert "EMPSKIT_SEED" in capsys.readouterr().err
-
-
-def test_orbit_negative_seed_flag_exits_2(monkeypatch, capsys):
-    monkeypatch.delenv("EMPSKIT_SEED", raising=False)
-    code = cli.run(["orbit", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--samples", "1", "--seed", "-5"])
-    assert code == 2
-    assert "--seed must be a non-negative integer, got -5" in capsys.readouterr().err
-
-
-def test_orbit_negative_env_seed_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("EMPSKIT_SEED", "-3")
-    code = cli.run(["orbit", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--samples", "1"])
-    assert code == 2
-    assert "EMPSKIT_SEED must be a non-negative integer, got '-3'" in capsys.readouterr().err
-
-
 def test_ising_models(capsys):
     plain = run_json(capsys, ["ising", "--model", "ising"])
     assert abs(plain["ground_energy"] + 3.5) <= 1e-9
@@ -253,86 +190,6 @@ def test_ising_spec_file(tmp_path, capsys):
     path.write_text(json.dumps({"N": 3, "J": 1.0, "h": 1.0}))
     record = run_json(capsys, ["ising", "--spec", str(path)])
     assert abs(record["ground_energy"] + 2.0) <= 1e-9  # 2 bonds/4 + 3 spins/2
-
-
-@pytest.mark.parametrize(
-    "payload, message",
-    [
-        ({"N": "abc"}, "N, J and h must be numbers"),
-        ({"N": None}, "N, J and h must be numbers"),
-        ({"J": "x"}, "N, J and h must be numbers"),
-        ({"N": 4.7}, "N must be an integer"),
-    ],
-)
-def test_ising_spec_file_with_bad_field_exits_2(tmp_path, capsys, payload, message):
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps(payload))
-    assert cli.run(["ising", "--spec", str(path)]) == 2
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv, what",
-    [(["emps", "--state"], "state"), (["ising", "--spec"], "spec"), (["sweep", "--values", "1", "--spec"], "spec")],
-)
-def test_malformed_json_file_exits_2(tmp_path, capsys, argv, what):
-    path = tmp_path / "broken.json"
-    path.write_text('{"n": 3,')
-    assert cli.run(argv + [str(path)]) == 2
-    assert f"{what} file {path} is not valid JSON" in capsys.readouterr().err
-
-
-def test_directory_as_state_file_exits_2(tmp_path, capsys):
-    assert cli.run(["emps", "--state", str(tmp_path)]) == 2
-    assert f"state file {tmp_path} cannot be read" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["emps", "--builder", "ghz", "--n", "3", "--theta", "0.5", "-o"],
-        ["emps", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--save-state"],
-        ["sweep", "--model", "ising", "--values", "1", "-o"],
-    ],
-)
-def test_directory_as_output_path_exits_2(tmp_path, capsys, argv):
-    assert cli.run(argv + [str(tmp_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.out == ""
-
-
-@pytest.mark.parametrize("argv, what", [(["emps", "--state"], "state"), (["ising", "--spec"], "spec")])
-def test_missing_input_file_exits_2(tmp_path, capsys, argv, what):
-    path = tmp_path / "missing.json"
-    assert cli.run(argv + [str(path)]) == 2
-    assert f"{what} file {path} cannot be read: [Errno 2]" in capsys.readouterr().err
-
-
-def test_non_utf8_spec_file_exits_2(tmp_path, capsys):
-    path = tmp_path / "utf16.json"
-    path.write_bytes(b"\xff\xfe{")
-    assert cli.run(["ising", "--spec", str(path)]) == 2
-    assert f"spec file {path} cannot be read" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"builder": "ghz", "params": [1, 2]},
-        {"builder": "ghz", "params": {"n": 3, "theta": "x"}},
-        {"builder": "w", "params": {"coeffs": "abc"}},
-        {"builder": "w", "params": {"coeffs": ["0.5", "0.5", "0"]}},
-    ],
-)
-def test_builder_file_with_bad_params_exits_2(tmp_path, capsys, payload):
-    path = tmp_path / "builder.json"
-    path.write_text(json.dumps(payload))
-    assert cli.run(["emps", "--state", str(path)]) == 2
-    assert f"family {payload['builder']!r}" in capsys.readouterr().err
-
-
-def test_ising_longrange_requires_five_sites(capsys):
-    assert cli.run(["ising", "--model", "longrange", "--sites", "4"]) == 2
 
 
 def test_sweep_csv(tmp_path):
@@ -355,26 +212,6 @@ def test_sweep_range_json(capsys):
     )
     assert [r["parameter"] for r in record["rows"]] == [1.0, 1.5, 2.0]
     assert all(r["eta"] > 1e-6 for r in record["rows"])
-
-
-def test_sweep_bad_range(capsys):
-    assert cli.run(["sweep", "--model", "ising", "--param", "h", "--range", "1:2"]) == 2
-    assert cli.run(["sweep", "--model", "ising", "--param", "h"]) == 2
-
-
-def test_sweep_rejects_empty_value_list(capsys):
-    for values in (",", " , ,"):
-        code = cli.run(["sweep", "--model", "ising", "--param", "h", "--values", values])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--values must name at least one number" in captured.err
-
-
-def test_classify_rejects_mixed_state(tmp_path, capsys):
-    path = tmp_path / "noisy.json"
-    path.write_text(json.dumps(state_to_dict(build_noisy_w(0.2))))
-    assert cli.run(["classify", "--state", str(path)]) == 2
 
 
 def test_numeric_failure_exits_3(capsys, monkeypatch):
@@ -402,11 +239,6 @@ def test_a_chain_at_a_large_coupling_scale_passes_its_relative_checks(capsys, ar
     assert run_json(capsys, ["ising", *argv])["ground_energy"] == pytest.approx(energy, rel=1e-12)
 
 
-def test_orbit_rejects_zero_samples(capsys):
-    code = cli.run(["orbit", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--samples", "0"])
-    assert code == 2
-
-
 def test_generalized_dicke_builder(capsys):
     coeffs = ",".join(["0.5773502691896258"] * 3)  # 1/sqrt(3)
     record = run_json(
@@ -414,35 +246,6 @@ def test_generalized_dicke_builder(capsys):
                  "--coeffs", coeffs]
     )
     assert abs(record["total"] - 1.0) <= 1e-9
-
-
-def _no_solve(letters, table):
-    raise AssertionError("a rejected sweep must not reach the eigensolver")
-
-
-def test_sweep_on_two_site_chain_exits_2(monkeypatch, capsys):
-    # indicator columns need at least three qubits, and no row is solved first
-    monkeypatch.setattr(cli.sc, "_ground_states", _no_solve)
-    code = cli.run(["sweep", "--model", "ising", "--sites", "2", "--param", "h", "--values", "1.0"])
-    assert code == 2
-    assert "3 qubits" in capsys.readouterr().err
-
-
-def test_ising_on_two_site_chain_exits_2_before_solving(monkeypatch, capsys):
-    # ising prints its chain's sweep row, so it rejects a chain under three sites as sweep does
-    monkeypatch.setattr(cli.sc, "_ground_states", _no_solve)
-    assert cli.run(["ising", "--model", "ising", "--sites", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "energy indicator needs at least 3 qubits, got n=2" in captured.err
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_emps_on_a_density_matrix_past_the_float_range_exits_2(tmp_path, capsys):
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"dim": 2, "entries": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}))
-    assert cli.run(["emps", "--state", str(path)]) == 2
-    assert capsys.readouterr().err == "error: density matrix trace is (inf+0j), expected 1\n"
 
 
 # `sweep --model longrange --range 0:2:5`, recorded from the row-by-row sweep
@@ -514,15 +317,6 @@ def test_sweep_longrange_csv_bytes(tmp_path):
     assert out.read_bytes() == LONGRANGE_SWEEP_CSV
 
 
-def test_sweep_coefficient_without_extra_terms_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(cli.sc, "_ground_states", _no_solve)
-    code = cli.run(["sweep", "--model", "ising", "--sites", "4", "--param", "coefficient", "--values", "1,2"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert '"coefficient" scales the extra terms, and the chain has none' in captured.err
-
-
 def test_consecutive_runs_share_no_arguments(tmp_path, monkeypatch, capsys):
     # one parser serves every run; nothing parsed in one call may leak into the next
     monkeypatch.delenv("EMPSKIT_SEED", raising=False)
@@ -580,64 +374,6 @@ def test_help_and_missing_command_match_the_full_parser(capsys, argv, code):
     assert capsys.readouterr() == expected
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["orbit", "--builder", "ghz", "--n", "3", "--theta", "0.5", "--samples", str(10**15)],
-        ["sweep", "--model", "ising", "--range", f"0:1:{10**15}"],
-    ],
-)
-def test_request_too_large_for_memory_exits_2(capsys, argv):
-    # 10^15 float64 rows need petabytes, more than any address space, so the allocation fails at once
-    assert cli.run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["ising", "--model", "ising", "--sites", "3"],
-        ["sweep", "--model", "ising", "--sites", "3", "--values", "1"],
-        ["emps", "--builder", "ghz", "--n", "3", "--theta", "0.5"],
-        ["classify", "--builder", "ghz", "--n", "3", "--theta", "0.5"],
-        ["polytope", "--point", "0.4,0.3,0.2"],
-    ],
-)
-@pytest.mark.parametrize("seed", ["-5", "5"])
-def test_seed_is_rejected_outside_orbit(capsys, argv, seed):
-    # only orbit draws random numbers, so a seed anywhere else is a usage error
-    with pytest.raises(SystemExit) as exc:
-        cli.run(argv + ["--seed", seed])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "unrecognized arguments: --seed" in err
-    assert err.startswith(f"usage: empskit {argv[0]} ")
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["ising", "--model", "ising", "--sites", "4", "--h", "nan"], "h must be a finite number, got nan"),
-        (["ising", "--model", "longrange", "--J", "inf"], "J must be a finite number, got inf"),
-        (["sweep", "--model", "ising", "--sites", "4", "--values", "0.5,-inf"], "h must be a finite number"),
-        (["sweep", "--model", "longrange", "--param", "coefficient", "--values", "nan"],
-         "extra_terms coefficient of 'IXXXI' must be finite"),
-    ],
-)
-def test_non_finite_chain_parameter_exits_2(capsys, argv, message):
-    assert cli.run(argv) == 2
-    assert message in capsys.readouterr().err
-
-
-def test_non_finite_spec_file_coefficient_exits_2(tmp_path, capsys):
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps({"N": 3, "extra_terms": [[float("nan"), "XXI"]]}))
-    assert cli.run(["ising", "--spec", str(path)]) == 2
-    assert "extra_terms coefficient of 'XXI' must be finite, got nan" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("extra", [[], [[0.45, "YZZZZZZZZZZX"]]], ids=["real", "odd_y"])
 def test_ising_on_twelve_site_spec_file(tmp_path, capsys, extra):
     field = [[0.6, "I" * i + "X" + "I" * (11 - i)] for i in range(12)]
@@ -652,58 +388,6 @@ def test_ising_on_twelve_site_spec_file(tmp_path, capsys, extra):
 # ---------------------------------------------------------------- input rules
 
 
-def _exits_2(tmp_path, capsys, argv, payload, message):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
-    assert cli.run([*argv, str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert message in captured.err
-
-
-@pytest.mark.parametrize(
-    "payload, message",
-    [
-        ({"builder": "dicke", "params": {"n": 3, "l": True}}, "1 <= l <= n-1"),
-        ({"builder": "biseparable", "params": {"alpha": 0.6, "beta": 0.8, "position": True}}, "position in"),
-        ({"builder": "noisy_w", "params": {"v1": True}}, "v1 in [0, 1]"),
-        ({"builder": "ghz", "params": {"n": True, "theta": 0.5}}, "2 <= n <= 12"),
-    ],
-)
-def test_builder_file_with_a_bool_parameter_exits_2(tmp_path, capsys, payload, message):
-    _exits_2(tmp_path, capsys, ["emps", "--state"], payload, f"builder parameters violate: {message}")
-
-
-@pytest.mark.parametrize(
-    "payload, message",
-    [
-        ({"N": "4"}, "N, J and h must be numbers"),
-        ({"J": "1.5"}, "N, J and h must be numbers"),
-        ({"h": True}, "N, J and h must be numbers"),
-        ({"N": 3, "J": 10 ** 400}, "J must be a finite number"),
-        ({"N": 3, "extra": []}, "spin chain spec has fields ['extra'] outside"),
-    ],
-)
-@pytest.mark.parametrize("argv", [["ising", "--spec"], ["sweep", "--values", "1.0", "--spec"]], ids=["ising", "sweep"])
-def test_spec_file_with_a_string_bool_huge_or_unknown_field_exits_2(tmp_path, capsys, argv, payload, message):
-    _exits_2(tmp_path, capsys, argv, payload, message)
-
-
-@pytest.mark.parametrize(
-    "payload, message",
-    [
-        ({"n": 1, "amps": [[1, 0], [0, 0]], "N": 5}, "fields ['N'] outside ['amps', 'n']"),
-        ({"dim": 2, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]], "note": "x"}, "fields ['note'] outside"),
-        ({"builder": "dicke", "params": {"n": 3, "l": 1}, "label": "W"}, "fields ['label'] outside"),
-        ({"amps": [[1, 0], [0, 0]], "entries": [[1, 0]]}, "fields ['entries'] outside ['amps', 'n']"),
-        ({"builder": "dicke", "params": {"n": 3, "l": 1}, "amps": [[1, 0], [0, 0]]}, "fields ['amps'] outside"),
-        ({"state": [[1, 0], [0, 0]]}, 'state description needs "builder" or "amps" or "entries"'),
-    ],
-)
-def test_state_file_with_an_unknown_field_or_two_forms_exits_2(tmp_path, capsys, payload, message):
-    _exits_2(tmp_path, capsys, ["emps", "--state"], payload, message)
-
-
 def test_state_file_without_dim_infers_it(tmp_path, capsys):
     payload = state_to_dict(build_noisy_w(0.2))
     with_dim = tmp_path / "with.json"
@@ -714,46 +398,6 @@ def test_state_file_without_dim_infers_it(tmp_path, capsys):
     a = run_json(capsys, ["emps", "--state", str(with_dim)])
     b = run_json(capsys, ["emps", "--state", str(without)])
     assert a.pop("state_id") != b.pop("state_id") and a == b
-
-
-@pytest.mark.parametrize("field", ["amps", "entries"])
-def test_state_file_with_non_numeric_pairs_exits_2(tmp_path, capsys, field):
-    # in place of the 0.6 of a valid state: a string, a 401-digit integer, a numeric string and null
-    rest = {"amps": [[0.8, 0]], "entries": [[0, 0], [0, 0], [0.4, 0]]}[field]
-    for part in ["x", 10 ** 400, "0.6", None]:
-        payload = {field: [[part, 0], *rest]}
-        _exits_2(tmp_path, capsys, ["emps", "--state"], payload, f"{field} must be a list of [re, im] pairs")
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["emps", "--builder", "w", "--coeffs", "0.5,x"], "--coeffs must be a comma-separated list of numbers"),
-        (["polytope", "--point", "0.1,,0.2;0.3"], "--point must be a comma-separated list of numbers"),
-        (["sweep", "--model", "ising", "--values", "0.5,one"], "--values must be a comma-separated list of numbers"),
-        (["orbit", "--builder", "noisy_w", "--v1", "0.2", "--samples", "2"], "orbit sampling needs a pure state"),
-        (["ising"], "provide --spec FILE or --model ising|longrange"),
-        (["sweep", "--values", "1"], "provide --spec FILE or --model ising|longrange"),
-        (["sweep", "--model", "ising", "--range", "0:two:3"], "--range must look like start:stop:count"),
-        (["sweep", "--model", "ising", "--range", "0:2:1.5"], "--range must look like start:stop:count"),
-        (["sweep", "--model", "ising", "--range", "0:2:0"], "--range count must be >= 1"),
-        (["sweep", "--model", "ising", "--range", "0:2:-3"], "--range count must be >= 1"),
-        (["sweep", "--model", "ising", "--range", "0:inf:3"], "--range needs finite start, stop and span, got 0.0:inf"),
-        (["sweep", "--model", "ising", "--range", "nan:1:3"], "--range needs finite start, stop and span, got nan:1.0"),
-        (["sweep", "--model", "ising", "--range=-1e308:1e308:3"], "--range needs finite start, stop and span"),
-        (["polytope", "--point", ""], "energy vector needs at least one qubit"),
-        # a file and a preset for one input; the clash is found before the file is read
-        (["emps", "--state", "w.json", "--builder", "ghz", "--n", "3", "--theta", "0.5"],
-         "--state and --builder each name a state; give one of them"),
-        (["ising", "--spec", "chain.json", "--model", "longrange"], "--spec and --model each name a chain; give one of them"),
-    ],
-)
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_bad_flag_values_exit_2_with_their_message(capsys, argv, message):
-    assert cli.run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert message in captured.err
 
 
 @pytest.mark.parametrize(
@@ -781,16 +425,6 @@ def test_chain_whose_coefficients_overflow_exits_2(capsys, monkeypatch, argv, so
     message = "J, h and extra_terms are too large: the sum of the chain's |coefficients| is not finite"
     assert captured.err == f"error: {message}\n"
     assert rows == solved
-
-
-def test_orbit_of_a_density_matrix_file_exits_2_from_the_library_rule(tmp_path, capsys):
-    payload = {"dim": 2, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}
-    _exits_2(tmp_path, capsys, ["orbit", "--samples", "2", "--state"], payload, "orbit sampling needs a pure state")
-
-
-@pytest.mark.parametrize("argv", [["ising", "--spec"], ["sweep", "--values", "1.0", "--spec"]], ids=["ising", "sweep"])
-def test_spec_file_with_a_bool_extra_term_coefficient_exits_2(tmp_path, capsys, argv):
-    _exits_2(tmp_path, capsys, argv, {"N": 3, "extra_terms": [[True, "ZZI"]]}, "extra_terms must be")
 
 
 # ---------------------------------------------------------------- main() and sys.argv
@@ -866,47 +500,221 @@ def _usage(command, out):
     assert out.startswith(f"usage: empskit {command} ")
 
 
+def _no_solve(letters, table):
+    raise AssertionError("a rejected command must not reach the eigensolver")
+
+
+def _exit_2(name, command, message, payload=None):
+    # a rejection row: exit 2 with message in stderr, where "{path}" stands for the input file's path
+    return pytest.param(command, payload, 2, message, id=name)
+
+
 _ODD_Y5 = {"N": 5, "J": 0.8, "h": 0.6, "extra_terms": [[0.7, "XYIII"], [0.4, "IXXII"]]}
 _INF = float("inf")  # json writes it as Infinity
+_GHZ3 = "--builder ghz --n 3 --theta 0.5"
+_MIXED = {"dim": 2, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}  # the maximally mixed qubit
+_DIRECTORY = object()  # an input path that is a directory
+_MISSING = object()  # an input path that names no file
+_HUGE = "must be a finite number, got an integer past the float range"
 
+# Each row is (command, input, exit code, check). The command is split as a shell would, and a leading
+# EMPSKIT_SEED=value sets that variable for the run. The input is written to a file whose path goes last:
+# JSON for a payload, as is for bytes; _DIRECTORY and _MISSING make that path a directory or no file.
+# The check is a function of stdout, or a substring of stderr.
 MAIN_ROWS = [
-    pytest.param(["emps", "--builder", "ghz", "--n", "12", "--theta", "0.7853981633974483"], None, 0,
+    pytest.param("emps --builder ghz --n 12 --theta 0.7853981633974483", None, 0,
                  _every_qubit_at_one_half, id="emps-ghz12"),
-    pytest.param(["orbit", "--builder", "ghz", "--n", "10", "--theta", "0.6", "--samples", "3", "--format", "csv"],
-                 None, 0, _orbit_csv_is_the_library_values, id="orbit-ghz10-csv"),
-    pytest.param(["sweep", "--model", "ising", "--sites", "7", "--param", "J", "--range", "0.5:1.5:3", "--format", "json"],
-                 None, 0, _plain_chain_energies, id="sweep-ising7-J"),
-    pytest.param(["sweep", "--model", "longrange", "--param", "coefficient", "--values", "0,0.5,1"], None, 0,
+    pytest.param("orbit --builder ghz --n 10 --theta 0.6 --samples 3 --format csv", None, 0,
+                 _orbit_csv_is_the_library_values, id="orbit-ghz10-csv"),
+    pytest.param("sweep --model ising --sites 7 --param J --range 0.5:1.5:3 --format json", None, 0,
+                 _plain_chain_energies, id="sweep-ising7-J"),
+    pytest.param("sweep --model longrange --param coefficient --values 0,0.5,1", None, 0,
                  _coefficient_one_is_the_preset, id="sweep-longrange-coefficient"),
-    pytest.param(["sweep", "--param", "h", "--values", "0.2,0.9,1.6", "--spec"], _ODD_Y5, 0,
+    pytest.param("sweep --param h --values 0.2,0.9,1.6 --spec", _ODD_Y5, 0,
                  _odd_y_rows_are_solved, id="sweep-odd-y-h"),
-    pytest.param(["sweep", "--param", "coefficient", "--values", "0,0.5,1.5", "--format", "json", "--spec"], _ODD_Y5, 0,
+    pytest.param("sweep --param coefficient --values 0,0.5,1.5 --format json --spec", _ODD_Y5, 0,
                  _odd_y_at_coefficient_zero_is_the_plain_chain, id="sweep-odd-y-coefficient"),
-    pytest.param(["emps", "--builder", "noisy_w", "--v1", "0.2"], None, 0,
-                 _noisy_w_total, id="emps-noisy-w"),
-    pytest.param(["polytope", "--builder", "noisy_ghz", "--v2", "0.5", "--which", "w"], None, 0,
+    pytest.param("emps --builder noisy_w --v1 0.2", None, 0, _noisy_w_total, id="emps-noisy-w"),
+    pytest.param("polytope --builder noisy_ghz --v2 0.5 --which w", None, 0,
                  _outside_the_w_polytope, id="polytope-noisy-ghz"),
-    *(pytest.param(["ising", "--spec"], _transverse_field_8(x), 0, partial(_energy_per_unit, x), id=f"ising-tf8-at-{x}")
+    *(pytest.param("ising --spec", _transverse_field_8(x), 0, partial(_energy_per_unit, x), id=f"ising-tf8-at-{x}")
       for x in (1e-12, 1e-200, 1e200)),
-    pytest.param(["emps", "--state"], {"dim": 2, "entries": [[0.5, _INF], [0, 0], [0, 0], [0.5, 0]]}, 2, None,
-                 id="emps-infinite-imaginary-entry"),
-    pytest.param(["emps", "--state"], {"amps": [[1, _INF], [0, 0]]}, 2, None, id="emps-infinite-imaginary-amp"),
-    pytest.param([], None, 2, None, id="no-subcommand"),
-    pytest.param(["frobnicate"], None, 2, None, id="unknown-subcommand"),
-    *(pytest.param([command, "-h"], None, 0, partial(_usage, command), id=f"{command}-help")
+    *(pytest.param(f"{command} -h", None, 0, partial(_usage, command), id=f"{command}-help")
       for command in ("emps", "classify", "polytope", "orbit", "ising", "sweep")),
+    # ---------------------------------------------------------------- usage errors
+    _exit_2("no-subcommand", "", "usage: empskit [-h]"),
+    _exit_2("unknown-subcommand", "frobnicate", "invalid choice: 'frobnicate'"),
+    # only orbit draws random numbers, so a seed anywhere else is a usage error
+    *(_exit_2(f"{command}-seed={seed}", f"{command} {rest} --seed {seed}",
+              f"empskit {command}: error: unrecognized arguments: --seed {seed}")
+      for command, rest in (("ising", "--model ising --sites 3"), ("sweep", "--model ising --sites 3 --values 1"),
+                            ("emps", _GHZ3), ("classify", _GHZ3), ("polytope", "--point 0.4,0.3,0.2"))
+      for seed in ("-5", "5")),
+    # ---------------------------------------------------------------- state flags
+    _exit_2("emps-no-state", "emps", "provide a state via --state FILE or --builder NAME"),
+    _exit_2("ghz-without-theta", "emps --builder ghz --n 3", "builder 'ghz' requires --theta"),
+    _exit_2("coeffs-not-numbers", "emps --builder w --coeffs 0.5,x",
+            "--coeffs must be a comma-separated list of numbers"),
+    # a file and a preset for one input; the clash is found before the file is read
+    _exit_2("state-and-builder", f"emps --state w.json {_GHZ3}",
+            "--state and --builder each name a state; give one of them"),
+    _exit_2("point-not-numbers", "polytope --point '0.1,,0.2;0.3'",
+            "--point must be a comma-separated list of numbers"),
+    _exit_2("point-empty", "polytope --point ''", "energy vector needs at least one qubit"),
+    _exit_2("point-two-qubits", "polytope --point 0.1,0.2", "polytope facets are defined for n=3, got n=2"),
+    _exit_2("classify-dicke4", "classify --builder dicke --n 4 --l 2", "classification needs a 3-qubit pure state"),
+    _exit_2("orbit-noisy-w", "orbit --builder noisy_w --v1 0.2 --samples 2", "orbit sampling needs a pure state"),
+    _exit_2("orbit-zero-samples", f"orbit {_GHZ3} --samples 0", "sample count must be >= 1, got 0"),
+    _exit_2("orbit-negative-samples", f"orbit {_GHZ3} --samples -1", "sample count must be >= 1, got -1"),
+    # 10^15 float64 rows need petabytes, more than any address space, so the allocation fails at once
+    _exit_2("orbit-too-large", f"orbit {_GHZ3} --samples {10**15}", "error: Unable to allocate"),
+    _exit_2("orbit-negative-seed", f"orbit {_GHZ3} --samples 1 --seed -5",
+            "--seed must be a non-negative integer, got -5"),
+    _exit_2("orbit-env-seed-abc", f"EMPSKIT_SEED=abc orbit {_GHZ3} --samples 1",
+            "EMPSKIT_SEED must be an integer, got 'abc'"),
+    _exit_2("orbit-env-seed-negative", f"EMPSKIT_SEED=-3 orbit {_GHZ3} --samples 1",
+            "EMPSKIT_SEED must be a non-negative integer, got '-3'"),
+    # ---------------------------------------------------------------- chain flags
+    _exit_2("ising-no-chain", "ising", "provide --spec FILE or --model ising|longrange"),
+    _exit_2("sweep-no-chain", "sweep --values 1", "provide --spec FILE or --model ising|longrange"),
+    _exit_2("spec-and-model", "ising --spec chain.json --model longrange",
+            "--spec and --model each name a chain; give one of them"),
+    _exit_2("longrange-four-sites", "ising --model longrange --sites 4", "--model longrange is defined on 5 sites"),
+    _exit_2("ising-13-sites", "ising --model ising --sites 13", "site count N must be in 2..12, got 13"),
+    # the indicator columns need at least three qubits
+    _exit_2("ising-2-sites", "ising --model ising --sites 2", "energy indicator needs at least 3 qubits, got n=2"),
+    _exit_2("sweep-2-sites", "sweep --model ising --sites 2 --param h --values 1.0",
+            "energy indicator needs at least 3 qubits, got n=2"),
+    _exit_2("coefficient-without-extra-terms", "sweep --model ising --sites 4 --param coefficient --values 1,2",
+            '"coefficient" scales the extra terms, and the chain has none'),
+    _exit_2("ising-h-nan", "ising --model ising --sites 4 --h nan", "h must be a finite number, got nan"),
+    _exit_2("longrange-J-inf", "ising --model longrange --J inf", "J must be a finite number, got inf"),
+    _exit_2("sweep-h-inf", "sweep --model ising --sites 4 --values 0.5,-inf", "h must be a finite number, got -inf"),
+    _exit_2("sweep-coefficient-nan", "sweep --model longrange --param coefficient --values nan",
+            "extra_terms coefficient of 'IXXXI' must be finite"),
+    _exit_2("values-not-numbers", "sweep --model ising --values 0.5,one",
+            "--values must be a comma-separated list of numbers"),
+    *(_exit_2(f"values-{name}", f"sweep --model ising --param h --values '{values}'",
+              f"--values must name at least one number, got {values!r}")
+      for name, values in (("comma", ","), ("blanks", " , ,"))),
+    _exit_2("sweep-no-values", "sweep --model ising --param h", "provide sweep values via --values or --range"),
+    _exit_2("range-two-parts", "sweep --model ising --param h --range 1:2", "--range must look like start:stop:count"),
+    *(_exit_2(f"range-{name}", f"sweep --model ising --range {value}", message) for name, value, message in (
+        ("word", "0:two:3", "--range must look like start:stop:count"),
+        ("float-count", "0:2:1.5", "--range must look like start:stop:count"),
+        ("zero-count", "0:2:0", "--range count must be >= 1"),
+        ("negative-count", "0:2:-3", "--range count must be >= 1"),
+        ("infinite-stop", "0:inf:3", "--range needs finite start, stop and span, got 0.0:inf"),
+        ("nan-start", "nan:1:3", "--range needs finite start, stop and span, got nan:1.0"),
+        ("too-large", f"0:1:{10**15}", "error: Unable to allocate"),
+    )),
+    _exit_2("range-infinite-span", "sweep --model ising --range=-1e308:1e308:3",
+            "--range needs finite start, stop and span, got -1e+308:1e+308"),
+    # ---------------------------------------------------------------- input and output paths
+    _exit_2("state-nonexistent", "emps --state /nonexistent/state.json",
+            "state file /nonexistent/state.json cannot be read: [Errno 2]"),
+    _exit_2("state-missing", "emps --state", "state file {path} cannot be read: [Errno 2]", _MISSING),
+    _exit_2("spec-missing", "ising --spec", "spec file {path} cannot be read: [Errno 2]", _MISSING),
+    _exit_2("state-directory", "emps --state", "state file {path} cannot be read", _DIRECTORY),
+    _exit_2("spec-not-utf8", "ising --spec", "spec file {path} cannot be read", b"\xff\xfe{"),
+    _exit_2("state-malformed", "emps --state", "state file {path} is not valid JSON", b'{"n": 3,'),
+    _exit_2("ising-spec-malformed", "ising --spec", "spec file {path} is not valid JSON", b'{"n": 3,'),
+    _exit_2("sweep-spec-malformed", "sweep --values 1 --spec", "spec file {path} is not valid JSON", b'{"n": 3,'),
+    _exit_2("output-directory", f"emps {_GHZ3} -o", "Is a directory: '{path}'", _DIRECTORY),
+    _exit_2("save-state-directory", f"emps {_GHZ3} --save-state", "Is a directory: '{path}'", _DIRECTORY),
+    _exit_2("sweep-output-directory", "sweep --model ising --values 1 -o", "Is a directory: '{path}'", _DIRECTORY),
+    # ---------------------------------------------------------------- state files
+    _exit_2("unnormalized", "emps --state", "normalized", {"n": 1, "amps": [[1.0, 0.0], [1.0, 0.0]]}),
+    _exit_2("dim-string", "emps --state", '"dim" must be an integer', {"dim": "4", "entries": [[0.25, 0.0]] * 16}),
+    _exit_2("dim-float", "emps --state", '"dim" must be an integer', {"dim": 4.0, "entries": [[0.25, 0.0]] * 16}),
+    _exit_2("dim-negative", "emps --state", "not dim^2 for dim=-2",
+            {"dim": -2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}),
+    _exit_2("n-float", "emps --state", '"n" must be an integer', {"n": 1.0, "amps": [[1.0, 0.0], [0.0, 0.0]]}),
+    _exit_2("dim-1", "emps --state", "density matrix needs at least one qubit", {"dim": 1, "entries": [[1, 0]]}),
+    _exit_2("amps-beside-N", "emps --state", "fields ['N'] outside ['amps', 'n']",
+            {"n": 1, "amps": [[1, 0], [0, 0]], "N": 5}),
+    _exit_2("entries-beside-note", "emps --state", "fields ['note'] outside", {**_MIXED, "note": "x"}),
+    _exit_2("builder-beside-label", "emps --state", "fields ['label'] outside",
+            {"builder": "dicke", "params": {"n": 3, "l": 1}, "label": "W"}),
+    _exit_2("amps-and-entries", "emps --state", "fields ['entries'] outside ['amps', 'n']",
+            {"amps": [[1, 0], [0, 0]], "entries": [[1, 0]]}),
+    _exit_2("builder-and-amps", "emps --state", "fields ['amps'] outside",
+            {"builder": "dicke", "params": {"n": 3, "l": 1}, "amps": [[1, 0], [0, 0]]}),
+    _exit_2("no-state-form", "emps --state", 'state description needs "builder" or "amps" or "entries"',
+            {"state": [[1, 0], [0, 0]]}),
+    # in place of the 0.6 of a valid state: a string, a 401-digit integer, a numeric string and null
+    *(_exit_2(f"{field}-{name}", "emps --state", f"{field} must be a list of [re, im] pairs",
+              {field: [[part, 0], *rest]})
+      for field, rest in (("amps", [[0.8, 0]]), ("entries", [[0, 0], [0, 0], [0.4, 0]]))
+      for name, part in (("string", "x"), ("huge-integer", 10**400), ("numeric-string", "0.6"), ("null", None))),
+    pytest.param("emps --state", {"dim": 2, "entries": [[0.5, _INF], [0, 0], [0, 0], [0.5, 0]]}, 2, None,
+                 id="emps-infinite-imaginary-entry"),
+    pytest.param("emps --state", {"amps": [[1, _INF], [0, 0]]}, 2, None, id="emps-infinite-imaginary-amp"),
+    _exit_2("density-past-the-float-range", "emps --state", "error: density matrix trace is (inf+0j), expected 1\n",
+            {"dim": 2, "entries": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}),
+    _exit_2("classify-mixed", "classify --state", "classification needs a pure state",
+            state_to_dict(build_noisy_w(0.2))),
+    _exit_2("orbit-mixed", "orbit --samples 2 --state", "orbit sampling needs a pure state", _MIXED),
+    _exit_2("builder-without-params", "emps --state", "missing parameters ['n', 'theta']", {"builder": "ghz"}),
+    *(_exit_2(f"builder-bool-{name}", "emps --state", f"builder parameters violate: {message}",
+              {"builder": family, "params": params})
+      for name, family, params, message in (
+          ("l", "dicke", {"n": 3, "l": True}, "1 <= l <= n-1"),
+          ("position", "biseparable", {"alpha": 0.6, "beta": 0.8, "position": True}, "position in"),
+          ("v1", "noisy_w", {"v1": True}, "v1 in [0, 1]"),
+          ("n", "ghz", {"n": True, "theta": 0.5}, "2 <= n <= 12"),
+      )),
+    *(_exit_2(f"builder-{name}", "emps --state", f"family {family!r}", {"builder": family, "params": params})
+      for name, family, params in (
+          ("params-list", "ghz", [1, 2]),
+          ("theta-string", "ghz", {"n": 3, "theta": "x"}),
+          ("coeffs-string", "w", {"coeffs": "abc"}),
+          ("coeffs-strings", "w", {"coeffs": ["0.5", "0.5", "0"]}),
+      )),
+    # ---------------------------------------------------------------- chain spec files
+    *(_exit_2(f"ising-spec-{name}", "ising --spec", message, payload) for name, payload, message in (
+        ("N-string", {"N": "abc"}, "N, J and h must be numbers"),
+        ("N-null", {"N": None}, "N, J and h must be numbers"),
+        ("J-string", {"J": "x"}, "N, J and h must be numbers"),
+        ("N-float", {"N": 4.7}, "N must be an integer"),
+        ("coefficient-nan", {"N": 3, "extra_terms": [[float("nan"), "XXI"]]},
+         "extra_terms coefficient of 'XXI' must be finite, got nan"),
+        ("h-huge", {"N": 3, "h": -(10**400)}, f"error: h {_HUGE}\n"),
+    )),
+    *(_exit_2(f"{command}-spec-{name}", f"{command} {flags}--spec", message, payload)
+      for command, flags in (("ising", ""), ("sweep", "--values 1.0 "))
+      for name, payload, message in (
+          ("N-numeric-string", {"N": "4"}, "N, J and h must be numbers"),
+          ("J-numeric-string", {"J": "1.5"}, "N, J and h must be numbers"),
+          ("h-bool", {"h": True}, "N, J and h must be numbers"),
+          ("J-huge", {"N": 3, "J": 10**400}, f"error: J {_HUGE}\n"),
+          ("unknown-field", {"N": 3, "extra": []}, "spin chain spec has fields ['extra'] outside"),
+          ("bool-coefficient", {"N": 3, "extra_terms": [[True, "ZZI"]]}, "extra_terms must be"),
+      )),
 ]
 
 
-@pytest.mark.parametrize("argv, payload, code, check", MAIN_ROWS)
+@pytest.mark.parametrize("command, payload, code, check", MAIN_ROWS)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_main_reads_sys_argv_and_exits_with_the_contract_code(tmp_path, monkeypatch, capsys, argv, payload, code, check):
-    # the console script's path: main() -> run(None) -> sys.argv; a payload's file goes last
+def test_main_reads_sys_argv_and_exits_with_the_contract_code(
+        tmp_path, monkeypatch, capsys, command, payload, code, check):
+    # the console script's path: main() -> run(None) -> sys.argv
     monkeypatch.delenv("EMPSKIT_SEED", raising=False)
+    argv = shlex.split(command)
+    if argv and argv[0].startswith("EMPSKIT_SEED="):
+        monkeypatch.setenv("EMPSKIT_SEED", argv.pop(0).partition("=")[2])
+    path = tmp_path / "input.json"
     if payload is not None:
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(payload))
-        argv = [*argv, str(path)]
+        if payload is _DIRECTORY:
+            path.mkdir()
+        elif isinstance(payload, bytes):
+            path.write_bytes(payload)
+        elif payload is not _MISSING:
+            path.write_text(json.dumps(payload))
+        argv.append(str(path))
+    if code and "-o" not in argv:
+        # every input is checked before a chain is solved; only writing the result comes after
+        monkeypatch.setattr(cli.sc, "_ground_states", _no_solve)
     monkeypatch.setattr(sys, "argv", ["empskit", *argv])
     with pytest.raises(SystemExit) as exc:
         cli.main()
@@ -914,5 +722,8 @@ def test_main_reads_sys_argv_and_exits_with_the_contract_code(tmp_path, monkeypa
     assert exc.value.code == code, captured.err
     if code:
         assert captured.out == "" and "Traceback" not in captured.err
-    if check is not None:
+        assert captured.err.startswith(("error: ", "usage: empskit"))
+    if isinstance(check, str):
+        assert check.replace("{path}", str(path)) in captured.err
+    elif check is not None:
         check(captured.out)
