@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Union
@@ -28,7 +29,7 @@ from .emps import (
     emps_vector,
     eta_indicator,
 )
-from .errors import ArgumentError, ValidationError
+from .errors import ArgumentError, CapacityError, ValidationError
 from .qcore import DensityMatrix, PureState, State
 
 DET_FLOOR = 1e-6  # resample a local operator when |det| falls below this
@@ -438,7 +439,10 @@ def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> 
         raise ArgumentError(f"orbit seed must be a non-negative integer, got {seed}")
     n = psi.n
     batch = max(1, _CHUNK_AMPLITUDES // psi.dim)
-    energies = np.empty((count, n))
+    try:
+        energies = np.empty((count, n))
+    except ValueError:  # past the address space; a count that merely needs more memory raises MemoryError
+        raise CapacityError(f"sample count {reprlib.repr(count)} is too large to hold in memory") from None
     for start in range(0, count, batch):
         stop = min(start + batch, count)
         phi = _apply_local_factors(psi.amps, _local_factors(n, seed + start, stop - start))

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import reprlib
 import sys
 from dataclasses import fields
 from typing import List, Optional, Union
@@ -235,7 +236,11 @@ def _sweep_values(args) -> List[float]:
             raise ValidationError("--range count must be >= 1")
         if not np.isfinite([start, stop, stop - start]).all():
             raise ValidationError(f"--range needs finite start, stop and span, got {start!r}:{stop!r}")
-        return [float(x) for x in np.linspace(start, stop, count)]
+        try:
+            grid = np.linspace(start, stop, count)
+        except ValueError:  # past the address space; a count that merely needs more memory raises MemoryError
+            raise CapacityError(f"--range count {reprlib.repr(count)} is too large to hold in memory") from None
+        return [float(x) for x in grid]
     raise ValidationError("provide sweep values via --values or --range")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -305,7 +306,7 @@ def _check_keep(keep: Iterable[int], n: int) -> list:
         raise ArgumentError(f"keep has duplicate qubit indices: {kept}")
     for q in kept:
         if not 1 <= q <= n:
-            raise ArgumentError(f"qubit index {q} out of range 1..{n}")
+            raise ArgumentError(f"qubit index {reprlib.repr(q)} out of range 1..{n}")  # at most 40 characters of q
     return kept
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple, Union
 
@@ -84,16 +85,12 @@ class SpinChainSpec:
     def __post_init__(self):
         object.__setattr__(self, "N", qcore._integer(self.N, "site count N", ValidationError))
         if not MIN_SITES <= self.N <= MAX_SITES:
-            raise ValidationError(f"site count N must be in {MIN_SITES}..{MAX_SITES}, got {self.N}")
+            raise ValidationError(f"site count N must be in {MIN_SITES}..{MAX_SITES}, got {reprlib.repr(self.N)}")
         for name in ("J", "h"):
-            value = getattr(self, name)
-            try:
-                finite = qcore._is_number(value) and math.isfinite(value)
-            except OverflowError:
-                raise ValidationError(f"{name} must be a finite number, got an integer past the float range") from None
-            if not finite:
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            value = qcore._number(getattr(self, name), name, ValidationError)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         try:
             terms = tuple((qcore._number(c, "coefficient", TypeError), str(s).upper()) for c, s in self.extra_terms)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -291,12 +288,8 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
     """
     if isinstance(hamiltonian, SpinChainSpec):
         return _ground_states(*_chain_terms(hamiltonian))[0]
-    try:
-        ham = np.asarray(hamiltonian)
-    except ValueError as exc:  # ragged rows
-        raise ValidationError(f"Hamiltonian must be a rectangular array of numbers: {exc}") from None
-    ham = qcore._numbers(ham, "matrix")  # complex128, as eig_hermitian reads it, before any sum
-    if ham.ndim != 2 or ham.shape[0] != ham.shape[1] or ham.shape[0] & (ham.shape[0] - 1):
+    ham = qcore._numbers(hamiltonian, "matrix")  # complex128, as eig_hermitian reads it, before any sum
+    if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
         raise ValidationError(f"Hamiltonian must be square with power-of-two dimension, got shape {ham.shape}")
     qcore._qubit_count_for_dim(ham.shape[0], "Hamiltonian")  # 1 to 12 qubits, before any solve
     with np.errstate(over="ignore"):  # a sum past the float range is inf, and rejected as a chain's is

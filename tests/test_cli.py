@@ -516,6 +516,7 @@ _MIXED = {"dim": 2, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}  # the maxi
 _DIRECTORY = object()  # an input path that is a directory
 _MISSING = object()  # an input path that names no file
 _HUGE = "must be a finite number, got an integer past the float range"
+_ECHO_10_400 = "1" + "0" * 17 + "..." + "0" * 19  # 10**400 as a message echoes it: 40 characters
 
 # Each row is (command, input, exit code, check). The command is split as a shell would, and a leading
 # EMPSKIT_SEED=value sets that variable for the run. The input is written to a file whose path goes last:
@@ -568,6 +569,10 @@ MAIN_ROWS = [
     _exit_2("orbit-negative-samples", f"orbit {_GHZ3} --samples -1", "sample count must be >= 1, got -1"),
     # 10^15 float64 rows need petabytes, more than any address space, so the allocation fails at once
     _exit_2("orbit-too-large", f"orbit {_GHZ3} --samples {10**15}", "error: Unable to allocate"),
+    # past the address space, where numpy raises ValueError
+    *(_exit_2(f"orbit-count-{name}", f"orbit {_GHZ3} --samples {count}",
+              f"error: sample count {echo} is too large to hold in memory\n")
+      for name, count, echo in (("10**19", 10**19, 10**19), ("10**400", 10**400, _ECHO_10_400))),
     _exit_2("orbit-negative-seed", f"orbit {_GHZ3} --samples 1 --seed -5",
             "--seed must be a non-negative integer, got -5"),
     _exit_2("orbit-env-seed-abc", f"EMPSKIT_SEED=abc orbit {_GHZ3} --samples 1",
@@ -607,6 +612,8 @@ MAIN_ROWS = [
         ("infinite-stop", "0:inf:3", "--range needs finite start, stop and span, got 0.0:inf"),
         ("nan-start", "nan:1:3", "--range needs finite start, stop and span, got nan:1.0"),
         ("too-large", f"0:1:{10**15}", "error: Unable to allocate"),
+        ("count-10**19", f"0:1:{10**19}", f"error: --range count {10**19} is too large to hold in memory\n"),
+        ("count-10**400", f"0:1:{10**400}", f"error: --range count {_ECHO_10_400} is too large to hold in memory\n"),
     )),
     _exit_2("range-infinite-span", "sweep --model ising --range=-1e308:1e308:3",
             "--range needs finite start, stop and span, got -1e+308:1e+308"),
@@ -650,6 +657,8 @@ MAIN_ROWS = [
     pytest.param("emps --state", {"dim": 2, "entries": [[0.5, _INF], [0, 0], [0, 0], [0.5, 0]]}, 2, None,
                  id="emps-infinite-imaginary-entry"),
     pytest.param("emps --state", {"amps": [[1, _INF], [0, 0]]}, 2, None, id="emps-infinite-imaginary-amp"),
+    _exit_2("density-infinite-entry", "emps --state", "error: density matrix is not Hermitian: max |M - M^dag| = nan\n",
+            {"dim": 2, "entries": [[_INF, 0], [0, 0], [0, 0], [0, 0]]}),
     _exit_2("density-past-the-float-range", "emps --state", "error: density matrix trace is (inf+0j), expected 1\n",
             {"dim": 2, "entries": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}),
     _exit_2("classify-mixed", "classify --state", "classification needs a pure state",
@@ -680,6 +689,8 @@ MAIN_ROWS = [
         ("coefficient-nan", {"N": 3, "extra_terms": [[float("nan"), "XXI"]]},
          "extra_terms coefficient of 'XXI' must be finite, got nan"),
         ("h-huge", {"N": 3, "h": -(10**400)}, f"error: h {_HUGE}\n"),
+        ("N-1e300", {"N": 1e300},
+         "error: site count N must be in 2..12, got 100000000000000005...6386865459400540160\n"),
     )),
     *(_exit_2(f"{command}-spec-{name}", f"{command} {flags}--spec", message, payload)
       for command, flags in (("ising", ""), ("sweep", "--values 1.0 "))

@@ -22,7 +22,6 @@ from empskit.emps import (
     polygon_check,
     worst_slacks,
 )
-from empskit.errors import ArgumentError, CapacityError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
     PureState,
@@ -98,11 +97,6 @@ def test_passive_energy_never_exceeds_state_energy():
         assert passive_energy(DensityMatrix(rho), ham) <= current + 1e-10
 
 
-def test_passive_energy_dimension_mismatch():
-    with pytest.raises(ArgumentError):
-        passive_energy(DensityMatrix(np.eye(2) / 2), np.eye(4))
-
-
 # ---------------------------------------------------------------- marginal energies
 
 
@@ -124,20 +118,6 @@ def test_emps_of_noisy_w_mixture():
     rho = DensityMatrix((1 - v1) * w.density().entries + v1 / 8 * np.eye(8))
     for i in (1, 2, 3):
         assert abs(emps(rho, i) - (2 + v1) / 6) <= 1e-12
-
-
-def test_emps_index_out_of_range():
-    with pytest.raises(ArgumentError):
-        emps(basis_state("00"), 3)
-    with pytest.raises(ArgumentError):
-        emps(basis_state("00"), 0)
-
-
-@pytest.mark.parametrize("qubit", [1.0, np.float64(2), True, "1", None])
-def test_emps_qubit_must_be_an_integer(qubit):
-    for state in (basis_state("00"), basis_state("00").density()):
-        with pytest.raises(ArgumentError, match="must be an integer, got"):
-            emps(state, qubit)
 
 
 def test_emps_accepts_a_numpy_integer_qubit():
@@ -196,53 +176,12 @@ def test_emps_vector_owns_its_values():
     assert v.values.tolist() == [0.1, 0.2, 0.3]
 
 
-@pytest.mark.parametrize("hamiltonian", [[[1, 2], [3]], [["a", "b"], ["c", "d"]]], ids=["ragged", "strings"])
-def test_passive_energy_rejects_a_ragged_or_non_numeric_hamiltonian(hamiltonian):
-    with pytest.raises(ValidationError, match="rectangular array of numbers"):
-        passive_energy(np.eye(2) / 2, hamiltonian)
-
-
-def test_emps_vector_validation():
-    with pytest.raises(ValidationError):
-        EmpsVector(n=3, values=np.array([0.6, 0.0, 0.0]))
-    with pytest.raises(ValidationError):
-        EmpsVector(n=2, values=np.array([0.1, 0.1, 0.1]))
-    with pytest.raises(ValidationError, match="at least one qubit"):
-        EmpsVector(n=0, values=[])
-
-
-def test_emps_vectors_rejects_malformed_stacks():
-    with pytest.raises(ValidationError, match="shape"):
-        emps_vectors(np.full(8, 8 ** -0.5))
-    with pytest.raises(ValidationError, match="power of two"):
-        emps_vectors(np.full((2, 6), 6 ** -0.5))
-    with pytest.raises(CapacityError, match="13 qubits"):
-        emps_vectors(np.eye(1, 2 ** 13))
-    amps = np.full((4, 8), 8 ** -0.5)
-    amps[2] *= 1.01
-    with pytest.raises(ValidationError, match="amplitude row 2 is not normalized"):
-        emps_vectors(amps)
-    with pytest.raises(ValidationError, match="nonempty last axis"):
-        worst_slacks(np.zeros((3, 0)))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("row", [[1e200, 0], [0, 1e200j], [1e308, 1e308], [np.inf, 0], [np.nan, 0]])
-def test_emps_vectors_rejects_a_row_past_the_float_range_without_a_warning(row):
-    with pytest.raises(ValidationError, match="amplitude row 0 is not normalized"):
-        emps_vectors([row])
-    with pytest.raises(ValidationError, match="amplitude row 1 is not normalized"):
-        emps_vectors([[1, 0], row])
-
-
 def test_emps_vectors_reads_a_stack_with_a_strided_last_axis():
     rng = np.random.default_rng(5)
     big = np.zeros((6, 16), dtype=complex)
     big[:, ::2] = [random_pure_state(3, rng).amps for _ in range(6)]
     assert np.array_equal(emps_vectors(big[:, ::2]), emps_vectors(big[:, ::2].copy()))
     assert np.array_equal(emps_vectors(big[::2, ::2]), emps_vectors(big[::2, ::2].copy()))
-    with pytest.raises(ValidationError, match="amplitude row 0 is not normalized"):
-        emps_vectors(big[:, 1::2])
     assert np.array_equal(emps_vectors(big[:, -2::-2]), emps_vectors(big[:, -2::-2].copy()))
 
 
@@ -351,16 +290,6 @@ def test_closed_form_scalar_and_numpy_paths_are_bit_identical():
         qubits = range(1, stack.shape[-3] + 1)
         scalar = _min_eigenvalues_scalar(stack, qubits)
         _assert_same_bits(scalar, _min_eigenvalues_numpy(stack, qubits))
-    # a stack with one eigenvalue below the floor: both raise the same error, naming qubit 3
-    rng = np.random.default_rng(733)
-    stack = np.stack([_haar_marginals(4, rng) for _ in range(3)])
-    stack[1, 2] = [[0.5, 0.6], [0.6, 0.5]]
-    messages = []
-    for path in (_min_eigenvalues_scalar, _min_eigenvalues_numpy):
-        with pytest.raises(ValidationError, match="qubit 3 ") as info:
-            path(stack, range(1, 5))
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 12])
@@ -440,13 +369,6 @@ def test_orbit_sample_prefix_stability_on_the_dot_path():
     assert all(np.array_equal(x.values, y.values) for x, y in zip(short, long))
 
 
-def test_closed_form_rejects_non_positive_marginal():
-    # Hermitian, unit trace, eigenvalues -0.1 and 1.1: not a state's marginal
-    rho = DensityMatrix._trusted(np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))
-    with pytest.raises(ValidationError, match="qubit 1"):
-        emps_vector(rho)
-
-
 # ---------------------------------------------------------------- polygon / total / eta
 
 
@@ -514,13 +436,6 @@ def test_eta_is_positive_on_a_product_of_entangled_blocks(first, eta):
 def test_eta_ghz_at_w_facet_angle(n):
     theta = math.asin(math.sqrt(1 / n))
     assert abs(eta_indicator(build_ghz(n, theta)) - (n - 2) / n) <= 1e-9
-
-
-def test_eta_needs_three_qubits():
-    with pytest.raises(ArgumentError):
-        eta_indicator(basis_state("00"))
-    with pytest.raises(ArgumentError):
-        eta_indicator(EmpsVector(2, np.array([0.1, 0.1])))
 
 
 def test_eta_equals_polygon_worst_slack_exactly():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from empskit import cli, qcore
 from empskit.classify import build_dicke, build_ghz, build_noisy_ghz, build_noisy_w, build_w, discriminate_noisy
-from empskit.emps import EmpsVector, emps_vector, passive_energy
-from empskit.errors import ArgumentError, CapacityError, NumericError, ValidationError
+from empskit.emps import emps_vector, passive_energy
+from empskit.errors import NumericError, ValidationError
 from empskit.qcore import (
     DensityMatrix,
     PureState,
@@ -36,33 +36,6 @@ BELL = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2))
 # ---------------------------------------------------------------- types
 
 
-def test_pure_state_requires_normalization():
-    with pytest.raises(ValidationError, match="normalized"):
-        PureState(np.array([1.0, 1.0]))
-
-
-def test_pure_state_requires_power_of_two_length():
-    with pytest.raises(ValidationError):
-        PureState(np.array([1.0, 0.0, 0.0]))
-
-
-def test_nan_inputs_are_rejected():
-    with pytest.raises(ValidationError):
-        PureState(np.array([np.nan, 0.0]))
-    for amps in ([np.inf, 0.0], [complex(0.0, np.inf), 0.0], [np.inf, -np.inf]):
-        with pytest.raises(ValidationError, match="normalized"):
-            PureState(np.array(amps))
-    with pytest.raises(ValidationError):
-        DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))
-
-
-def test_pure_state_capacity_limit():
-    amps = np.zeros(2 ** 13)
-    amps[0] = 1.0
-    with pytest.raises(CapacityError):
-        PureState(amps)
-
-
 def test_pure_state_is_immutable():
     psi = basis_state("01")
     with pytest.raises(AttributeError):
@@ -77,31 +50,6 @@ def test_pure_state_owns_its_amplitudes():
     a[0], a[3] = 5, 7  # the caller's array changes after validation
     assert np.array_equal(psi.amps, [1, 0, 0, 0])
     assert np.array_equal(emps_vector(psi).values, [0.0, 0.0])
-
-
-def test_density_matrix_rejects_non_hermitian():
-    m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
-    with pytest.raises(ValidationError, match="Hermitian"):
-        DensityMatrix(m)
-
-
-def test_density_matrix_rejects_bad_trace():
-    with pytest.raises(ValidationError, match="trace"):
-        DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_density_matrix_checks_near_the_float_range_raise_their_own_errors():
-    for diagonal in ([1e308] * 2, [1e308] * 4):  # the halves of four entries still sum past the range
-        with pytest.raises(ValidationError, match=r"density matrix trace is \(inf\+0j\), expected 1"):
-            DensityMatrix(np.diag(diagonal))
-    skew = [[0.5, 1e308], [-1e308, 0.5]]
-    with pytest.raises(ValidationError, match="density matrix is not Hermitian"):
-        DensityMatrix(skew)
-    with pytest.raises(ValidationError, match="matrix is not Hermitian"):
-        eig_hermitian(skew)
-    with pytest.raises(ValidationError, match=r"negative eigenvalue -1\.000e\+308"):
-        DensityMatrix([[0.5, 1e308], [1e308, 0.5]])
 
 
 @pytest.mark.parametrize("d", [2, 8, 32])
@@ -128,33 +76,6 @@ def test_a_raw_matrix_and_its_density_matrix_solve_the_same_hermitian_part(d):
         assert passive_energy(m, hamiltonian) == passive_energy(rho, hamiltonian)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_an_infinite_entry_is_not_hermitian_without_a_numpy_warning(tmp_path, capsys):
-    inf = [[np.inf, 0], [0, 0]]
-    with pytest.raises(ValidationError, match=r"^matrix is not Hermitian: max \|M - M\^dag\| = nan$"):
-        eig_hermitian(inf)
-    with pytest.raises(ValidationError, match=r"^density matrix is not Hermitian: max \|M - M\^dag\| = nan$"):
-        DensityMatrix(inf)
-    with pytest.raises(ValidationError, match=r"^matrix is not Hermitian: max \|M - M\^dag\| = nan$"):
-        passive_energy(np.eye(2) / 2, inf)
-    path = tmp_path / "inf-rho.json"
-    path.write_text('{"dim": 2, "entries": [[Infinity, 0], [0, 0], [0, 0], [0, 0]]}')
-    assert cli.run(["emps", "--state", str(path)]) == 2
-    assert capsys.readouterr().err == "error: density matrix is not Hermitian: max |M - M^dag| = nan\n"
-
-
-def test_density_matrix_rejects_negative_eigenvalue():
-    with pytest.raises(ValidationError, match="negative eigenvalue"):
-        DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
-
-
-def test_density_matrix_rejects_non_power_of_two():
-    with pytest.raises(ValidationError):
-        DensityMatrix(np.eye(3) / 3)
-    with pytest.raises(ValidationError, match="at least one qubit"):
-        DensityMatrix([[1.0]])
-
-
 def test_basis_state_and_projector():
     psi = basis_state("010")
     assert psi.n == 3
@@ -162,8 +83,7 @@ def test_basis_state_and_projector():
     rho = psi.density()
     assert rho.dim == 8
     assert rho.entries[2, 2] == 1.0
-    with pytest.raises(ValidationError):
-        basis_state("01a")
+    assert basis_state("1" * 12).amps[-1] == 1.0
 
 
 # ---------------------------------------------------------------- tensor product
@@ -211,17 +131,6 @@ def test_tensor_product_density_matrices():
     assert out.entries[1, 1] == 1.0
 
 
-def test_tensor_product_kind_mismatch():
-    with pytest.raises(ArgumentError):
-        tensor_product(basis_state("0"), basis_state("1").density())
-
-
-def test_tensor_product_capacity_error():
-    a = random_pure_state(7, np.random.default_rng(0))
-    with pytest.raises(CapacityError):
-        tensor_product(a, a)
-
-
 def test_permute_qubits_roundtrip_and_value():
     psi = basis_state("100")
     moved = permute_qubits(psi, (2, 3, 1))  # original qubit 1 goes to position 3
@@ -230,8 +139,6 @@ def test_permute_qubits_roundtrip_and_value():
     psi = random_pure_state(4, rng)
     back = permute_qubits(permute_qubits(psi, (2, 4, 1, 3)), (3, 1, 4, 2))
     assert np.allclose(back.amps, psi.amps)
-    with pytest.raises(ArgumentError):
-        permute_qubits(psi, (1, 1, 2, 3))
 
 
 # ---------------------------------------------------------------- partial trace
@@ -271,37 +178,6 @@ def test_partial_trace_respects_keep_order():
     assert np.allclose(ba, ab[np.ix_(swap, swap)])
 
 
-def test_partial_trace_argument_errors():
-    rho = BELL.density()
-    with pytest.raises(ArgumentError):
-        partial_trace(rho, ())
-    with pytest.raises(ArgumentError):
-        partial_trace(rho, (1, 1))
-    with pytest.raises(ArgumentError):
-        partial_trace(rho, (3,))
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: partial_trace(BELL.density(), (1.0,)),
-        lambda: partial_trace(BELL.density(), (True,)),
-        lambda: reduced_density_matrix(random_pure_state(3, np.random.default_rng(1)), (1.0, 2)),
-        lambda: reduced_density_matrix(BELL, (np.float64(2),)),
-        lambda: permute_qubits(random_pure_state(3, np.random.default_rng(1)), (2.0, 1.0, 3.0)),
-        lambda: permute_qubits(BELL, (True, 2)),
-        lambda: random_pure_state(3.0),
-        lambda: random_pure_state(True),
-        lambda: random_pure_state("3"),
-    ],
-    ids=["trace-float", "trace-bool", "rdm-float", "rdm-np-float", "permute-float", "permute-bool",
-         "random-float", "random-bool", "random-str"],
-)
-def test_qubit_labels_and_counts_must_be_integers(call):
-    with pytest.raises(ArgumentError, match="must be an integer, got"):
-        call()
-
-
 def test_numpy_integer_qubit_labels_and_counts_are_accepted():
     psi = random_pure_state(3, np.random.default_rng(4))
     keep = (np.int64(3), np.uint8(1))
@@ -311,28 +187,6 @@ def test_numpy_integer_qubit_labels_and_counts_are_accepted():
     order = (np.int32(2), np.int64(3), np.uint16(1))
     assert np.array_equal(permute_qubits(psi, order).amps, permute_qubits(psi, (2, 3, 1)).amps)
     assert random_pure_state(np.int64(2), np.random.default_rng(0)).n == 2
-
-
-# each declared size's constructor, with the size its data has
-_DECLARED_SIZES = {
-    "EmpsVector": (lambda size: EmpsVector(n=size, values=[0.1]), "n", 1),
-    "PureState": (lambda size: PureState([1, 0], n=size), "n", 1),
-    "DensityMatrix": (lambda size: DensityMatrix(np.eye(2) / 2, dim=size), "dim", 2),
-}
-
-
-@pytest.mark.parametrize("size", ["bool", "float", "str", "None"])
-@pytest.mark.parametrize("kind", list(_DECLARED_SIZES))
-def test_declared_sizes_must_be_integers(kind, size):
-    make, field, good = _DECLARED_SIZES[kind]
-    bad = {"bool": True, "float": float(good), "str": str(good), "None": None}[size]
-    if bad is None and kind != "EmpsVector":  # a state's size is optional: None means infer it
-        assert getattr(make(None), field) == good
-    else:
-        with pytest.raises(ValidationError, match=f"must be an integer, got {bad!r}"):
-            make(bad)
-    made = getattr(make(np.int64(good)), field)
-    assert type(made) is int and made == good
 
 
 # each record that holds an array, as the library returns it
@@ -498,18 +352,6 @@ def test_eig_reconstruction_residual():
     assert np.max(np.abs(v.conj().T @ v - np.eye(16))) <= 1e-12
 
 
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(ValidationError, match="Hermitian"):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_eig_rejects_a_skew_matrix_whose_moduli_pass_the_float_range():
-    # |1.3e308 (1 + i)| is past the float range, and so is the defect; the tolerance is taken from the halves
-    with pytest.raises(ValidationError, match=r"matrix is not Hermitian: max \|M - M\^dag\| = inf"):
-        eig_hermitian([[0.5, 1.3e308 + 1.3e308j], [-1.3e308 + 1.3e308j, 0.5]])
-
-
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eig_tolerance_is_relative_to_the_largest_entry_past_one(scale):
@@ -528,12 +370,6 @@ def test_eig_tolerance_is_relative_to_the_largest_entry_past_one(scale):
             assert hermitian
         verdicts.add(hermitian)
     assert verdicts == {True, False}
-
-
-@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])
-def test_eig_rejects_empty_input(shape):
-    with pytest.raises(ValidationError, match="nonempty square matrix"):
-        eig_hermitian(np.zeros(shape))
 
 
 def test_eig_handles_degenerate_spectra():
@@ -565,17 +401,6 @@ def test_eig_of_a_stack_matches_one_at_a_time():
         assert np.max(np.abs(spec.eigenvalues[k] - eig_hermitian(h).eigenvalues)) <= 1e-12
         v = spec.eigenvectors[k]
         assert np.max(np.abs((v * spec.eigenvalues[k]) @ v.conj().T - h)) <= 1e-9
-    stack[3, 0, 1] += 1e-3
-    with pytest.raises(ValidationError, match="Hermitian"):
-        eig_hermitian(stack)
-
-
-@pytest.mark.parametrize(
-    "matrix", [[[1, 0], [0]], [["a", "b"], ["c", "d"]]], ids=["ragged", "strings"]
-)
-def test_eig_hermitian_rejects_a_ragged_or_non_numeric_matrix(matrix):
-    with pytest.raises(ValidationError, match="matrix must be a rectangular array of numbers"):
-        eig_hermitian(matrix)
 
 
 # values a rule may see, from the exact-type fast path's int and float to the ABC path's NumPy scalars
@@ -801,18 +626,6 @@ def test_stacked_entropy_matches_von_neumann_entropy():
     assert qcore._entropy_bits(lam).tolist() == [von_neumann_entropy(r) for r in rhos]
 
 
-def test_stacked_entropy_rejects_eigenvalue_below_floor():
-    lam = np.array([[0.0, 0.5, 0.5], [-0.2, 0.2, 1.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValidationError, match=r"eigenvalue -2\.000e-01 below .*not a density matrix"):
-        qcore._entropy_bits(lam)
-
-
-def test_entropy_rejects_eigenvalue_below_floor():
-    bad = DensityMatrix._trusted(np.diag([1.2, -0.2]).astype(complex))
-    with pytest.raises(ValidationError, match="eigenvalue"):
-        von_neumann_entropy(bad)
-
-
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1))
 def test_entropy_additive_on_products(seed):
@@ -841,60 +654,11 @@ def test_state_dict_roundtrip_density():
     assert np.array_equal(back.entries, rho.entries)
 
 
-def test_state_from_dict_rejects_garbage():
-    with pytest.raises(ValidationError):
-        state_from_dict({"amps": [1.0, 0.0]})  # not [re, im] pairs
-    with pytest.raises(ValidationError):
-        state_from_dict({"n": 2})
-    with pytest.raises(ValidationError):
-        state_from_dict({"n": 2, "amps": [[1.0, 0.0], [0.0, 0.0]]})  # n mismatch
-    with pytest.raises(ValidationError):
-        state_from_dict([1, 2, 3])
-    mixed = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
-    pure = [[1.0, 0.0], [0.0, 0.0]]
-    for field, payload in [
-        ("dim", {"dim": "2", "entries": mixed}),
-        ("dim", {"dim": 2.0, "entries": mixed}),
-        ("dim", {"dim": True, "entries": mixed}),
-        ("n", {"n": True, "amps": pure}),
-        ("n", {"n": 1.0, "amps": pure}),
-    ]:
-        with pytest.raises(ValidationError, match=f'"{field}" must be an integer'):
-            state_from_dict(payload)
-    with pytest.raises(ValidationError, match="not dim\\^2 for dim=-2"):
-        state_from_dict({"dim": -2, "entries": mixed})
-
-
-@pytest.mark.parametrize(
-    "payload, message",
-    [
-        ({"N": 1, "amps": [[1.0, 0.0], [0.0, 0.0]]}, r"fields \['N'\] outside \['amps', 'n'\]"),
-        ({"dim": 2, "entries": [[1.0, 0.0]] * 4, "n": 1}, r"fields \['n'\] outside \['entries', 'dim'\]"),
-        ({"amps": [[1.0, 0.0], [0.0, 0.0]], "entries": [[1.0, 0.0]]}, r"fields \['entries'\] outside"),
-        ({"n": 1}, 'needs "amps" or "entries"'),
-        ({"builder": "w", "params": {"coeffs": [0.5, 0.5]}}, 'needs "amps" or "entries"'),
-        ("amps", "state description must be a JSON object"),
-    ],
-)
-def test_state_from_dict_rejects_unknown_fields_and_mixed_forms(payload, message):
-    with pytest.raises(ValidationError, match=message):
-        state_from_dict(payload)
-
-
 def test_state_from_dict_infers_dim_from_the_entry_count():
     rho = DensityMatrix(random_density(4, np.random.default_rng(35)))
     payload = state_to_dict(rho)
     del payload["dim"]
     assert np.array_equal(state_from_dict(payload).entries, rho.entries)
-    with pytest.raises(ValidationError, match="not dim\\^2 for dim=2"):
-        state_from_dict({"entries": [[0.5, 0.0]] * 5})
-
-
-@pytest.mark.parametrize("field", ["amps", "entries"])
-@pytest.mark.parametrize("values", [[["a", 0.0], [0.0, 0.0]], [[1.0, {}], [0.0, 0.0]], [[1.0, [0.0]], [0.0, 0.0]]])
-def test_state_from_dict_rejects_non_numeric_pairs(field, values):
-    with pytest.raises(ValidationError, match=f"{field} must be a list of \\[re, im\\] pairs"):
-        state_from_dict({field: values})
 
 
 def test_state_from_dict_accepts_numpy_integer_sizes():
@@ -902,21 +666,3 @@ def test_state_from_dict_accepts_numpy_integer_sizes():
     assert state_from_dict({"n": np.int64(1), "amps": pure}).n == 1
     assert state_from_dict({"dim": np.int32(2), "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}).dim == 2
 
-
-def test_density_matrix_rejects_non_square_and_mismatched_dim():
-    with pytest.raises(ValidationError, match="must be square, got shape \\(2, 4\\)"):
-        DensityMatrix(np.full((2, 4), 0.25))
-    with pytest.raises(ValidationError, match="must be square"):
-        DensityMatrix(np.full(4, 0.25))
-    with pytest.raises(ValidationError, match="declared dim=4 but entries are 2x2"):
-        DensityMatrix(np.eye(2) / 2, dim=4)
-
-
-def test_state_size_limits_beyond_twelve_qubits():
-    with pytest.raises(CapacityError, match="13 qubits"):
-        basis_state("0" * 13)
-    assert basis_state("1" * 12).amps[-1] == 1.0
-    with pytest.raises(ArgumentError, match="qubit count must be in 1..12, got 13"):
-        random_pure_state(13)
-    with pytest.raises(ArgumentError, match="qubit count must be in 1..12, got 0"):
-        random_pure_state(0)

@@ -10,7 +10,7 @@ import pytest
 from empskit import qcore, spinchain
 from empskit.classify import build_dicke, build_ghz, build_w
 from empskit.emps import eta_indicator
-from empskit.errors import ArgumentError, CapacityError, EmpskitError, NumericError, ValidationError
+from empskit.errors import EmpskitError, NumericError, ValidationError
 from empskit.qcore import (
     basis_state,
     random_pure_state,
@@ -106,8 +106,6 @@ def test_pauli_string_matrix_matches_kron_oracle_on_all_two_site_strings():
     for letters in map("".join, itertools.product("IXYZ", repeat=2)):
         assert np.array_equal(pauli_string_matrix(letters), pauli_kron_oracle(letters))
     assert np.array_equal(pauli_string_matrix("yzx"), pauli_kron_oracle("YZX"))
-    with pytest.raises(ValidationError, match="invalid letters"):
-        pauli_string_matrix("XQ")
 
 
 def _apply_term(letters, vec, n):
@@ -142,64 +140,18 @@ def test_twelve_site_transverse_field_chain():
         assert np.max(np.abs(ham[:, col] - expected)) <= 1e-12
 
 
-def test_spec_validation():
-    with pytest.raises(ValidationError, match="length"):
-        SpinChainSpec(N=4, extra_terms=((1.0, "XX"),))
-    with pytest.raises(ValidationError, match="invalid letters"):
-        SpinChainSpec(N=2, extra_terms=((1.0, "XQ"),))
-    with pytest.raises(ValidationError, match="site count"):
-        SpinChainSpec(N=1)
-    with pytest.raises(ValidationError, match="site count"):
-        SpinChainSpec(N=13)
-
-
-@pytest.mark.parametrize("n", [4.5, 4.0, "5", None])
-def test_spec_rejects_non_integer_site_count(n):
-    with pytest.raises(ValidationError, match="site count N must be an integer"):
-        ground_state(SpinChainSpec(N=n))
-
-
 def test_spec_accepts_numpy_integer_site_count():
     spec = SpinChainSpec(N=np.int64(4))
     assert type(spec.N) is int and spec == SpinChainSpec(N=4)
 
 
-def test_spec_from_dict_roundtrip_and_errors():
+def test_spec_from_dict_roundtrip():
     spec = spec_from_dict({"N": 5, "J": 1.0, "h": 0.5, "extra_terms": [[4.0, "IXXXI"]]})
     assert spec == SpinChainSpec(N=5, J=1.0, h=0.5, extra_terms=((4.0, "IXXXI"),))
-    with pytest.raises(ValidationError):
-        spec_from_dict({"N": 5, "bogus": 1})
-    with pytest.raises(ValidationError):
-        spec_from_dict({"extra_terms": [["a", "b", "c"]]})
-    with pytest.raises(ValidationError):
-        spec_from_dict([1, 2])
     assert spec_from_dict({"N": 4.0}) == SpinChainSpec(N=4)
 
 
-@pytest.mark.parametrize(
-    "payload, message",
-    [
-        ({"N": "abc"}, "N, J and h must be numbers"),
-        ({"N": None}, "N, J and h must be numbers"),
-        ({"J": "x"}, "N, J and h must be numbers"),
-        ({"h": [1.0]}, "N, J and h must be numbers"),
-        ({"N": 4.7}, "N must be an integer"),
-        ({"N": float("nan")}, "N must be an integer"),
-        ({"N": 2, "extra_terms": 5}, "extra_terms must be"),
-        ({"N": 2, "extra_terms": [[10 ** 400, "XX"]]}, "extra_terms must be"),
-    ],
-)
-def test_spec_from_dict_rejects_bad_fields(payload, message):
-    with pytest.raises(ValidationError, match=message):
-        spec_from_dict(payload)
-
-
 # ---------------------------------------------------------------- ground states
-
-
-def test_ground_state_rejects_non_qubit_dimension():
-    with pytest.raises(ValidationError, match="power-of-two"):
-        ground_state(np.eye(3))
 
 
 def test_single_spin_ground_state():
@@ -291,26 +243,6 @@ def test_matvec_is_the_dense_product(n):
     op = _operator(spec)
     v = np.random.default_rng(n).standard_normal(2 ** n) + 1j * np.random.default_rng(50 + n).standard_normal(2 ** n)
     assert np.max(np.abs(op.matvec(v) - build_hamiltonian(spec) @ v)) <= 1e-12
-
-
-@pytest.mark.parametrize("terms", [(("x", "XX"),), ((1.0,),), ((None, "XX"),), (1.0,), ((1.0, "XX", 2.0),)])
-def test_spec_rejects_malformed_extra_terms(terms):
-    with pytest.raises(ValidationError, match="extra_terms must be"):
-        SpinChainSpec(N=2, extra_terms=terms)
-
-
-@pytest.mark.parametrize("letters", ["ZZ", "XX", "yzx"])
-@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf")])
-def test_spec_rejects_non_finite_coefficients(letters, coeff):
-    n = len(letters)
-    with pytest.raises(ValidationError, match="J must be a finite number"):
-        SpinChainSpec(N=n, J=coeff)
-    with pytest.raises(ValidationError, match="h must be a finite number"):
-        SpinChainSpec(N=n, h=coeff)
-    with pytest.raises(ValidationError, match=f"extra_terms coefficient of '{letters.upper()}' must be finite"):
-        SpinChainSpec(N=n, extra_terms=((1.0, "I" * n), (coeff, letters)))
-    with pytest.raises(ValidationError, match="h must be a finite number"):
-        indicator_sweep(nearest_neighbor_chain(N=3), "h", [1.0, coeff])
 
 
 def _operator(spec):
@@ -560,11 +492,6 @@ def test_entropy_criterion_on_twelve_qubits_is_fast():
     assert elapsed < 2.0
 
 
-def test_entropy_criterion_needs_three_qubits():
-    with pytest.raises(ArgumentError):
-        entropy_criterion(basis_state("00"))
-
-
 # ---------------------------------------------------------------- sweeps
 
 
@@ -615,11 +542,6 @@ def test_sweep_keeps_the_other_fields():
     ):
         (row,) = indicator_sweep(spec, parameter, [1.2])
         assert row.ground_energy == ground_state(varied).energy
-
-
-def test_sweep_parameter_validation():
-    with pytest.raises(ArgumentError):
-        indicator_sweep(nearest_neighbor_chain(N=3), "field", [1.0])
 
 
 def test_sweep_rows_reproducible():
@@ -777,107 +699,10 @@ def test_a_corrupted_raw_matrix_vector_fails_its_residual_check(monkeypatch):
     assert _residual_in(str(info.value)) == 3.0
 
 
-def _unreached_eigh(matrix, vectors=False):
-    raise AssertionError("the raw matrix reached the eigensolver")
-
-
-@pytest.mark.parametrize("ham", [[[1e308, 1e308], [1e308, 1e308]], [[1e308, 9e307], [9e307, 5e307]]])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ground_state_rejects_a_raw_matrix_whose_row_sums_pass_the_float_range(ham, monkeypatch):
-    monkeypatch.setattr(qcore, "_eigh", _unreached_eigh)  # rejected before any solve
-    with pytest.raises(ValidationError, match="Hamiltonian is too large: its largest absolute row sum is not finite"):
-        ground_state(np.array(ham))
-
-
-def test_ground_state_rejects_a_ragged_matrix():
-    with pytest.raises(ValidationError, match="Hamiltonian must be a rectangular array of numbers"):
-        ground_state([[1, 0], [0]])
-
-
-def test_ground_state_rejects_a_matrix_of_strings():
-    with pytest.raises(ValidationError, match="matrix must be a rectangular array of numbers"):
-        ground_state([["a", "b"], ["c", "d"]])
-
-
-@pytest.mark.parametrize("value", ["1.5", True, None], ids=["str", "true", "none"])
-def test_sweep_rejects_values_that_are_not_numbers(value, monkeypatch):
-    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
-    with pytest.raises(ArgumentError, match=f"sweep value must be a number, got {re.escape(repr(value))}"):
-        indicator_sweep(long_range_chain(), "h", [0.5, value])
-
-
-def test_sweep_rejects_an_integer_past_the_float_range(monkeypatch):
-    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
-    with pytest.raises(ArgumentError, match="sweep value must be a finite number, got an integer past the float range"):
-        indicator_sweep(long_range_chain(), "h", [0.5, -(10 ** 400)])
-
-
 def test_sweep_takes_numpy_and_integer_values():
     rows = indicator_sweep(long_range_chain(), "h", [np.float64(0.5), 1, np.int64(2)])
     assert rows == indicator_sweep(long_range_chain(), "h", [0.5, 1.0, 2.0])
     assert all(type(r.parameter) is float for r in rows)
-
-
-def _no_solve(letters, table):
-    raise AssertionError("a rejected sweep must not reach the eigensolver")
-
-
-def test_sweep_rejects_coefficient_on_a_chain_without_extra_terms(monkeypatch):
-    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
-    with pytest.raises(ArgumentError, match='"coefficient" scales the extra terms, and the chain has none'):
-        indicator_sweep(nearest_neighbor_chain(N=4), "coefficient", [1.0, 2.0])
-
-
-@pytest.mark.parametrize("values", [[1.0], []])
-def test_sweep_rejects_two_site_chains_before_solving(values, monkeypatch):
-    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
-    with pytest.raises(ArgumentError, match="energy indicator needs at least 3 qubits, got n=2"):
-        indicator_sweep(nearest_neighbor_chain(N=2), "h", values)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_sweep_raises_in_row_order(monkeypatch):
-    # every row is checked before any is solved, so the nan row is rejected
-    # before the 1e9 row ahead of it reaches the solver
-    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
-    for parameter, message in (("J", "J must be a finite number"), ("coefficient", "coefficient of 'IXXXI' must be finite")):
-        with pytest.raises(ValidationError, match=message):
-            indicator_sweep(long_range_chain(), parameter, [1e9, float("nan")])
-        with pytest.raises(ValidationError, match=message):
-            indicator_sweep(long_range_chain(), parameter, [1.0, float("nan"), 1e9])
-    # 4 * 1e308 overflows to inf in the row's table, and the row's spec names the term
-    with pytest.raises(ValidationError, match="extra_terms coefficient of 'IXXXI' must be finite, got inf"):
-        indicator_sweep(long_range_chain(), "coefficient", [1.0, 1e308, 2.0])
-
-
-_TOO_LARGE = "J, h and extra_terms are too large: the sum of the chain's |coefficients| is not finite"
-
-
-# |J| alone cannot overflow this chain: its four bonds at -J/4 sum to |J|
-@pytest.mark.parametrize(
-    "parameter, bad, message",
-    [
-        ("J", float("nan"), "J must be a finite number, got nan"),
-        ("J", float("inf"), "J must be a finite number, got inf"),
-        ("J", -float("inf"), "J must be a finite number, got -inf"),
-        ("h", float("nan"), "h must be a finite number, got nan"),
-        ("h", float("inf"), "h must be a finite number, got inf"),
-        ("h", 1e308, _TOO_LARGE),  # five fields at -h/2
-        ("coefficient", float("nan"), "extra_terms coefficient of 'IXXXI' must be finite, got nan"),
-        ("coefficient", float("inf"), "extra_terms coefficient of 'IXXXI' must be finite, got inf"),
-        ("coefficient", 2e307, _TOO_LARGE),  # 4x + 3x + 3x
-    ],
-    ids=["J-nan", "J-inf", "J-minus-inf", "h-nan", "h-inf", "h-1e308", "coefficient-nan", "coefficient-inf", "coefficient-2e307"],
-)
-@pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_sweep_rejects_its_first_invalid_row_before_any_solve(parameter, bad, message, position, monkeypatch):
-    monkeypatch.setattr(spinchain, "_ground_states", _no_solve)
-    values = [0.5, 1.0, 1.5, 2.0]
-    values.insert(position, bad)
-    with pytest.raises(ValidationError) as info:
-        indicator_sweep(long_range_chain(), parameter, values)
-    assert str(info.value) == message
 
 
 def _counting_post_init(monkeypatch):
@@ -905,30 +730,11 @@ def test_an_invalid_sweep_row_builds_one_spec(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize(
-    "fields",
-    [{"h": 1e308}, {"J": -1e308, "h": 1e308}, {"extra_terms": ((1e308, "XXXX"), (-1e308, "ZIIZ"))}],
-    ids=["h", "J_and_h", "extra_terms"],
-)
-@pytest.mark.filterwarnings("error")
-def test_spec_rejects_coefficients_whose_absolute_sum_overflows(fields):
-    with pytest.raises(ValidationError, match=r"J, h and extra_terms are too large: .* \|coefficients\| is not finite"):
-        SpinChainSpec(N=4, **fields)
-
-
 @pytest.mark.filterwarnings("error")
 def test_spec_takes_large_coefficients_whose_absolute_sum_is_finite():
     # 3 bonds at 0.25e308 and 4 fields at 0.25e307 sum to 0.85e308
     spec = SpinChainSpec(N=4, J=1e308, h=5e306, extra_terms=((1e300, "XXXX"),))
     assert np.isfinite(build_hamiltonian(spec)).all()
-
-
-@pytest.mark.parametrize("name", ["J", "h"])
-@pytest.mark.parametrize("value", [True, False, "1.5", None, 10 ** 400, -(10 ** 400)],
-                         ids=["true", "false", "str", "none", "1e400", "-1e400"])
-def test_spec_rejects_bools_strings_and_ints_past_the_float_range(name, value):
-    with pytest.raises(ValidationError, match=f"{name} must be a finite number"):
-        SpinChainSpec(N=3, **{name: value})
 
 
 def test_spec_stores_couplings_as_floats():
@@ -937,40 +743,9 @@ def test_spec_stores_couplings_as_floats():
     assert spec == SpinChainSpec(N=3, J=2.0, h=0.5)
 
 
-def test_spec_rejects_a_bool_site_count():
-    with pytest.raises(ValidationError, match="site count N must be an integer, got True"):
-        SpinChainSpec(N=True)
-
-
-@pytest.mark.parametrize(
-    "payload, message",
-    [
-        ({"N": "4"}, "N, J and h must be numbers"),
-        ({"J": "1.5"}, "N, J and h must be numbers"),
-        ({"h": True}, "N, J and h must be numbers"),
-        ({"N": False}, "N, J and h must be numbers"),
-        ({"N": 3, "J": 10 ** 400}, "J must be a finite number"),
-        ({"N": 3, "h": -(10 ** 400)}, "h must be a finite number"),
-        ({"N": 3, "Js": 1.0}, r"fields \['Js'\] outside"),
-        ("N=3", "spin chain spec must be a JSON object"),
-    ],
-)
-def test_spec_from_dict_rejects_strings_bools_and_unknown_fields(payload, message):
-    with pytest.raises(ValidationError, match=message):
-        spec_from_dict(payload)
-
-
 def test_spec_from_dict_takes_numpy_and_whole_float_site_counts():
     assert spec_from_dict({"N": np.int64(4), "J": 1, "h": np.float64(0.5)}) == SpinChainSpec(N=4, J=1.0, h=0.5)
     assert spec_from_dict({"N": 4.0}).N == 4
-
-
-@pytest.mark.parametrize("coeff", ["1.5", True, False, None], ids=["str", "true", "false", "none"])
-def test_spec_rejects_extra_term_coefficients_that_are_not_numbers(coeff):
-    with pytest.raises(ValidationError, match="extra_terms must be"):
-        SpinChainSpec(N=2, extra_terms=((1.0, "XX"), (coeff, "ZZ")))
-    with pytest.raises(ValidationError, match="extra_terms must be"):
-        spec_from_dict({"N": 2, "extra_terms": [[coeff, "ZZ"]]})
 
 
 def test_spec_takes_numpy_and_integer_extra_term_coefficients():
@@ -978,19 +753,3 @@ def test_spec_takes_numpy_and_integer_extra_term_coefficients():
     assert spec.extra_terms == ((1.5, "XX"), (2.0, "ZZ"), (-1.0, "YY"))
     assert all(type(c) is float for c, _ in spec.extra_terms)
 
-
-def _no_eigensolve(*args, **kwargs):
-    raise AssertionError("the Hamiltonian reached the eigensolver")
-
-
-def test_ground_state_rejects_a_one_by_one_matrix_before_any_solve(monkeypatch):
-    monkeypatch.setattr(qcore, "eig_hermitian", _no_eigensolve)
-    with pytest.raises(ValidationError, match="Hamiltonian needs at least one qubit"):
-        ground_state(np.array([[1.0]]))
-
-
-def test_ground_state_rejects_thirteen_qubits_before_any_solve(monkeypatch):
-    monkeypatch.setattr(qcore, "eig_hermitian", _no_eigensolve)
-    ham = np.broadcast_to(0.0, (1 << 13, 1 << 13))  # zero-stride view: no 2^26 entries are allocated
-    with pytest.raises(CapacityError, match="Hamiltonian needs 13 qubits, limit is 12"):
-        ground_state(ham)
