@@ -441,7 +441,8 @@ def slocc_orbit_sample(psi: PureState, count: int, seed: int = DEFAULT_SEED) -> 
     batch = max(1, _CHUNK_AMPLITUDES // psi.dim)
     try:
         energies = np.empty((count, n))
-    except ValueError:  # past the address space; a count that merely needs more memory raises MemoryError
+    except (ValueError, OverflowError):  # past the address space, whichever error the numpy version raises;
+        # a count that merely needs more memory raises MemoryError
         raise CapacityError(f"sample count {reprlib.repr(count)} is too large to hold in memory") from None
     for start in range(0, count, batch):
         stop = min(start + batch, count)

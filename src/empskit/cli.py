@@ -238,7 +238,8 @@ def _sweep_values(args) -> List[float]:
             raise ValidationError(f"--range needs finite start, stop and span, got {start!r}:{stop!r}")
         try:
             grid = np.linspace(start, stop, count)
-        except ValueError:  # past the address space; a count that merely needs more memory raises MemoryError
+        except (ValueError, OverflowError):  # past the address space, and on numpy 1.x past the float range;
+            # a count that merely needs more memory raises MemoryError
             raise CapacityError(f"--range count {reprlib.repr(count)} is too large to hold in memory") from None
         return [float(x) for x in grid]
     raise ValidationError("provide sweep values via --values or --range")

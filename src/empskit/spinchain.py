@@ -290,7 +290,7 @@ def ground_state(hamiltonian: Union[np.ndarray, SpinChainSpec]) -> GroundStateRe
         return _ground_states(*_chain_terms(hamiltonian))[0]
     ham = qcore._numbers(hamiltonian, "matrix")  # complex128, as eig_hermitian reads it, before any sum
     if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
-        raise ValidationError(f"Hamiltonian must be square with power-of-two dimension, got shape {ham.shape}")
+        raise ValidationError(f"Hamiltonian must be a square matrix, got shape {ham.shape}")
     qcore._qubit_count_for_dim(ham.shape[0], "Hamiltonian")  # 1 to 12 qubits, before any solve
     with np.errstate(over="ignore"):  # a sum past the float range is inf, and rejected as a chain's is
         bound = np.abs(ham).sum(axis=1).max(keepdims=True)  # the largest absolute row sum bounds the norm

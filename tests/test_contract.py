@@ -209,23 +209,25 @@ def test_declared_sizes_take_numpy_integers_and_a_state_infers_a_missing_one(kin
 # ---------------------------------------------------------------- the table
 
 
-def _rejects(name, kind, pattern, call):
-    return pytest.param(call, kind, pattern, id=name)
-
-
 def _no_solve(*args, **kwargs):
     raise AssertionError("a rejected call must not reach a solver")
 
 
 def _unsolved_ground_state(ham):
     """ground_state(ham) with the dense eigensolver swapped out, so the matrix is rejected before any solve."""
-    def call():
-        with mock.patch.object(qcore, "_eigh", _no_solve):
-            ground_state(ham)
-    return call
+    with mock.patch.object(qcore, "_eigh", _no_solve):
+        ground_state(ham)
 
 
-BELL = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2))
+def _built(family, params):
+    """The call that builds a state from a builder spec."""
+    return lambda: build_state(StateBuilderSpec(family=family, params=params))
+
+
+def _bell():
+    return PureState(np.array([1, 0, 0, 1]) / math.sqrt(2))
+
+
 _PURE = [[1.0, 0.0], [0.0, 0.0]]  # |0> as a state file's [re, im] pairs
 _MIXED = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]  # the maximally mixed qubit
 _NAN, _INF = float("nan"), float("inf")
@@ -240,120 +242,129 @@ _NEGATIVE_MARGINAL[1, 2] = [[0.5, 0.6], [0.6, 0.5]]  # eigenvalues -0.1 and 1.1,
 LIBRARY_ROWS = [
     *_caller_array_rows(),
     *_wrong_kind_rows(),
-    *(_rejects(f"{kind}-declared-size-{bad!r}", ValidationError, f"must be an integer, got {re.escape(repr(bad))}$",
-               partial(make, bad))
+    *(pytest.param(partial(make, bad),
+                   ValidationError, f"must be an integer, got {re.escape(repr(bad))}$",
+                   id=f"{kind}-declared-size-{bad!r}")
       for kind, (make, _, good) in _DECLARED_SIZES.items()
       for bad in (True, float(good), str(good), None) if bad is not None or kind == "EmpsVector"),
     # ---------------------------------------------------------------- qcore: states
-    _rejects("PureState-unnormalized", ValidationError, "^state is not normalized", lambda: PureState([1.0, 1.0])),
-    _rejects("PureState-length-3", ValidationError, "^state vector dimension 3 is not a power of two$",
-             lambda: PureState([1.0, 0.0, 0.0])),
-    _rejects("PureState-nan", ValidationError, r"^state is not normalized: sum \|amps\|\^2 = nan",
-             lambda: PureState([_NAN, 0.0])),
-    *(_rejects(f"PureState-{name}", ValidationError, "^state is not normalized", partial(PureState, np.array(amps)))
+    pytest.param(lambda: PureState([1.0, 1.0]),
+                 ValidationError, "^state is not normalized", id="PureState-unnormalized"),
+    pytest.param(lambda: PureState([1.0, 0.0, 0.0]),
+                 ValidationError, "^state vector dimension 3 is not a power of two$", id="PureState-length-3"),
+    pytest.param(lambda: PureState([_NAN, 0.0]),
+                 ValidationError, r"^state is not normalized: sum \|amps\|\^2 = nan", id="PureState-nan"),
+    *(pytest.param(lambda amps=amps: PureState(np.array(amps)),
+                   ValidationError, "^state is not normalized", id=f"PureState-{name}")
       for name, amps in (("inf", [_INF, 0.0]), ("complex-inf", [complex(0.0, _INF), 0.0]),
                          ("inf-minus-inf", [_INF, -_INF]))),
-    _rejects("PureState-13-qubits", CapacityError, "^state vector needs 13 qubits, limit is 12$",
-             lambda: PureState(np.eye(1, 2 ** 13)[0])),
-    _rejects("DensityMatrix-nan", ValidationError, f"^density {_NOT_HERMITIAN}nan$",
-             lambda: DensityMatrix([[_NAN, 0.0], [0.0, 0.5]])),
-    _rejects("DensityMatrix-not-hermitian", ValidationError, "Hermitian",
-             lambda: DensityMatrix([[0.5, 0.1], [0.3, 0.5]])),
-    _rejects("DensityMatrix-trace", ValidationError, "trace", lambda: DensityMatrix(np.diag([0.7, 0.7]))),
-    *(_rejects(f"DensityMatrix-trace-past-the-float-range-{len(d)}", ValidationError,
-               r"density matrix trace is \(inf\+0j\), expected 1", partial(DensityMatrix, np.diag(d)))
+    pytest.param(lambda: PureState(np.eye(1, 2 ** 13)[0]),
+                 CapacityError, "^state vector needs 13 qubits, limit is 12$", id="PureState-13-qubits"),
+    pytest.param(lambda: DensityMatrix([[_NAN, 0.0], [0.0, 0.5]]),
+                 ValidationError, f"^density {_NOT_HERMITIAN}nan$", id="DensityMatrix-nan"),
+    pytest.param(lambda: DensityMatrix([[0.5, 0.1], [0.3, 0.5]]),
+                 ValidationError, "Hermitian", id="DensityMatrix-not-hermitian"),
+    pytest.param(lambda: DensityMatrix(np.diag([0.7, 0.7])), ValidationError, "trace", id="DensityMatrix-trace"),
+    *(pytest.param(lambda d=d: DensityMatrix(np.diag(d)),
+                   ValidationError, r"density matrix trace is \(inf\+0j\), expected 1",
+                   id=f"DensityMatrix-trace-past-the-float-range-{len(d)}")
       for d in ([1e308] * 2, [1e308] * 4)),  # the halves of four entries still sum past the range
-    _rejects("DensityMatrix-skew-past-the-float-range", ValidationError, "density matrix is not Hermitian",
-             lambda: DensityMatrix([[0.5, 1e308], [-1e308, 0.5]])),
-    _rejects("eig_hermitian-skew-past-the-float-range", ValidationError, "matrix is not Hermitian",
-             lambda: eig_hermitian([[0.5, 1e308], [-1e308, 0.5]])),
-    _rejects("DensityMatrix-eigenvalue-past-the-float-range", ValidationError, r"negative eigenvalue -1\.000e\+308",
-             lambda: DensityMatrix([[0.5, 1e308], [1e308, 0.5]])),
-    _rejects("eig_hermitian-inf", ValidationError, f"^{_NOT_HERMITIAN}nan$",
-             lambda: eig_hermitian([[_INF, 0], [0, 0]])),
-    _rejects("DensityMatrix-inf", ValidationError, f"^density {_NOT_HERMITIAN}nan$",
-             lambda: DensityMatrix([[_INF, 0], [0, 0]])),
-    _rejects("passive_energy-inf", ValidationError, f"^{_NOT_HERMITIAN}nan$",
-             lambda: passive_energy(np.eye(2) / 2, [[_INF, 0], [0, 0]])),
-    _rejects("DensityMatrix-negative-eigenvalue", ValidationError, "negative eigenvalue",
-             lambda: DensityMatrix(np.diag([1.5, -0.5]))),
-    _rejects("DensityMatrix-dim-3", ValidationError, "^density matrix dimension 3 is not a power of two$",
-             lambda: DensityMatrix(np.eye(3) / 3)),
-    _rejects("DensityMatrix-dim-1", ValidationError, "at least one qubit", lambda: DensityMatrix([[1.0]])),
-    _rejects("DensityMatrix-not-square", ValidationError, r"must be square, got shape \(2, 4\)",
-             lambda: DensityMatrix(np.full((2, 4), 0.25))),
-    _rejects("DensityMatrix-one-axis", ValidationError, "must be square", lambda: DensityMatrix(np.full(4, 0.25))),
-    _rejects("DensityMatrix-declared-dim", ValidationError, "declared dim=4 but entries are 2x2",
-             lambda: DensityMatrix(np.eye(2) / 2, dim=4)),
-    _rejects("basis_state-label", ValidationError, "^basis label must be a nonempty string of 0/1, got '01a'$",
-             lambda: basis_state("01a")),
-    _rejects("basis_state-13-qubits", CapacityError, "13 qubits", lambda: basis_state("0" * 13)),
-    *(_rejects(f"random_pure_state-{n}", ArgumentError, rf"qubit count must be in 1\.\.12, got {n}",
-               partial(random_pure_state, n))
+    pytest.param(lambda: DensityMatrix([[0.5, 1e308], [-1e308, 0.5]]),
+                 ValidationError, "density matrix is not Hermitian", id="DensityMatrix-skew-past-the-float-range"),
+    pytest.param(lambda: eig_hermitian([[0.5, 1e308], [-1e308, 0.5]]),
+                 ValidationError, "matrix is not Hermitian", id="eig_hermitian-skew-past-the-float-range"),
+    pytest.param(lambda: DensityMatrix([[0.5, 1e308], [1e308, 0.5]]),
+                 ValidationError, r"negative eigenvalue -1\.000e\+308",
+                 id="DensityMatrix-eigenvalue-past-the-float-range"),
+    pytest.param(lambda: eig_hermitian([[_INF, 0], [0, 0]]),
+                 ValidationError, f"^{_NOT_HERMITIAN}nan$", id="eig_hermitian-inf"),
+    pytest.param(lambda: DensityMatrix([[_INF, 0], [0, 0]]),
+                 ValidationError, f"^density {_NOT_HERMITIAN}nan$", id="DensityMatrix-inf"),
+    pytest.param(lambda: passive_energy(np.eye(2) / 2, [[_INF, 0], [0, 0]]),
+                 ValidationError, f"^{_NOT_HERMITIAN}nan$", id="passive_energy-inf"),
+    pytest.param(lambda: DensityMatrix(np.diag([1.5, -0.5])),
+                 ValidationError, "negative eigenvalue", id="DensityMatrix-negative-eigenvalue"),
+    pytest.param(lambda: DensityMatrix(np.eye(3) / 3),
+                 ValidationError, "^density matrix dimension 3 is not a power of two$", id="DensityMatrix-dim-3"),
+    pytest.param(lambda: DensityMatrix([[1.0]]), ValidationError, "at least one qubit", id="DensityMatrix-dim-1"),
+    pytest.param(lambda: DensityMatrix(np.full((2, 4), 0.25)),
+                 ValidationError, r"must be square, got shape \(2, 4\)", id="DensityMatrix-not-square"),
+    pytest.param(lambda: DensityMatrix(np.full(4, 0.25)),
+                 ValidationError, "must be square", id="DensityMatrix-one-axis"),
+    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, dim=4),
+                 ValidationError, "declared dim=4 but entries are 2x2", id="DensityMatrix-declared-dim"),
+    pytest.param(lambda: basis_state("01a"),
+                 ValidationError, "^basis label must be a nonempty string of 0/1, got '01a'$", id="basis_state-label"),
+    pytest.param(lambda: basis_state("0" * 13), CapacityError, "13 qubits", id="basis_state-13-qubits"),
+    *(pytest.param(partial(random_pure_state, n),
+                   ArgumentError, rf"qubit count must be in 1\.\.12, got {n}", id=f"random_pure_state-{n}")
       for n in (13, 0)),
-    _rejects("tensor_product-kinds", ArgumentError,
-             "^tensor_product operands must both be PureState or both DensityMatrix$",
-             lambda: tensor_product(basis_state("0"), basis_state("1").density())),
-    _rejects("tensor_product-14-qubits", CapacityError, "^tensor product needs 14 qubits, limit is 12$",
-             lambda: tensor_product(basis_state("0" * 7), basis_state("1" * 7))),
+    pytest.param(lambda: tensor_product(basis_state("0"), basis_state("1").density()),
+                 ArgumentError, "^tensor_product operands must both be PureState or both DensityMatrix$",
+                 id="tensor_product-kinds"),
+    pytest.param(lambda: tensor_product(basis_state("0" * 7), basis_state("1" * 7)),
+                 CapacityError, "^tensor product needs 14 qubits, limit is 12$", id="tensor_product-14-qubits"),
     # ---------------------------------------------------------------- qcore: qubit labels
-    _rejects("permute_qubits-repeated", ArgumentError, r"^order must be a permutation of 1\.\.4, got \(1, 1, 2, 3\)$",
-             lambda: permute_qubits(basis_state("0000"), (1, 1, 2, 3))),
-    _rejects("partial_trace-empty", ArgumentError, "^keep must name at least one qubit$",
-             lambda: partial_trace(BELL.density(), ())),
-    _rejects("partial_trace-repeated", ArgumentError, r"^keep has duplicate qubit indices: \[1, 1\]$",
-             lambda: partial_trace(BELL.density(), (1, 1))),
-    _rejects("partial_trace-out-of-range", ArgumentError, r"^qubit index 3 out of range 1\.\.2$",
-             lambda: partial_trace(BELL.density(), (3,))),
-    *(_rejects(name, ArgumentError, "must be an integer, got", call) for name, call in (
-        ("trace-float", lambda: partial_trace(BELL.density(), (1.0,))),
-        ("trace-bool", lambda: partial_trace(BELL.density(), (True,))),
+    pytest.param(lambda: permute_qubits(basis_state("0000"), (1, 1, 2, 3)),
+                 ArgumentError, r"^order must be a permutation of 1\.\.4, got \(1, 1, 2, 3\)$",
+                 id="permute_qubits-repeated"),
+    pytest.param(lambda: partial_trace(_bell().density(), ()),
+                 ArgumentError, "^keep must name at least one qubit$", id="partial_trace-empty"),
+    pytest.param(lambda: partial_trace(_bell().density(), (1, 1)),
+                 ArgumentError, r"^keep has duplicate qubit indices: \[1, 1\]$", id="partial_trace-repeated"),
+    pytest.param(lambda: partial_trace(_bell().density(), (3,)),
+                 ArgumentError, r"^qubit index 3 out of range 1\.\.2$", id="partial_trace-out-of-range"),
+    *(pytest.param(call, ArgumentError, "must be an integer, got", id=name) for name, call in (
+        ("trace-float", lambda: partial_trace(_bell().density(), (1.0,))),
+        ("trace-bool", lambda: partial_trace(_bell().density(), (True,))),
         ("rdm-float", lambda: reduced_density_matrix(random_pure_state(3, np.random.default_rng(1)), (1.0, 2))),
-        ("rdm-np-float", lambda: reduced_density_matrix(BELL, (np.float64(2),))),
+        ("rdm-np-float", lambda: reduced_density_matrix(_bell(), (np.float64(2),))),
         ("permute-float", lambda: permute_qubits(random_pure_state(3, np.random.default_rng(1)), (2.0, 1.0, 3.0))),
-        ("permute-bool", lambda: permute_qubits(BELL, (True, 2))),
+        ("permute-bool", lambda: permute_qubits(_bell(), (True, 2))),
         ("random-float", lambda: random_pure_state(3.0)),
         ("random-bool", lambda: random_pure_state(True)),
         ("random-str", lambda: random_pure_state("3")),
     )),
     # ---------------------------------------------------------------- qcore: eigensolver and entropy
-    _rejects("eig_hermitian-not-hermitian", ValidationError, "Hermitian",
-             lambda: eig_hermitian([[0.0, 1.0], [0.0, 0.0]])),
+    pytest.param(lambda: eig_hermitian([[0.0, 1.0], [0.0, 0.0]]),
+                 ValidationError, "Hermitian", id="eig_hermitian-not-hermitian"),
     # |1.3e308 (1 + i)| is past the float range, and so is the defect; the tolerance is taken from the halves
-    _rejects("eig_hermitian-moduli-past-the-float-range", ValidationError, f"{_NOT_HERMITIAN}inf",
-             lambda: eig_hermitian([[0.5, 1.3e308 + 1.3e308j], [-1.3e308 + 1.3e308j, 0.5]])),
-    *(_rejects(f"eig_hermitian-empty-{shape}", ValidationError, "nonempty square matrix",
-               partial(eig_hermitian, np.zeros(shape)))
+    pytest.param(lambda: eig_hermitian([[0.5, 1.3e308 + 1.3e308j], [-1.3e308 + 1.3e308j, 0.5]]),
+                 ValidationError, f"{_NOT_HERMITIAN}inf", id="eig_hermitian-moduli-past-the-float-range"),
+    *(pytest.param(lambda shape=shape: eig_hermitian(np.zeros(shape)),
+                   ValidationError, "nonempty square matrix", id=f"eig_hermitian-empty-{shape}")
       for shape in ((0, 0), (3, 0, 0), (0, 2, 2))),
-    _rejects("eig_hermitian-stack", ValidationError, "Hermitian",
-             lambda: eig_hermitian(np.stack([np.eye(4)] * 3 + [np.eye(4) + 1e-3 * np.eye(4, k=1)]))),
-    _rejects("eig_hermitian-short-row", ValidationError, "matrix must be a rectangular array of numbers",
-             lambda: eig_hermitian([[1, 0], [0]])),
-    _rejects("eig_hermitian-strings", ValidationError, "matrix must be a rectangular array of numbers",
-             lambda: eig_hermitian([["a", "b"], ["c", "d"]])),
-    _rejects("stacked-entropy-below-floor", ValidationError, r"eigenvalue -2\.000e-01 below .*not a density matrix",
-             lambda: qcore._entropy_bits(np.array([[0.0, 0.5, 0.5], [-0.2, 0.2, 1.0], [0.0, 0.0, 1.0]]))),
-    _rejects("von_neumann_entropy-below-floor", ValidationError, "eigenvalue",
-             lambda: von_neumann_entropy(DensityMatrix._trusted(np.diag([1.2, -0.2]).astype(complex)))),
+    pytest.param(lambda: eig_hermitian(np.stack([np.eye(4)] * 3 + [np.eye(4) + 1e-3 * np.eye(4, k=1)])),
+                 ValidationError, "Hermitian", id="eig_hermitian-stack"),
+    pytest.param(lambda: eig_hermitian([[1, 0], [0]]),
+                 ValidationError, "matrix must be a rectangular array of numbers", id="eig_hermitian-short-row"),
+    pytest.param(lambda: eig_hermitian([["a", "b"], ["c", "d"]]),
+                 ValidationError, "matrix must be a rectangular array of numbers", id="eig_hermitian-strings"),
+    pytest.param(lambda: qcore._entropy_bits(np.array([[0.0, 0.5, 0.5], [-0.2, 0.2, 1.0], [0.0, 0.0, 1.0]])),
+                 ValidationError, r"eigenvalue -2\.000e-01 below .*not a density matrix",
+                 id="stacked-entropy-below-floor"),
+    pytest.param(lambda: von_neumann_entropy(DensityMatrix._trusted(np.diag([1.2, -0.2]).astype(complex))),
+                 ValidationError, "eigenvalue", id="von_neumann_entropy-below-floor"),
     # ---------------------------------------------------------------- qcore: state files
-    _rejects("state_from_dict-flat-amps", ValidationError,
-             r"^amps must be a list of \[re, im\] pairs, got shape \(2,\)$",
-             lambda: state_from_dict({"amps": [1.0, 0.0]})),
-    _rejects("state_from_dict-no-form", ValidationError, '^state description needs "amps" or "entries"$',
-             lambda: state_from_dict({"n": 2})),
-    _rejects("state_from_dict-n-mismatch", ValidationError, r"^declared n=2 but amplitude vector has 2\^1 entries$",
-             lambda: state_from_dict({"n": 2, "amps": _PURE})),
-    _rejects("state_from_dict-list", ValidationError, "^state description must be a JSON object$",
-             lambda: state_from_dict([1, 2, 3])),
-    *(_rejects(f"state_from_dict-{field}-{value!r}", ValidationError, f'"{field}" must be an integer',
-               partial(state_from_dict, {field: value, "entries" if field == "dim" else "amps": data}))
+    pytest.param(lambda: state_from_dict({"amps": [1.0, 0.0]}),
+                 ValidationError, r"^amps must be a list of \[re, im\] pairs, got shape \(2,\)$",
+                 id="state_from_dict-flat-amps"),
+    pytest.param(lambda: state_from_dict({"n": 2}),
+                 ValidationError, '^state description needs "amps" or "entries"$', id="state_from_dict-no-form"),
+    pytest.param(lambda: state_from_dict({"n": 2, "amps": _PURE}),
+                 ValidationError, r"^declared n=2 but amplitude vector has 2\^1 entries$",
+                 id="state_from_dict-n-mismatch"),
+    pytest.param(lambda: state_from_dict([1, 2, 3]),
+                 ValidationError, "^state description must be a JSON object$", id="state_from_dict-list"),
+    *(pytest.param(partial(state_from_dict, {field: value, "entries" if field == "dim" else "amps": data}),
+                   ValidationError, f'"{field}" must be an integer', id=f"state_from_dict-{field}-{value!r}")
       for field, value, data in (("dim", "2", _MIXED), ("dim", 2.0, _MIXED), ("dim", True, _MIXED),
                                  ("n", True, _PURE), ("n", 1.0, _PURE))),
-    _rejects("state_from_dict-dim-negative", ValidationError, r"not dim\^2 for dim=-2",
-             lambda: state_from_dict({"dim": -2, "entries": _MIXED})),
-    _rejects("state_from_dict-five-entries", ValidationError, r"not dim\^2 for dim=2",
-             lambda: state_from_dict({"entries": [[0.5, 0.0]] * 5})),
-    *(_rejects(f"state_from_dict-{name}", ValidationError, message, partial(state_from_dict, payload))
+    pytest.param(lambda: state_from_dict({"dim": -2, "entries": _MIXED}),
+                 ValidationError, r"not dim\^2 for dim=-2", id="state_from_dict-dim-negative"),
+    pytest.param(lambda: state_from_dict({"entries": [[0.5, 0.0]] * 5}),
+                 ValidationError, r"not dim\^2 for dim=2", id="state_from_dict-five-entries"),
+    *(pytest.param(partial(state_from_dict, payload), ValidationError, message, id=f"state_from_dict-{name}")
       for name, payload, message in (
           ("amps-beside-N", {"N": 1, "amps": _PURE}, r"fields \['N'\] outside \['amps', 'n'\]"),
           ("entries-beside-n", {"dim": 2, "entries": [[1.0, 0.0]] * 4, "n": 1},
@@ -363,52 +374,57 @@ LIBRARY_ROWS = [
           ("builder", {"builder": "w", "params": {"coeffs": [0.5, 0.5]}}, 'needs "amps" or "entries"'),
           ("string", "amps", "state description must be a JSON object"),
       )),
-    *(_rejects(f"state_from_dict-{field}-pair-{i}", ValidationError, rf"{field} must be a list of \[re, im\] pairs",
-               partial(state_from_dict, {field: values}))
+    *(pytest.param(partial(state_from_dict, {field: values}),
+                   ValidationError, rf"{field} must be a list of \[re, im\] pairs",
+                   id=f"state_from_dict-{field}-pair-{i}")
       for field in ("amps", "entries")
       for i, values in enumerate(([["a", 0.0], [0.0, 0.0]], [[1.0, {}], [0.0, 0.0]], [[1.0, [0.0]], [0.0, 0.0]]))),
     # ---------------------------------------------------------------- emps
-    _rejects("passive_energy-dimensions", ArgumentError, "^state dimension 2 does not match Hamiltonian dimension 4$",
-             lambda: passive_energy(DensityMatrix(np.eye(2) / 2), np.eye(4))),
-    *(_rejects(f"passive_energy-{name}", ValidationError, "rectangular array of numbers",
-               partial(passive_energy, np.eye(2) / 2, hamiltonian))
+    pytest.param(lambda: passive_energy(DensityMatrix(np.eye(2) / 2), np.eye(4)),
+                 ArgumentError, "^state dimension 2 does not match Hamiltonian dimension 4$",
+                 id="passive_energy-dimensions"),
+    *(pytest.param(lambda ham=hamiltonian: passive_energy(np.eye(2) / 2, ham),
+                   ValidationError, "rectangular array of numbers", id=f"passive_energy-{name}")
       for name, hamiltonian in (("short-row", [[1, 2], [3]]), ("strings", [["a", "b"], ["c", "d"]]))),
-    *(_rejects(f"emps-qubit-{name}", ArgumentError, rf"^qubit index {echo} out of range 1\.\.2$",
-               partial(emps, basis_state("00"), q))
+    *(pytest.param(lambda q=q: emps(basis_state("00"), q),
+                   ArgumentError, rf"^qubit index {echo} out of range 1\.\.2$", id=f"emps-qubit-{name}")
       for name, q, echo in (("3", 3, 3), ("0", 0, 0), ("10**400", 10 ** 400, _ECHO_10_400))),
-    *(_rejects(f"emps-{kind}-qubit-{qubit!r}", ArgumentError, "must be an integer, got", partial(emps, state, qubit))
+    *(pytest.param(lambda state=state, qubit=qubit: emps(state(), qubit),
+                   ArgumentError, "must be an integer, got", id=f"emps-{kind}-qubit-{qubit!r}")
       for qubit in (1.0, np.float64(2), True, "1", None)
-      for kind, state in (("pure", basis_state("00")), ("mixed", basis_state("00").density()))),
-    _rejects("EmpsVector-past-one-half", ValidationError,
-             r"^marginal passive energies must lie in \[0, 1/2\], got \[0\.6, 0\.0, 0\.0\]$",
-             lambda: EmpsVector(n=3, values=np.array([0.6, 0.0, 0.0]))),
-    _rejects("EmpsVector-count", ValidationError, "^declared n=2 but got 3 values$",
-             lambda: EmpsVector(n=2, values=np.array([0.1, 0.1, 0.1]))),
-    _rejects("EmpsVector-no-qubit", ValidationError, "at least one qubit", lambda: EmpsVector(n=0, values=[])),
-    _rejects("emps_vectors-one-axis", ValidationError, "shape", lambda: emps_vectors(np.full(8, 8 ** -0.5))),
-    _rejects("emps_vectors-length-6", ValidationError, "power of two",
-             lambda: emps_vectors(np.full((2, 6), 6 ** -0.5))),
-    _rejects("emps_vectors-13-qubits", CapacityError, "13 qubits", lambda: emps_vectors(np.eye(1, 2 ** 13))),
-    _rejects("emps_vectors-row-2", ValidationError, "amplitude row 2 is not normalized",
-             lambda: emps_vectors(np.full((4, 8), 8 ** -0.5) * [[1], [1], [1.01], [1]])),
-    _rejects("worst_slacks-empty", ValidationError, "nonempty last axis", lambda: worst_slacks(np.zeros((3, 0)))),
-    *(_rejects(f"emps_vectors-{row}-at-{k}", ValidationError, f"amplitude row {k} is not normalized",
-               partial(emps_vectors, [[1, 0]] * k + [row]))
+      for kind, state in (("pure", lambda: basis_state("00")), ("mixed", lambda: basis_state("00").density()))),
+    pytest.param(lambda: EmpsVector(n=3, values=np.array([0.6, 0.0, 0.0])),
+                 ValidationError, r"^marginal passive energies must lie in \[0, 1/2\], got \[0\.6, 0\.0, 0\.0\]$",
+                 id="EmpsVector-past-one-half"),
+    pytest.param(lambda: EmpsVector(n=2, values=np.array([0.1, 0.1, 0.1])),
+                 ValidationError, "^declared n=2 but got 3 values$", id="EmpsVector-count"),
+    pytest.param(lambda: EmpsVector(n=0, values=[]), ValidationError, "at least one qubit", id="EmpsVector-no-qubit"),
+    pytest.param(lambda: emps_vectors(np.full(8, 8 ** -0.5)), ValidationError, "shape", id="emps_vectors-one-axis"),
+    pytest.param(lambda: emps_vectors(np.full((2, 6), 6 ** -0.5)),
+                 ValidationError, "power of two", id="emps_vectors-length-6"),
+    pytest.param(lambda: emps_vectors(np.eye(1, 2 ** 13)), CapacityError, "13 qubits", id="emps_vectors-13-qubits"),
+    pytest.param(lambda: emps_vectors(np.full((4, 8), 8 ** -0.5) * [[1], [1], [1.01], [1]]),
+                 ValidationError, "amplitude row 2 is not normalized", id="emps_vectors-row-2"),
+    pytest.param(lambda: worst_slacks(np.zeros((3, 0))),
+                 ValidationError, "nonempty last axis", id="worst_slacks-empty"),
+    *(pytest.param(partial(emps_vectors, [[1, 0]] * k + [row]),
+                   ValidationError, f"amplitude row {k} is not normalized", id=f"emps_vectors-{row}-at-{k}")
       for row in ([1e200, 0], [0, 1e200j], [1e308, 1e308], [_INF, 0], [_NAN, 0]) for k in (0, 1)),
-    _rejects("emps_vectors-strided-zeros", ValidationError, "amplitude row 0 is not normalized",
-             lambda: emps_vectors(np.zeros((6, 16), dtype=complex)[:, 1::2])),
-    *(_rejects(f"{path.__name__}-below-the-floor", ValidationError,
-               r"^marginal of qubit 3 has eigenvalue -1\.000e-01 < 0$", partial(path, _NEGATIVE_MARGINAL, range(1, 5)))
+    pytest.param(lambda: emps_vectors(np.zeros((6, 16), dtype=complex)[:, 1::2]),
+                 ValidationError, "amplitude row 0 is not normalized", id="emps_vectors-strided-zeros"),
+    *(pytest.param(partial(path, _NEGATIVE_MARGINAL, range(1, 5)),
+                   ValidationError, r"^marginal of qubit 3 has eigenvalue -1\.000e-01 < 0$",
+                   id=f"{path.__name__}-below-the-floor")
       for path in (_min_eigenvalues_scalar, _min_eigenvalues_numpy)),
-    _rejects("emps_vector-negative-marginal", ValidationError, "qubit 1",
-             lambda: emps_vector(DensityMatrix._trusted(np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)))),
-    _rejects("eta_indicator-two-qubits", ArgumentError, "^energy indicator needs at least 3 qubits, got n=2$",
-             lambda: eta_indicator(basis_state("00"))),
-    _rejects("eta_indicator-two-energies", ArgumentError, "^energy indicator needs at least 3 qubits, got n=2$",
-             lambda: eta_indicator(EmpsVector(2, np.array([0.1, 0.1])))),
+    pytest.param(lambda: emps_vector(DensityMatrix._trusted(np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))),
+                 ValidationError, "qubit 1", id="emps_vector-negative-marginal"),
+    pytest.param(lambda: eta_indicator(basis_state("00")),
+                 ArgumentError, "^energy indicator needs at least 3 qubits, got n=2$", id="eta_indicator-two-qubits"),
+    pytest.param(lambda: eta_indicator(EmpsVector(2, np.array([0.1, 0.1]))),
+                 ArgumentError, "^energy indicator needs at least 3 qubits, got n=2$", id="eta_indicator-two-energies"),
     # ---------------------------------------------------------------- classify: builders
-    *(_rejects(f"build_state-{family}-{params}", ValidationError, message,
-               partial(build_state, StateBuilderSpec(family=family, params=params)))
+    *(pytest.param(_built(family, params),
+                   ValidationError, message, id=f"build_state-{family}-{params}")
       for family, params, message in (
           ("ghz", {"n": 3, "theta": 0.0}, "theta"),
           ("ghz", {"n": 3, "theta": 1.0}, "theta"),
@@ -428,9 +444,9 @@ LIBRARY_ROWS = [
           ("ghz", [1, 2], "family 'ghz' parameters must be an object, got list"),
           ("ghz", {"n": "3", "theta": 0.5}, "builder parameters violate: 2 <= n <= 12"),
       )),
-    *(_rejects(f"build_state-{family}-{params}", ValidationError,
-               f"family '{family}' got a parameter of the wrong type",
-               partial(build_state, StateBuilderSpec(family=family, params=params)))
+    *(pytest.param(_built(family, params),
+                   ValidationError, f"family '{family}' got a parameter of the wrong type",
+                   id=f"build_state-{family}-{params}")
       for family, params in (
           ("ghz", {"n": 3, "theta": "x"}),
           ("ghz", {"n": 3, "theta": None}),
@@ -440,8 +456,8 @@ LIBRARY_ROWS = [
           ("noisy_w", {"v1": "0.5"}),
           ("noisy_ghz", {"v2": None}),
       )),
-    *(_rejects(f"build_state-{family}-{params}", ValidationError, f"builder parameters violate: .*{message}",
-               partial(build_state, StateBuilderSpec(family=family, params=params)))
+    *(pytest.param(_built(family, params),
+                   ValidationError, f"builder parameters violate: .*{message}", id=f"build_state-{family}-{params}")
       for family, params, message in (
           ("ghz", {"n": True, "theta": 0.5}, "2 <= n"),
           ("ghz", {"n": 3.0, "theta": 0.5}, "2 <= n"),
@@ -454,7 +470,8 @@ LIBRARY_ROWS = [
           ("noisy_ghz", {"v2": False}, "v2"),
       )),
     # past the float range, called directly and through build_state
-    *(_rejects(f"{via}-{family}-{params['coeffs']}", ValidationError, f"builder parameters violate: {message}", call)
+    *(pytest.param(call,
+                   ValidationError, f"builder parameters violate: {message}", id=f"{via}-{family}-{params['coeffs']}")
       for family, params, message in (
           ("generalized_dicke", {"n": 3, "l": 1, "coeffs": [1e200, 0, 0]}, "coefficients have unit norm"),
           ("generalized_dicke", {"n": 3, "l": 1, "coeffs": [1e200j, 1e200, 0]}, "coefficients have unit norm"),
@@ -462,8 +479,8 @@ LIBRARY_ROWS = [
           ("w", {"coeffs": [1e308, 1e308, 1e308]}, "sum of coefficients equals 1"),
       )
       for via, call in (("builder", partial(_BUILDERS[family][0], **params)),
-                        ("build_state", partial(build_state, StateBuilderSpec(family=family, params=params))))),
-    *(_rejects(name, kind, message, call) for name, kind, message, call in (
+                        ("build_state", _built(family, params)))),
+    *(pytest.param(call, kind, message, id=name) for name, kind, message, call in (
         ("ghz-theta", ArgumentError, "^theta must be a number, got 'x'$", lambda: build_ghz(3, "x")),
         ("w-coeffs", ArgumentError, "^coeffs must be a rectangular array of numbers, got dtype <U3$",
          lambda: build_w(["0.5", "0.5"])),
@@ -477,95 +494,104 @@ LIBRARY_ROWS = [
         ("noisy_ghz", ArgumentError, r"^v2 must be a number, got \[0.1\]$", lambda: build_noisy_ghz([0.1])),
         ("biseparable-float-position", ValidationError, "position in", lambda: build_biseparable(0.6, 0.8, 1.0)),
     )),
-    *(_rejects(f"biseparable-bool-amplitudes-{alpha}-{beta}", ValidationError,
-               r"builder parameters violate: \|alpha\|\^2", partial(build_biseparable, alpha, beta, 2))
+    *(pytest.param(partial(build_biseparable, alpha, beta, 2),
+                   ValidationError, r"builder parameters violate: \|alpha\|\^2",
+                   id=f"biseparable-bool-amplitudes-{alpha}-{beta}")
       for alpha, beta in ((True, False), (False, True), (True, 0.0))),
-    *(_rejects(f"random_biseparable-cut-{cut}", ArgumentError, f"cut must be 1, 2, or 3, got {cut}",
-               partial(random_biseparable_three_qubit, np.random.default_rng(0), cut=cut))
+    *(pytest.param(lambda cut=cut: random_biseparable_three_qubit(np.random.default_rng(0), cut=cut),
+                   ArgumentError, f"cut must be 1, 2, or 3, got {cut}", id=f"random_biseparable-cut-{cut}")
       for cut in (4, True)),
     # ---------------------------------------------------------------- classify: verdicts and orbits
-    _rejects("classify-four-qubits", ArgumentError, "^classification needs a 3-qubit pure state$",
-             lambda: classify_three_qubit(basis_state("0101"))),
-    _rejects("classify-four-qubit-ghz", ArgumentError, "classification needs a 3-qubit pure state",
-             lambda: classify_three_qubit(build_ghz(4, 0.5))),
-    _rejects("classify-mixed", ArgumentError, "^classification needs a pure state$",
-             lambda: classify_three_qubit(build_noisy_w(0.1))),
-    *(_rejects(f"{name}-density-matrix", ArgumentError, "needs a pure state", partial(call, build_noisy_w(0.2)))
+    pytest.param(lambda: classify_three_qubit(basis_state("0101")),
+                 ArgumentError, "^classification needs a 3-qubit pure state$", id="classify-four-qubits"),
+    pytest.param(lambda: classify_three_qubit(build_ghz(4, 0.5)),
+                 ArgumentError, "classification needs a 3-qubit pure state", id="classify-four-qubit-ghz"),
+    pytest.param(lambda: classify_three_qubit(build_noisy_w(0.1)),
+                 ArgumentError, "^classification needs a pure state$", id="classify-mixed"),
+    *(pytest.param(lambda call=call: call(build_noisy_w(0.2)),
+                   ArgumentError, "needs a pure state", id=f"{name}-density-matrix")
       for name, call in (("slocc_orbit_sample", lambda rho: slocc_orbit_sample(rho, 2)),
                          ("entropy_criterion", entropy_criterion),
                          ("permute_qubits", lambda rho: permute_qubits(rho, (2, 1, 3))),
                          ("classify_three_qubit", classify_three_qubit))),
-    _rejects("polytope-four-qubits", ArgumentError, "^polytope facets are defined for n=3, got n=4$",
-             lambda: polytope_membership_3q(EmpsVector(4, np.zeros(4)), "w")),
-    _rejects("polytope-bell", ArgumentError, "^polytope must be 'w' or 'ghz', got 'bell'$",
-             lambda: polytope_membership_3q(EmpsVector(3, np.zeros(3)), "bell")),
-    _rejects("discriminate-bell", ArgumentError, "^which must be 'w' or 'ghz', got 'bell'$",
-             lambda: discriminate_noisy(build_noisy_w(0.1), "bell")),
-    *(_rejects(f"discriminate-{which!r}", ArgumentError, "which must be 'w' or 'ghz'",
-               partial(discriminate_noisy, build_noisy_w(0.1), which))
+    pytest.param(lambda: polytope_membership_3q(EmpsVector(4, np.zeros(4)), "w"),
+                 ArgumentError, "^polytope facets are defined for n=3, got n=4$", id="polytope-four-qubits"),
+    pytest.param(lambda: polytope_membership_3q(EmpsVector(3, np.zeros(3)), "bell"),
+                 ArgumentError, "^polytope must be 'w' or 'ghz', got 'bell'$", id="polytope-bell"),
+    pytest.param(lambda: discriminate_noisy(build_noisy_w(0.1), "bell"),
+                 ArgumentError, "^which must be 'w' or 'ghz', got 'bell'$", id="discriminate-bell"),
+    *(pytest.param(lambda which=which: discriminate_noisy(build_noisy_w(0.1), which),
+                   ArgumentError, "which must be 'w' or 'ghz'", id=f"discriminate-{which!r}")
       for which in (None, 3, ("w",))),
-    _rejects("discriminate-two-qubits", ArgumentError, "^noisy discrimination is defined for 3 qubits, got n=2$",
-             lambda: discriminate_noisy(DensityMatrix(np.eye(4) / 4), "w")),
-    _rejects("orbit-zero-samples", ArgumentError, "^sample count must be >= 1, got 0$",
-             lambda: slocc_orbit_sample(basis_state("000"), 0)),
-    _rejects("orbit-negative-seed", ArgumentError, "orbit seed must be a non-negative integer, got -1",
-             lambda: slocc_orbit_sample(basis_state("000"), 2, seed=-1)),
-    *(_rejects(f"orbit-count-{count!r}-seed-{seed!r}", ArgumentError, "must be an integer, got",
-               partial(slocc_orbit_sample, basis_state("000"), count, seed=seed))
+    pytest.param(lambda: discriminate_noisy(DensityMatrix(np.eye(4) / 4), "w"),
+                 ArgumentError, "^noisy discrimination is defined for 3 qubits, got n=2$",
+                 id="discriminate-two-qubits"),
+    pytest.param(lambda: slocc_orbit_sample(basis_state("000"), 0),
+                 ArgumentError, "^sample count must be >= 1, got 0$", id="orbit-zero-samples"),
+    pytest.param(lambda: slocc_orbit_sample(basis_state("000"), 2, seed=-1),
+                 ArgumentError, "orbit seed must be a non-negative integer, got -1", id="orbit-negative-seed"),
+    *(pytest.param(lambda count=count, seed=seed: slocc_orbit_sample(basis_state("000"), count, seed=seed),
+                   ArgumentError, "must be an integer, got", id=f"orbit-count-{count!r}-seed-{seed!r}")
       for count, seed in ((2.0, 1), (True, 1), ("2", 1), (None, 1), (np.float64(2), 1),
                           (2, 1.5), (2, None), (2, False), (2, "7"), (2, np.float64(3)))),
     # counts past the address space: numpy's own error would be a ValueError
-    _rejects("orbit-count-10**19", CapacityError, "^sample count 10000000000000000000 is too large to hold in memory$",
-             lambda: slocc_orbit_sample(basis_state("000"), 10 ** 19)),
-    _rejects("orbit-count-10**400", CapacityError, f"^sample count {_ECHO_10_400} is too large to hold in memory$",
-             lambda: slocc_orbit_sample(basis_state("000"), 10 ** 400)),
+    pytest.param(lambda: slocc_orbit_sample(basis_state("000"), 10 ** 19),
+                 CapacityError, "^sample count 10000000000000000000 is too large to hold in memory$",
+                 id="orbit-count-10**19"),
+    pytest.param(lambda: slocc_orbit_sample(basis_state("000"), 10 ** 400),
+                 CapacityError, f"^sample count {_ECHO_10_400} is too large to hold in memory$",
+                 id="orbit-count-10**400"),
     # ---------------------------------------------------------------- spinchain: specs
-    _rejects("pauli_string_matrix-letters", ValidationError, "invalid letters", lambda: pauli_string_matrix("XQ")),
-    _rejects("spec-term-length", ValidationError, "length", lambda: SpinChainSpec(N=4, extra_terms=((1.0, "XX"),))),
-    _rejects("spec-term-letters", ValidationError, "invalid letters",
-             lambda: SpinChainSpec(N=2, extra_terms=((1.0, "XQ"),))),
-    *(_rejects(f"spec-N-{reprlib.repr(n)}", ValidationError, message, partial(SpinChainSpec, N=n)) for n, message in (
-        (1, "site count"),
-        (13, "site count"),
-        (10 ** 400, rf"^site count N must be in 2\.\.12, got {_ECHO_10_400}$"),
-        (4.5, "site count N must be an integer"),
-        (4.0, "site count N must be an integer"),
-        ("5", "site count N must be an integer"),
-        (None, "site count N must be an integer"),
-        (True, "site count N must be an integer, got True"),
-    )),
-    *(_rejects(f"spec-terms-{terms}", ValidationError, "extra_terms must be",
-               partial(SpinChainSpec, N=2, extra_terms=terms))
+    pytest.param(lambda: pauli_string_matrix("XQ"),
+                 ValidationError, "invalid letters", id="pauli_string_matrix-letters"),
+    pytest.param(lambda: SpinChainSpec(N=4, extra_terms=((1.0, "XX"),)),
+                 ValidationError, "length", id="spec-term-length"),
+    pytest.param(lambda: SpinChainSpec(N=2, extra_terms=((1.0, "XQ"),)),
+                 ValidationError, "invalid letters", id="spec-term-letters"),
+    *(pytest.param(partial(SpinChainSpec, N=n), ValidationError, message, id=f"spec-N-{reprlib.repr(n)}")
+      for n, message in (
+          (1, "site count"),
+          (13, "site count"),
+          (10 ** 400, rf"^site count N must be in 2\.\.12, got {_ECHO_10_400}$"),
+          (4.5, "site count N must be an integer"),
+          (4.0, "site count N must be an integer"),
+          ("5", "site count N must be an integer"),
+          (None, "site count N must be an integer"),
+          (True, "site count N must be an integer, got True"),
+      )),
+    *(pytest.param(partial(SpinChainSpec, N=2, extra_terms=terms),
+                   ValidationError, "extra_terms must be", id=f"spec-terms-{terms}")
       for terms in ((("x", "XX"),), ((1.0,),), ((None, "XX"),), (1.0,), ((1.0, "XX", 2.0),))),
     # a bool, a string or None is not a number; an integer past the float range is not a finite one
-    *(_rejects(f"spec-{name}-{reprlib.repr(value)}", ValidationError, message,
-               partial(SpinChainSpec, N=3, **{name: value}))
+    *(pytest.param(partial(SpinChainSpec, N=3, **{name: value}),
+                   ValidationError, message, id=f"spec-{name}-{reprlib.repr(value)}")
       for name in ("J", "h")
       for value, message in (*((bad, f"^{name} must be a number, got {bad!r}$") for bad in (True, False, "1.5", None)),
                              (10 ** 400, f"^{name} {_HUGE}$"), (-(10 ** 400), f"^{name} {_HUGE}$"))),
     *(row for letters in ("ZZ", "XX", "yzx") for coeff in (_NAN, _INF, -_INF) for row in (
-        _rejects(f"spec-J-{coeff}-{letters}", ValidationError, "J must be a finite number",
-                 partial(SpinChainSpec, N=len(letters), J=coeff)),
-        _rejects(f"spec-h-{coeff}-{letters}", ValidationError, "h must be a finite number",
-                 partial(SpinChainSpec, N=len(letters), h=coeff)),
-        _rejects(f"spec-term-{coeff}-{letters}", ValidationError,
-                 f"extra_terms coefficient of '{letters.upper()}' must be finite",
-                 partial(SpinChainSpec, N=len(letters), extra_terms=((1.0, "I" * len(letters)), (coeff, letters)))),
-        _rejects(f"sweep-h-{coeff}-{letters}", ValidationError, "h must be a finite number",
-                 partial(indicator_sweep, nearest_neighbor_chain(N=3), "h", [1.0, coeff])),
+        pytest.param(partial(SpinChainSpec, N=len(letters), J=coeff),
+                     ValidationError, "J must be a finite number", id=f"spec-J-{coeff}-{letters}"),
+        pytest.param(partial(SpinChainSpec, N=len(letters), h=coeff),
+                     ValidationError, "h must be a finite number", id=f"spec-h-{coeff}-{letters}"),
+        pytest.param(partial(SpinChainSpec, N=len(letters), extra_terms=((1.0, "I" * len(letters)), (coeff, letters))),
+                     ValidationError, f"extra_terms coefficient of '{letters.upper()}' must be finite",
+                     id=f"spec-term-{coeff}-{letters}"),
+        pytest.param(lambda coeff=coeff: indicator_sweep(nearest_neighbor_chain(N=3), "h", [1.0, coeff]),
+                     ValidationError, "h must be a finite number", id=f"sweep-h-{coeff}-{letters}"),
     )),
-    *(_rejects(f"spec-coefficients-{name}", ValidationError, _TOO_LARGE, partial(SpinChainSpec, N=4, **fields))
+    *(pytest.param(partial(SpinChainSpec, N=4, **fields), ValidationError, _TOO_LARGE, id=f"spec-coefficients-{name}")
       for name, fields in (("h", {"h": 1e308}), ("J_and_h", {"J": -1e308, "h": 1e308}),
                            ("extra_terms", {"extra_terms": ((1e308, "XXXX"), (-1e308, "ZIIZ"))}))),
-    *(_rejects(f"spec-term-coefficient-{coeff!r}", ValidationError, "extra_terms must be",
-               partial(SpinChainSpec, N=2, extra_terms=((1.0, "XX"), (coeff, "ZZ"))))
+    *(pytest.param(partial(SpinChainSpec, N=2, extra_terms=((1.0, "XX"), (coeff, "ZZ"))),
+                   ValidationError, "extra_terms must be", id=f"spec-term-coefficient-{coeff!r}")
       for coeff in ("1.5", True, False, None)),
     # ---------------------------------------------------------------- spinchain: spec files
-    *(_rejects(f"spec_from_dict-{reprlib.repr(payload)}", ValidationError, message, partial(spec_from_dict, payload))
+    *(pytest.param(partial(spec_from_dict, payload),
+                   ValidationError, message, id=f"spec_from_dict-{reprlib.repr(payload)}")
       for payload, message in (
           ({"N": 5, "bogus": 1}, r"^spin chain spec has fields \['bogus'\] outside \['N', 'J', 'h', 'extra_terms'\]$"),
           ({"extra_terms": [["a", "b", "c"]]},
-           r"^extra_terms must be \(coefficient, Pauli string\) pairs: too many values to unpack \(expected 2\)$"),
+           r"^extra_terms must be \(coefficient, Pauli string\) pairs: too many values to unpack"),  # then Python's
           ([1, 2], "^spin chain spec must be a JSON object$"),
           ({"N": "abc"}, "N, J and h must be numbers"),
           ({"N": None}, "N, J and h must be numbers"),
@@ -586,50 +612,58 @@ LIBRARY_ROWS = [
           *(({"N": 2, "extra_terms": [[coeff, "ZZ"]]}, "extra_terms must be") for coeff in ("1.5", True, False, None)),
       )),
     # ---------------------------------------------------------------- spinchain: raw matrices
-    _rejects("ground_state-dimension-3", ValidationError, "^Hamiltonian dimension 3 is not a power of two$",
-             _unsolved_ground_state(np.eye(3))),
-    _rejects("ground_state-short-row", ValidationError,
-             "^matrix must be a rectangular array of numbers, got ragged rows$",
-             _unsolved_ground_state([[1, 0], [0]])),
-    _rejects("ground_state-strings", ValidationError, "matrix must be a rectangular array of numbers",
-             _unsolved_ground_state([["a", "b"], ["c", "d"]])),
-    *(_rejects(f"ground_state-row-sums-{ham}", ValidationError,
-               "Hamiltonian is too large: its largest absolute row sum is not finite",
-               _unsolved_ground_state(np.array(ham)))
+    pytest.param(lambda: _unsolved_ground_state(np.eye(3)),
+                 ValidationError, "^Hamiltonian dimension 3 is not a power of two$", id="ground_state-dimension-3"),
+    pytest.param(lambda: _unsolved_ground_state([[1, 0], [0]]),
+                 ValidationError, "^matrix must be a rectangular array of numbers, got ragged rows$",
+                 id="ground_state-short-row"),
+    pytest.param(lambda: _unsolved_ground_state([["a", "b"], ["c", "d"]]),
+                 ValidationError, "matrix must be a rectangular array of numbers", id="ground_state-strings"),
+    *(pytest.param(lambda ham=ham: _unsolved_ground_state(np.array(ham)),
+                   ValidationError, "Hamiltonian is too large: its largest absolute row sum is not finite",
+                   id=f"ground_state-row-sums-{ham}")
       for ham in ([[1e308, 1e308], [1e308, 1e308]], [[1e308, 9e307], [9e307, 5e307]])),
-    _rejects("ground_state-one-by-one", ValidationError, "Hamiltonian needs at least one qubit",
-             _unsolved_ground_state(np.array([[1.0]]))),
+    pytest.param(lambda: _unsolved_ground_state(np.zeros((2, 4))),
+                 ValidationError, r"^Hamiltonian must be a square matrix, got shape \(2, 4\)$",
+                 id="ground_state-not-square"),
+    pytest.param(lambda: _unsolved_ground_state(np.array([[1.0]])),
+                 ValidationError, "Hamiltonian needs at least one qubit", id="ground_state-one-by-one"),
     # a zero-stride view: no 2^26 entries are allocated
-    _rejects("ground_state-13-qubits", CapacityError, "Hamiltonian needs 13 qubits, limit is 12",
-             _unsolved_ground_state(np.broadcast_to(0.0, (1 << 13, 1 << 13)))),
+    pytest.param(lambda: _unsolved_ground_state(np.broadcast_to(0.0, (1 << 13, 1 << 13))),
+                 CapacityError, "Hamiltonian needs 13 qubits, limit is 12", id="ground_state-13-qubits"),
     # ---------------------------------------------------------------- spinchain: criteria and sweeps
-    _rejects("entropy_criterion-two-qubits", ArgumentError, "^entropy criterion needs at least 3 qubits, got n=2$",
-             lambda: entropy_criterion(basis_state("00"))),
-    _rejects("sweep-parameter", ArgumentError, '^parameter must be "J", "h", or "coefficient", got \'field\'$',
-             lambda: indicator_sweep(nearest_neighbor_chain(N=3), "field", [1.0])),
-    *(_rejects(f"sweep-value-{value!r}", ArgumentError, f"sweep value must be a number, got {re.escape(repr(value))}",
-               partial(indicator_sweep, long_range_chain(), "h", [0.5, value]))
+    pytest.param(lambda: entropy_criterion(basis_state("00")),
+                 ArgumentError, "^entropy criterion needs at least 3 qubits, got n=2$",
+                 id="entropy_criterion-two-qubits"),
+    pytest.param(lambda: indicator_sweep(nearest_neighbor_chain(N=3), "field", [1.0]),
+                 ArgumentError, '^parameter must be "J", "h", or "coefficient", got \'field\'$', id="sweep-parameter"),
+    *(pytest.param(lambda value=value: indicator_sweep(long_range_chain(), "h", [0.5, value]),
+                   ArgumentError, f"sweep value must be a number, got {re.escape(repr(value))}",
+                   id=f"sweep-value-{value!r}")
       for value in ("1.5", True, None)),
-    _rejects("sweep-value-10**400", ArgumentError, f"sweep value {_HUGE}",
-             lambda: indicator_sweep(long_range_chain(), "h", [0.5, -(10 ** 400)])),
-    _rejects("sweep-coefficient-without-terms", ArgumentError,
-             '"coefficient" scales the extra terms, and the chain has none',
-             lambda: indicator_sweep(nearest_neighbor_chain(N=4), "coefficient", [1.0, 2.0])),
-    *(_rejects(f"sweep-two-sites-{values}", ArgumentError, "energy indicator needs at least 3 qubits, got n=2",
-               partial(indicator_sweep, nearest_neighbor_chain(N=2), "h", values))
+    pytest.param(lambda: indicator_sweep(long_range_chain(), "h", [0.5, -(10 ** 400)]),
+                 ArgumentError, f"sweep value {_HUGE}", id="sweep-value-10**400"),
+    pytest.param(lambda: indicator_sweep(nearest_neighbor_chain(N=4), "coefficient", [1.0, 2.0]),
+                 ArgumentError, '"coefficient" scales the extra terms, and the chain has none',
+                 id="sweep-coefficient-without-terms"),
+    *(pytest.param(lambda values=values: indicator_sweep(nearest_neighbor_chain(N=2), "h", values),
+                   ArgumentError, "energy indicator needs at least 3 qubits, got n=2", id=f"sweep-two-sites-{values}")
       for values in ([1.0], [])),
     # every row is checked before any is solved, so the nan row is rejected before the 1e9 row ahead of it is solved
-    *(_rejects(f"sweep-{parameter}-{values}", ValidationError, message,
-               partial(indicator_sweep, long_range_chain(), parameter, values))
+    *(pytest.param(lambda parameter=parameter, values=values: indicator_sweep(long_range_chain(), parameter, values),
+                   ValidationError, message, id=f"sweep-{parameter}-{values}")
       for parameter, message in (("J", "J must be a finite number"),
                                  ("coefficient", "coefficient of 'IXXXI' must be finite"))
       for values in ([1e9, _NAN], [1.0, _NAN, 1e9])),
     # 4 * 1e308 overflows to inf in the row's table, and the row's spec names the term
-    _rejects("sweep-coefficient-1e308", ValidationError, "extra_terms coefficient of 'IXXXI' must be finite, got inf",
-             lambda: indicator_sweep(long_range_chain(), "coefficient", [1.0, 1e308, 2.0])),
+    pytest.param(lambda: indicator_sweep(long_range_chain(), "coefficient", [1.0, 1e308, 2.0]),
+                 ValidationError, "extra_terms coefficient of 'IXXXI' must be finite, got inf",
+                 id="sweep-coefficient-1e308"),
     # the first invalid row raises, wherever it sits; |J| alone cannot overflow this chain: its four bonds sum to |J|
-    *(_rejects(f"sweep-first-invalid-{parameter}-{bad}-at-{position}", ValidationError, f"^{message}$",
-               partial(indicator_sweep, long_range_chain(), parameter, [*_SWEEP[:position], bad, *_SWEEP[position:]]))
+    *(pytest.param(lambda parameter=parameter, values=[*_SWEEP[:position], bad, *_SWEEP[position:]]:
+                   indicator_sweep(long_range_chain(), parameter, values),
+                   ValidationError, f"^{message}$",
+                   id=f"sweep-first-invalid-{parameter}-{bad}-at-{position}")
       for parameter, bad, message in (
           ("J", _NAN, "J must be a finite number, got nan"),
           ("J", _INF, "J must be a finite number, got inf"),
